@@ -20,9 +20,9 @@ import sys
 import numpy as np
 
 from .errors import CzmapError, ScenarioError
-from .harmonic import estimate_harmonic_radius
-from .report import read_reports, summarize, write_reports
-from .runner import run_scenario
+from .harmonic import default_r_max, estimate_harmonic_radius
+from .report import read_reports, summarize
+from .runner import run_and_report
 from .scenario import fixture_path, load_scenario
 
 
@@ -48,12 +48,20 @@ def _apply_overrides(scenario, args):
     return scenario
 
 
-def cmd_validate(args) -> int:
+def _load(args):
+    """The scenario named by ``args.scenario``, or None after printing the
+    issues that rejected it."""
     try:
-        scenario = load_scenario(_resolve_scenario(args.scenario))
+        return load_scenario(_resolve_scenario(args.scenario))
     except ScenarioError as exc:
         for issue in exc.issues:
             print(repr(issue), file=sys.stderr)
+        return None
+
+
+def cmd_validate(args) -> int:
+    scenario = _load(args)
+    if scenario is None:
         return 1
     print(f"{scenario.name}: ok "
           f"({len(scenario.manifolds)} manifold(s), {len(scenario.maps)} map(s), "
@@ -62,18 +70,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(_resolve_scenario(args.scenario))
-    except ScenarioError as exc:
-        for issue in exc.issues:
-            print(repr(issue), file=sys.stderr)
+    scenario = _load(args)
+    if scenario is None:
         return 1
     _apply_overrides(scenario, args)
-    reports = run_scenario(scenario)
+    reports, jsonl, tsv = run_and_report(scenario, args.out)
     print(summarize(reports))
-    out = args.out or scenario.run.out
-    if out:
-        jsonl, tsv = write_reports(reports, out)
+    if jsonl:
         print(f"wrote {jsonl} and {tsv}")
     return 0 if all(r.passed for r in reports) else 1
 
@@ -84,11 +87,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_radius(args) -> int:
-    try:
-        scenario = load_scenario(_resolve_scenario(args.scenario))
-    except ScenarioError as exc:
-        for issue in exc.issues:
-            print(repr(issue), file=sys.stderr)
+    scenario = _load(args)
+    if scenario is None:
         return 1
     status = 0
     for name, mdef in scenario.manifolds.items():
@@ -98,11 +98,7 @@ def cmd_radius(args) -> int:
                                              + np.asarray(mdef.upper))]
         for x in points:
             x = np.asarray(x, dtype=float)
-            margin = float(min(np.min(x - chart.box.lower),
-                               np.min(chart.box.upper - x)))
-            lam_min, _ = chart.ellipticity_range()
-            # leave reach for the padded solve domain
-            r_max = args.r_max or 0.7 * margin * float(np.sqrt(lam_min))
+            r_max = args.r_max or default_r_max(chart, x)
             try:
                 est = estimate_harmonic_radius(chart, x, r_max=r_max)
             except CzmapError as exc:

@@ -287,14 +287,7 @@ class HarmonicRadii:
     r1M: float
     r1N: float
     source: str = "declared"          # declared | estimated
-
-    def source_certificate(self) -> RadiusCertificate:
-        from .harmonic import declared_certificate
-        return declared_certificate(self.r1M)
-
-    def target_certificate(self) -> RadiusCertificate:
-        from .harmonic import declared_certificate
-        return declared_certificate(self.r1N)
+    certificates: tuple = ()          # (r1M, r1N) RadiusCertificates, if resolved
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +401,6 @@ class OmegaDecomposition:
     mask: np.ndarray             # bool, source grid shape
     dist_to_o: np.ndarray        # dist_N(u(x), o), source grid shape
     r1N: float
-
-    def complement(self) -> np.ndarray:
-        return ~self.mask
 
 
 def omega_decomposition(map_model: MapModel, o, r1N: float) -> OmegaDecomposition:
@@ -587,7 +577,8 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
 
     With ``uniform_radius`` set, the Lipschitz hypothesis is replaced by a
     measured uniform-continuity profile (r_uc, R_uc); the run is flagged
-    extrapolated.
+    extrapolated.  A passed ``cover`` is reused only when it was built on
+    this map's source chart at this r_hat; otherwise a new one is built.
     """
     source = map_model.source_chart
     box = source.box
@@ -613,7 +604,8 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
 
     jet = jet or generalized_hessian(map_model)
     omega = omega_decomposition(map_model, o, radii.r1N)
-    if cover is None or abs(cover.r_hat - r_hat) > 1e-15:
+    if (cover is None or cover.chart is not source
+            or abs(cover.r_hat - r_hat) > 1e-15):
         cover = build_cover(source, r_hat)
     cover_checks = cover.verify()
 

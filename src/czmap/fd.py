@@ -120,26 +120,3 @@ def point_diff1(f, x: np.ndarray, axis: int, h: float, lower, upper) -> np.ndarr
     d_center = (fp - fm) / (2.0 * h)
     d_curv = (fp - 2.0 * f0 + fm) / (h * h)
     return d_center + t * h * d_curv
-
-
-def point_diff2(f, x: np.ndarray, axis: int, h: float, lower, upper) -> np.ndarray:
-    """Second same-axis derivative of a point-evaluable function at ``x``."""
-    x = np.asarray(x, dtype=float)
-    if upper[axis] - lower[axis] < 2.0 * h:
-        raise ShrinkDomain(x.reshape(-1, x.shape[-1])[0], axis,
-                           2.0 * h - (upper[axis] - lower[axis]))
-    shift = _stencil_shift(x, axis, h, lower, upper)
-    e = np.zeros(x.shape[-1])
-    e[axis] = 1.0
-    xc = x + shift[..., None] * e
-    fm = f(xc - h * e)
-    f0 = f(xc)
-    fp = f(xc + h * e)
-    return (fp - 2.0 * f0 + fm) / (h * h)
-
-
-def convergence_factor(err_coarse: float, err_fine: float) -> float:
-    """Error reduction factor per step halving (4.0 for clean O(h^2))."""
-    if err_fine == 0.0:
-        return np.inf
-    return err_coarse / err_fine

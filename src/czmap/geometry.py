@@ -249,9 +249,6 @@ class ChristoffelField:
         """Hilbert-Schmidt norm over (i, j) per upper index l."""
         return np.sqrt(np.sum(self.values ** 2, axis=(-2, -1)))
 
-    def max_hs_norm(self) -> float:
-        return float(self.hs_norms.max())
-
 
 @dataclass
 class RicciSamples:

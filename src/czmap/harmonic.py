@@ -413,13 +413,20 @@ class RadiusEstimate:
     undetermined: bool = False
     certificates: list = field(default_factory=list)
 
-    def as_float(self) -> float:
-        return self.value
-
     def __str__(self):
         if self.undetermined:
             return "undetermined (grid too coarse)"
         return f">= {self.value:g}" if self.at_least else f"{self.value:g}"
+
+
+def default_r_max(chart: MetricChart, x) -> float:
+    """Upper end of the radius bisection at ``x``: 0.7 of the box margin in
+    metric units, leaving reach for the padded solve domain."""
+    x = np.asarray(x, dtype=float)
+    margin = float(min(np.min(x - chart.box.lower),
+                       np.min(chart.box.upper - x)))
+    lam_min, _ = chart.ellipticity_range()
+    return 0.7 * margin * float(np.sqrt(lam_min))
 
 
 def estimate_harmonic_radius(chart: MetricChart, x, k: int = 1,

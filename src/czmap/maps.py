@@ -56,10 +56,6 @@ class MapModel:
         self._cache: dict = {}
 
     @property
-    def source_dimension(self) -> int:
-        return self.source_chart.dimension
-
-    @property
     def target_dimension(self) -> int:
         return self.target_chart.dimension
 

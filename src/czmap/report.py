@@ -8,8 +8,11 @@ byte comparisons.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
+
+import numpy as np
 
 TABLE_COLUMNS = ("scenario", "mode", "p", "resolution", "lhs_hess",
                  "t_laplacian", "t_du", "t_du_2p_sq", "t_dist", "ratio",
@@ -64,22 +67,25 @@ class InequalityReport:
         return row
 
 
-def _json_default(obj):
-    import numpy as np
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float):
-        return obj
-    return str(obj)
+def _spell_nonfinite(value):
+    """``value`` as plain Python data, numpy scalars and arrays included,
+    with every non-finite float replaced by 'inf', '-inf' or 'nan'."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: _spell_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell_nonfinite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
 
 
 def _encode(value):
-    """JSON with inf spelled as the string sentinel 'inf'."""
-    text = json.dumps(value, sort_keys=True, default=_json_default,
-                      allow_nan=True)
-    return text.replace("Infinity", '"inf"').replace("NaN", '"nan"')
+    """JSON with non-finite floats spelled as the strings 'inf', '-inf'
+    and 'nan'; strings are written unchanged."""
+    return json.dumps(_spell_nonfinite(value), sort_keys=True, default=str,
+                      allow_nan=False)
 
 
 def write_reports(reports, out_prefix: str) -> tuple:

@@ -1,53 +1,62 @@
-"""Scenario execution: builds models, drives the engine, emits reports."""
+"""Scenario execution: builds models, drives the engine, emits reports.
+
+Every chart-based mode runs on one ``RunContext`` per resolution level.
+The charts, the harmonic radii and the cover do not depend on the map, so
+they are built once per level; each map (one per level in a run, one per
+parameter point in a search) adds only its model, jet and basepoint.
+"""
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .engine import (EllipticOperatorSpec, HarmonicRadii, build_cover,
-                     compute_r_hat, verify_ball_estimate,
-                     verify_euclidean_corollaries, verify_global_estimate,
-                     verify_interior_estimate, verify_scaling_identities)
+from .engine import (Cover, EllipticOperatorSpec, GlobalEstimateInstance,
+                     HarmonicRadii, build_cover, compute_r_hat,
+                     verify_ball_estimate, verify_euclidean_corollaries,
+                     verify_global_estimate, verify_interior_estimate,
+                     verify_scaling_identities)
 from .errors import CzmapError
 from .expressions import Expression
-from .harmonic import declared_certificate, estimate_harmonic_radius
+from .geometry import MetricChart
+from .harmonic import (RadiusCertificate, declared_certificate, default_r_max,
+                       estimate_harmonic_radius)
 from .maps import generalized_hessian
-from .report import InequalityReport
+from .report import InequalityReport, write_reports
 from .scenario import Scenario
 from .search import MapFamily, extremal_ratio_search
 
 DRIFT_TOLERANCE = 0.10
 
 
-def _resolve_r1(mdef, chart) -> tuple:
-    """(radius value, provenance) for one manifold definition."""
-    if mdef.r1_half == "estimate":
-        if not mdef.base_points:
-            raise CzmapError(f"manifold {mdef.name}: r1_half=estimate needs "
-                             "a base_point")
-        x = np.asarray(mdef.base_points[0], dtype=float)
-        margin = float(min(np.min(x - chart.box.lower),
-                           np.min(chart.box.upper - x)))
-        lam_min, _ = chart.ellipticity_range()
-        # leave reach for the padded solve domain of the Dirichlet solver
-        r_max = 0.7 * margin * np.sqrt(lam_min)
-        est = estimate_harmonic_radius(chart, x, r_max=r_max)
-        if est.undetermined or est.value <= 0:
-            raise CzmapError(
-                f"manifold {mdef.name}: harmonic-radius estimate at "
-                f"{x.tolist()} is {est}; refine the grid or declare r1_half")
-        return float(est.value), "estimated"
-    return float(mdef.r1_half), "declared"
+def _resolve_r1(mdef, chart) -> RadiusCertificate:
+    """Certificate of one manifold's r_{1,1/2}: the declaration, or the
+    solver's certificate at the estimated radius."""
+    if mdef.r1_half != "estimate":
+        return declared_certificate(float(mdef.r1_half))
+    if not mdef.base_points:
+        raise CzmapError(f"manifold {mdef.name}: r1_half=estimate needs "
+                         "a base_point")
+    x = np.asarray(mdef.base_points[0], dtype=float)
+    est = estimate_harmonic_radius(chart, x, r_max=default_r_max(chart, x))
+    if est.undetermined or est.value <= 0:
+        raise CzmapError(
+            f"manifold {mdef.name}: harmonic-radius estimate at "
+            f"{x.tolist()} is {est}; refine the grid or declare r1_half")
+    return max((c for c in est.certificates if c.holds), key=lambda c: c.r)
 
 
 def resolve_radii(scenario: Scenario, source_chart, target_chart) -> HarmonicRadii:
     mdef = scenario.primary_map()
-    r1M, src_kind = _resolve_r1(scenario.manifolds[mdef.source], source_chart)
-    r1N, tgt_kind = _resolve_r1(scenario.manifolds[mdef.target], target_chart)
-    kind = "estimated" if "estimated" in (src_kind, tgt_kind) else "declared"
-    return HarmonicRadii(r1M=r1M, r1N=r1N, source=kind)
+    certs = (_resolve_r1(scenario.manifolds[mdef.source], source_chart),
+             _resolve_r1(scenario.manifolds[mdef.target], target_chart))
+    kind = ("estimated" if any(c.source == "solver" for c in certs)
+            else "declared")
+    return HarmonicRadii(r1M=float(certs[0].r), r1N=float(certs[1].r),
+                         source=kind, certificates=certs)
 
 
 def _basepoint(scenario: Scenario, map_model) -> np.ndarray:
@@ -59,6 +68,50 @@ def _basepoint(scenario: Scenario, map_model) -> np.ndarray:
     center = 0.5 * (map_model.source_chart.box.lower
                     + map_model.source_chart.box.upper)
     return map_model.values(center)
+
+
+@dataclass
+class RunContext:
+    """The map-independent part of one resolution level.
+
+    Holds the SPD-checked source and target charts and the resolved
+    harmonic radii with their certificates.  Unless the run sets
+    ``uc_radius``, the cover for the declared Lipschitz bound is built on
+    first use and then shared by every exponent and every map verified on
+    this context.
+    """
+
+    scenario: Scenario
+    source: MetricChart
+    target: MetricChart
+    radii: HarmonicRadii
+    cover: Cover | None = None
+
+    @classmethod
+    def build(cls, scenario: Scenario, resolution=None) -> "RunContext":
+        source, target = (m.atlas[0]
+                          for m in scenario.build_manifolds(resolution))
+        return cls(scenario, source, target,
+                   resolve_radii(scenario, source, target))
+
+    def build_map(self, parameter_values=None) -> tuple:
+        """(validated map model, jet) of the primary map on these charts."""
+        map_model = self.scenario.primary_map().build(
+            self.source, self.target, parameter_values)
+        map_model.validate()
+        return map_model, generalized_hessian(map_model)
+
+    def verify_global(self, map_model, jet, p: float) -> GlobalEstimateInstance:
+        run = self.scenario.run
+        o = _basepoint(self.scenario, map_model)
+        if self.cover is None and run.uc_radius is None:
+            self.cover = build_cover(
+                self.source, compute_r_hat(self.radii.r1M, self.radii.r1N,
+                                           map_model.lipschitz_bound))
+        return verify_global_estimate(
+            map_model, o, p, self.radii, jet=jet, cover=self.cover,
+            uniform_radius=run.uc_radius, omega_slack=run.omega_slack,
+            name=self.scenario.name)
 
 
 def _resolutions(scenario: Scenario):
@@ -89,55 +142,37 @@ def run_and_report(scenario: Scenario, out_prefix: str | None = None):
     Returns ``(reports, jsonl_path, tsv_path)``; paths are None when no
     output prefix is configured.
     """
-    from .report import write_reports
     reports = run_scenario(scenario)
     prefix = out_prefix or scenario.run.out
-    if prefix:
-        jsonl, tsv = write_reports(reports, prefix)
-        return reports, jsonl, tsv
-    return reports, None, None
+    if not prefix:
+        return reports, None, None
+    return (reports, *write_reports(reports, prefix))
 
 
 def _run_at_resolution(scenario: Scenario, resolution) -> list:
     mode = scenario.run.mode
     reports = []
+    res_label = _res_label(scenario, resolution)
+    report = partial(InequalityReport, scenario=scenario.name, mode=mode,
+                     resolution=res_label)
     t0 = time.perf_counter()
     try:
-        sdef, tdef, map_model = scenario.build_models(resolution)
-        map_model.validate()
-        radii = resolve_radii(scenario, map_model.source_chart,
-                              map_model.target_chart)
-        jet = generalized_hessian(map_model)
+        ctx = RunContext.build(scenario, resolution)
+        map_model, jet = ctx.build_map()
     except CzmapError as exc:
-        return [InequalityReport(
-            scenario=scenario.name, mode=mode, p=scenario.run.p_list[0],
-            resolution=_res_label(scenario, resolution), terms={}, ratio=np.nan,
-            error=f"{type(exc).__name__}: {exc}",
-            timing_seconds=time.perf_counter() - t0)]
-    res_label = "x".join(str(r) for r in map_model.source_chart.box.resolution)
+        return [report(p=scenario.run.p_list[0], terms={}, ratio=np.nan,
+                       error=f"{type(exc).__name__}: {exc}",
+                       timing_seconds=time.perf_counter() - t0)]
+    radii = ctx.radii
 
-    shared_cover = None
     for p in scenario.run.p_list:
         t1 = time.perf_counter()
         try:
             if mode == "global":
-                o = _basepoint(scenario, map_model)
-                if shared_cover is None and scenario.run.uc_radius is None:
-                    shared_cover = build_cover(
-                        map_model.source_chart,
-                        compute_r_hat(radii.r1M, radii.r1N,
-                                      map_model.lipschitz_bound))
-                inst = verify_global_estimate(
-                    map_model, o, p, radii, jet=jet, cover=shared_cover,
-                    uniform_radius=scenario.run.uc_radius,
-                    omega_slack=scenario.run.omega_slack,
-                    name=scenario.name)
-                rep = InequalityReport(
-                    scenario=scenario.name, mode=mode, p=p,
-                    resolution=res_label, terms=inst.terms, ratio=inst.ratio,
-                    checks=inst.checks,
-                    certificates=[radii.source_certificate().as_record(),
-                                  radii.target_certificate().as_record()],
+                inst = ctx.verify_global(map_model, jet, p)
+                rep = report(
+                    p=p, terms=inst.terms, ratio=inst.ratio, checks=inst.checks,
+                    certificates=[c.as_record() for c in radii.certificates],
                     cover_stats={"centers": inst.cover.size,
                                  "multiplicity": inst.cover.multiplicity,
                                  "separation": inst.cover.separation},
@@ -149,23 +184,19 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
                 rec = verify_euclidean_corollaries(
                     map_model, p, mode=mode, basepoint=basepoint,
                     radii=radii if mode == "corollaryA" else None)
-                checks = {"ratio_finite": bool(np.isfinite(rec["ratio"]))}
-                rep = InequalityReport(
-                    scenario=scenario.name, mode=mode, p=p,
-                    resolution=res_label,
-                    terms={k: v for k, v in rec.items()
-                           if isinstance(v, (int, float))},
-                    ratio=rec["ratio"], checks=checks,
+                rep = report(
+                    p=p, terms={k: v for k, v in rec.items()
+                                if isinstance(v, (int, float))},
+                    ratio=rec["ratio"],
+                    checks={"ratio_finite": bool(np.isfinite(rec["ratio"]))},
                     caveats=rec.get("caveats", []))
             elif mode == "ball":
                 rep = _run_ball(scenario, map_model, radii, jet, p, res_label)
             else:
                 raise CzmapError(f"mode {mode} not runnable here")
         except CzmapError as exc:
-            rep = InequalityReport(
-                scenario=scenario.name, mode=mode, p=p, resolution=res_label,
-                terms={}, ratio=np.nan,
-                error=f"{type(exc).__name__}: {exc}")
+            rep = report(p=p, terms={}, ratio=np.nan,
+                         error=f"{type(exc).__name__}: {exc}")
         rep.timing_seconds = time.perf_counter() - t1
         reports.append(rep)
     return reports
@@ -180,8 +211,8 @@ def _run_ball(scenario, map_model, radii, jet, p, res_label) -> InequalityReport
     y = map_model.values(x) if isinstance(tc, str) else np.asarray(tc, dtype=float)
     inst = verify_ball_estimate(
         map_model, x, y, float(ball["r"][0]), float(ball["R"][0]), p,
-        source_certificate=declared_certificate(radii.r1M),
-        target_certificate=declared_certificate(radii.r1N), jet=jet)
+        source_certificate=radii.certificates[0],
+        target_certificate=radii.certificates[1], jet=jet)
     return InequalityReport(
         scenario=scenario.name, mode="ball", p=p, resolution=res_label,
         terms=inst.terms, ratio=inst.ratio,
@@ -278,17 +309,11 @@ def run_search(scenario: Scenario) -> list:
     cfg = scenario.search
     p = scenario.run.p_list[0]
     t0 = time.perf_counter()
+    ctx = RunContext.build(scenario)
 
     def evaluate(params):
-        values = dict(zip(cfg.parameters, params))
-        sdef, tdef, map_model = scenario.build_models(parameter_values=values)
-        map_model.validate()
-        radii = resolve_radii(scenario, map_model.source_chart,
-                              map_model.target_chart)
-        o = _basepoint(scenario, map_model)
-        inst = verify_global_estimate(map_model, o, p, radii,
-                                      name=scenario.name)
-        return inst.ratio
+        map_model, jet = ctx.build_map(dict(zip(cfg.parameters, params)))
+        return ctx.verify_global(map_model, jet, p).ratio
 
     family = MapFamily(cfg.lower, cfg.upper, evaluate, name=scenario.name)
     result = extremal_ratio_search(family, seed=scenario.run.seed)

@@ -125,6 +125,19 @@ def _floats(text: str):
             for tok in text.split(",")]
 
 
+def _number(entries: dict, key: str, default, convert, path: str, issues: list):
+    """``convert`` applied to the value of ``key``; ``default`` when the key
+    is absent or its value malformed (then a located issue is recorded)."""
+    if key not in entries:
+        return default
+    try:
+        return convert(entries[key].value)
+    except (ValueError, OverflowError) as exc:
+        issues.append(ValidationIssue(path, entries[key].line, "NumberFormat",
+                                      f"'{key}': {exc}"))
+        return default
+
+
 def _names(text: str):
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
@@ -252,29 +265,24 @@ class Scenario:
             raise CzmapError(f"scenario {self.name} declares no map")
         return next(iter(self.maps.values()))
 
+    def build_manifolds(self, resolution=None) -> tuple:
+        """(source, target) ManifoldModels of the primary map, each with
+        one SPD-checked chart; ``resolution`` overrides the source grid."""
+        mdef = self.primary_map()
+        return (self.manifolds[mdef.source].build_manifold(
+                    resolution, ricci_check=False),
+                self.manifolds[mdef.target].build_manifold(ricci_check=False))
+
     def build_models(self, resolution=None, parameter_values=None):
         """(source ManifoldModel, target ManifoldModel, MapModel).
 
         The manifold models share their chart instances with the map, so
         grid caches are computed once per run.
         """
-        mdef = self.primary_map()
-        sdef = self.manifolds[mdef.source]
-        tdef = self.manifolds[mdef.target]
-        source = sdef.build_chart(resolution)
-        target = tdef.build_chart()
-        source_model = ManifoldModel(
-            dimension=sdef.dimension, atlas=[source],
-            ricci_lower_bound=sdef.ricci_lower_bound,
-            base_points=list(sdef.base_points),
-            name=sdef.name).validate(ricci_check=False)
-        target_model = ManifoldModel(
-            dimension=tdef.dimension, atlas=[target],
-            ricci_lower_bound=tdef.ricci_lower_bound,
-            base_points=list(tdef.base_points),
-            name=tdef.name).validate(ricci_check=False)
-        map_model = mdef.build(source, target, parameter_values)
-        return source_model, target_model, map_model
+        source, target = self.build_manifolds(resolution)
+        map_model = self.primary_map().build(source.atlas[0], target.atlas[0],
+                                             parameter_values)
+        return source, target, map_model
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +322,11 @@ def _parse_manifold(section: _Section, path: str, issues: list) -> ManifoldDef |
         if len(nums) != m:
             issues.append(ValidationIssue(path, entry.line, "DimensionMismatch",
                                           f"'{key}' needs {m} entries"))
+            ok = False
+            continue
+        if not np.all(np.isfinite(nums)):
+            issues.append(ValidationIssue(path, entry.line, "NumberFormat",
+                                          f"'{key}' entries must be finite"))
             ok = False
             continue
         vals[key] = nums
@@ -404,13 +417,11 @@ def _parse_manifold(section: _Section, path: str, issues: list) -> ManifoldDef |
                                       f"unknown derivative mode '{mode}'"))
         ok = False
 
-    A = 0.0
-    if "ricci_lower_bound" in e:
-        A = float(e["ricci_lower_bound"].value)
-        if A < 0:
-            issues.append(ValidationIssue(path, e["ricci_lower_bound"].line,
-                                          "RicciBound", "A must be >= 0"))
-            ok = False
+    A = _number(e, "ricci_lower_bound", 0.0, float, path, issues)
+    if A < 0:
+        issues.append(ValidationIssue(path, e["ricci_lower_bound"].line,
+                                      "RicciBound", "A must be >= 0"))
+        ok = False
 
     base_points = []
     for key in ("base_point", "base_points"):
@@ -519,29 +530,16 @@ def _parse_map(section: _Section, path: str, issues: list,
 
 def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
     e = section.entries
+
+    def number(key, default, convert=_floats):
+        return _number(e, key, default, convert, path, issues)
+
     mode = e.get("mode", _Entry("global", section.line)).value.strip()
-    p_list = [2.0]
-    if "p" in e:
-        try:
-            p_list = _floats(e["p"].value)
-        except ValueError as exc:
-            issues.append(ValidationIssue(path, e["p"].line, "NumberFormat",
-                                          str(exc)))
-    basepoint = None
-    if "basepoint" in e:
-        try:
-            basepoint = _floats(e["basepoint"].value)
-        except ValueError as exc:
-            issues.append(ValidationIssue(path, e["basepoint"].line,
-                                          "NumberFormat", str(exc)))
-    ladder = []
-    if "resolution_ladder" in e:
-        try:
-            ladder = [int(x) for x in _floats(e["resolution_ladder"].value)]
-        except ValueError as exc:
-            issues.append(ValidationIssue(path, e["resolution_ladder"].line,
-                                          "NumberFormat", str(exc)))
-    seed = int(e.get("seed", _Entry("20859", section.line)).value)
+    p_list = number("p", [2.0])
+    basepoint = number("basepoint", None)
+    ladder = number("resolution_ladder", [],
+                    lambda text: [int(x) for x in _floats(text)])
+    seed = number("seed", 20859, int)
     out = e.get("out", None)
     ball = {}
     for key in ("center", "target_center", "r", "R"):
@@ -549,17 +547,14 @@ def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
         if bkey in e:
             ball[key] = (e[bkey].value if key == "target_center"
                          and e[bkey].value.strip() == "image"
-                         else _floats(e[bkey].value))
-    uc_radius = None
-    if "uc_radius" in e:
-        uc_radius = _floats(e["uc_radius"].value)[0]
-    drift = float(e["drift_tolerance"].value) if "drift_tolerance" in e else 0.10
-    slack = float(e["omega_slack"].value) if "omega_slack" in e else 1e-9
+                         else number(bkey, None))
     cfg = RunConfig(mode=mode, p_list=p_list, basepoint=basepoint,
                     resolution_ladder=ladder, seed=seed,
                     out=out.value if out else None, ball=ball,
-                    uc_radius=uc_radius, drift_tolerance=drift,
-                    omega_slack=slack)
+                    uc_radius=number("uc_radius", None,
+                                     lambda text: _floats(text)[0]),
+                    drift_tolerance=number("drift_tolerance", 0.10, float),
+                    omega_slack=number("omega_slack", 1e-9, float))
     issue = cfg.validate_issue(path, section.line)
     if issue:
         issues.append(issue)

@@ -97,7 +97,7 @@ def extremal_ratio_search(family: MapFamily, seed: int = SEARCH_SEED,
         evaluations += 1
         try:
             value = family.evaluate(params)
-            feasible = np.isfinite(value)
+            feasible = bool(np.isfinite(value))
         except _FEASIBILITY_ERRORS:
             value, feasible = None, False
         except CzmapError:

@@ -210,6 +210,24 @@ class TestGlobalEstimate:
         assert inst.extrapolated
         assert inst.ratio == 0.0
 
+    def test_cover_of_another_chart_is_not_reused(self):
+        def line_map():
+            source = flat_chart(0.0, 0.5, 33, dim=1, names=("x",))
+            target = flat_chart(-1.0, 1.0, 5, dim=1, names=("u",))
+            return MapModel(source, target, [Expression("x^2", ("x",))],
+                            lipschitz_bound=1.0)
+
+        radii = HarmonicRadii(np.inf, np.inf)
+        r_hat = compute_r_hat(radii.r1M, radii.r1N, 1.0)
+        u, other = line_map(), line_map()
+        own = build_cover(u.source_chart, r_hat)
+        foreign = build_cover(other.source_chart, r_hat)
+        assert verify_global_estimate(u, [0.0], 2.0, radii,
+                                      cover=own).cover is own
+        inst = verify_global_estimate(u, [0.0], 2.0, radii, cover=foreign)
+        assert inst.cover is not foreign
+        assert inst.cover.chart is u.source_chart
+
     def test_uniform_continuity_needs_small_profile(self, flat_identity):
         radii = HarmonicRadii(10.0, 1.0)
         with pytest.raises(PreconditionFailed):

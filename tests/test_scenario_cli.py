@@ -1,8 +1,12 @@
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from czmap.cli import main
 from czmap.errors import ScenarioError
@@ -44,6 +48,103 @@ mode = global
 p = 2
 basepoint = 0, 0
 """
+
+# a valid scenario; the malformed-number test replaces one entry at a time
+NUMERIC_KEYS = """
+[manifold plane]
+coordinates = x1, x2
+lower = -0.26, -0.26
+upper = 0.26, 0.26
+resolution = 9, 9
+metric.1.1 = 1
+metric.1.2 = 0
+metric.2.2 = 1
+ricci_lower_bound = 0
+r1_half = inf
+
+[manifold target]
+coordinates = y1, y2
+lower = -1, -1
+upper = 1, 1
+resolution = 5, 5
+metric.1.1 = 1
+metric.1.2 = 0
+metric.2.2 = 1
+r1_half = inf
+
+[map id]
+source = plane
+target = target
+component.1 = x1
+component.2 = x2
+lipschitz = 1
+
+[run]
+mode = global
+p = 2
+seed = 20859
+drift_tolerance = 0.1
+omega_slack = 1e-9
+uc_radius = 0.01
+ball_r = 0.1
+"""
+
+# identity into a wide flat target whose radius is estimated (the
+# solver's bisection holds at its r_max of 0.7 * 2 = 1.4)
+ESTIMATED_TARGET = """
+[manifold plane]
+coordinates = x1, x2
+lower = -0.26, -0.26
+upper = 0.26, 0.26
+resolution = 29, 29
+metric.1.1 = 1
+metric.1.2 = 0
+metric.2.2 = 1
+r1_half = inf
+
+[manifold wide]
+coordinates = y1, y2
+lower = -2, -2
+upper = 2, 2
+resolution = 41, 41
+metric.1.1 = 1
+metric.1.2 = 0
+metric.2.2 = 1
+base_point = 0, 0
+r1_half = estimate
+
+[map id]
+source = plane
+target = wide
+component.1 = x1
+component.2 = x2
+lipschitz = 1
+
+[run]
+mode = global
+p = 2
+basepoint = 0, 0
+"""
+
+
+def _spelled(value):
+    """What a report value reads back as: non-finite floats become the
+    strings 'inf', '-inf' and 'nan'."""
+    if isinstance(value, dict):
+        return {k: _spelled(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_spelled(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    return value
+
+
+REPORT_VALUES = st.recursive(
+    st.one_of(st.floats(), st.text(max_size=12)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=12)
 
 
 class TestLoader:
@@ -135,6 +236,23 @@ basepoint = 0, 0
         assert all(i.line >= 0 and i.path.endswith("bad2.scn")
                    for i in err.value.issues)
 
+    @pytest.mark.parametrize("key,bad", [
+        ("seed", "abc"), ("drift_tolerance", "abc"), ("omega_slack", "x"),
+        ("uc_radius", "q"), ("ball_r", "z"), ("ricci_lower_bound", "abc"),
+        ("lower", "nan")])
+    def test_malformed_number_is_located(self, tmp_path, key, bad):
+        path = tmp_path / "numbers.scn"
+        path.write_text(NUMERIC_KEYS)
+        load_scenario(str(path))
+        lines = NUMERIC_KEYS.split("\n")
+        index = next(i for i, line in enumerate(lines)
+                     if line.startswith(f"{key} ="))
+        lines[index] = f"{key} = {bad}"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        assert err.value.issues[0].line == index + 1
+
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/path.scn")
@@ -210,6 +328,25 @@ class TestRunner:
         assert radii.source == "estimated"
         assert 0.0 < radii.r1M < 0.45
         assert np.isinf(radii.r1N)
+        source_cert, target_cert = radii.certificates
+        assert source_cert.source == "solver" and source_cert.holds
+        assert source_cert.r == radii.r1M
+        assert np.isfinite(source_cert.hr1_margin)
+        assert target_cert.source == "declared"
+
+    def test_estimated_radius_certificate_is_written(self, tmp_path):
+        from czmap.runner import run_and_report
+        path = tmp_path / "est.scn"
+        path.write_text(ESTIMATED_TARGET)
+        reports, jsonl, _ = run_and_report(load_scenario(str(path)),
+                                           str(tmp_path / "est"))
+        assert reports[0].passed
+        source_cert, target_cert = read_reports(jsonl)[0]["certificates"]
+        assert source_cert["source"] == "declared"
+        assert target_cert["source"] == "solver"
+        assert target_cert["verdict"] == "holds"
+        assert target_cert["r"] == pytest.approx(1.4)
+        assert math.isfinite(target_cert["hr1_margin"])
 
     def test_lemma_battery_scenario(self):
         scenario = load_scenario(fixture_path("lemma-battery"))
@@ -257,6 +394,39 @@ class TestRunner:
         b = open(paths[1][0], "rb").read()
         assert a == b
         assert open(paths[0][1], "rb").read() == open(paths[1][1], "rb").read()
+
+
+class TestReports:
+    @settings(max_examples=60, deadline=None)
+    @given(terms=st.dictionaries(st.text(max_size=10), REPORT_VALUES,
+                                 max_size=4),
+           ratio=st.floats(), note=st.text(max_size=20))
+    def test_write_read_round_trip(self, terms, ratio, note):
+        from czmap.report import InequalityReport, write_reports
+        rep = InequalityReport(scenario="codec", mode="global", p=2.0,
+                               resolution="9x9", terms=terms, ratio=ratio,
+                               warnings=[note], extra={"values": [terms]})
+        with tempfile.TemporaryDirectory() as tmp:
+            jsonl, _ = write_reports([rep], os.path.join(tmp, "rep"))
+            record, = read_reports(jsonl)
+        assert record["terms"] == _spelled(terms)
+        assert record["values"] == [_spelled(terms)]
+        assert record["ratio"] == _spelled(ratio)
+        assert record["warnings"] == [note]
+
+    def test_numpy_scalars_are_spelled(self, tmp_path):
+        from czmap.report import InequalityReport, write_reports
+        rep = InequalityReport(
+            scenario="codec", mode="global", p=2.0, resolution="9x9",
+            terms={"a": np.float32(-np.inf), "b": np.float64(np.nan),
+                   "c": np.array([1.5, np.inf]), "d": np.int64(3)},
+            ratio=np.float64(np.inf), warnings=["NaN-check", "Infinity"])
+        jsonl, _ = write_reports([rep], str(tmp_path / "rep"))
+        record, = read_reports(jsonl)
+        assert record["terms"] == {"a": "-inf", "b": "nan",
+                                   "c": [1.5, "inf"], "d": 3}
+        assert record["ratio"] == "inf"
+        assert record["warnings"] == ["NaN-check", "Infinity"]
 
 
 class TestCli:

@@ -82,6 +82,29 @@ class TestSearchScenarios:
         assert rep.terms["best_k"] == pytest.approx(8.0)
         assert rep.extra["trace"]
 
+    def test_search_shares_one_cover(self, monkeypatch, tmp_path):
+        import czmap.engine as engine
+        import czmap.runner as runner
+        from czmap.report import read_reports, write_reports
+        builds = []
+        original = engine.build_cover
+
+        def counting_build_cover(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "build_cover", counting_build_cover)
+        monkeypatch.setattr(runner, "build_cover", counting_build_cover)
+        scenario = load_scenario(fixture_path("sine-search"))
+        reports = run_scenario(scenario)
+        rep = reports[0]
+        assert len(builds) == 1
+        assert rep.cover_stats["evaluations"] > 1
+        assert rep.terms["best_k"] == 8.0
+        jsonl, _ = write_reports(reports, str(tmp_path / "sine"))
+        trace = read_reports(jsonl)[0]["trace"]
+        assert trace[0]["feasible"] is True
+
     def test_saddle_scenario_vanishes_at_flat_member(self):
         scenario = load_scenario(fixture_path("saddle-search"))
         reports = run_scenario(scenario)
