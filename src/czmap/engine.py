@@ -22,14 +22,16 @@ of its two sides.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import fd
 from .errors import (CertificateRequired, DegenerateRadius, HypothesisFailed,
                      PreconditionFailed, ResolutionTooCoarse, UnsupportedExponent)
-from .geodesics import metric_ball, distance_field, segment_length
+from .geodesics import metric_ball, distance_field, offset_slices, segment_length
 from .geometry import CoordinateBox, MetricChart
 from .harmonic import RadiusCertificate
 from .maps import JetField, MapModel, generalized_hessian, immersion_check
@@ -37,7 +39,8 @@ from .norms import DistanceEvaluator, holder_seminorm, lp_norm_on, quadrature_we
 
 COMPLETENESS_CAVEAT = ("chart model is a bounded box; estimates are verified "
                       "on interior balls only")
-COVER_SEPARATION_FACTOR = 0.125     # separation of cover centers, in units of r_hat
+COVER_WINDOW_MARGIN = 1.05     # coordinate window slack, see build_cover
+CHECK_BLOCK = 32               # cover centers per target-side regime check
 OMEGA_SLACK = 1e-9
 
 
@@ -309,13 +312,6 @@ class BallEstimateInstance:
     warnings: list = field(default_factory=list)
     caveats: tuple = (COMPLETENESS_CAVEAT,)
 
-    def as_record(self) -> dict:
-        rec = {"x": self.x.tolist(), "y": self.y.tolist(), "r": self.r,
-               "R": self.R, "p": self.p, "ratio": self.ratio,
-               "resolution": list(self.grid_resolution)}
-        rec.update(self.terms)
-        return rec
-
 
 def _ratio(lhs: float, denom: float) -> float:
     if lhs == 0.0:
@@ -400,7 +396,6 @@ class OmegaDecomposition:
 
     mask: np.ndarray             # bool, source grid shape
     dist_to_o: np.ndarray        # dist_N(u(x), o), source grid shape
-    r1N: float
 
 
 def omega_decomposition(map_model: MapModel, o, r1N: float) -> OmegaDecomposition:
@@ -414,111 +409,111 @@ def omega_decomposition(map_model: MapModel, o, r1N: float) -> OmegaDecompositio
         mask = np.ones(source.box.shape, dtype=bool)
     else:
         mask = dist < r1N / 4.0
-    return OmegaDecomposition(mask=mask, dist_to_o=dist, r1N=float(r1N))
+    return OmegaDecomposition(mask=mask, dist_to_o=dist)
 
 
 @dataclass
 class Cover:
-    """Greedy separated center set with per-center grid ball indices."""
+    """Greedy r_hat/8-separated centers and their ring table.
+
+    ``table`` is a (C, N) CSR matrix of int8 ring codes: entry (c, x) is 3
+    when grid point x lies within r_hat/8 of center c, 2 within r_hat and 1
+    within 2 r_hat; farther points are not stored.
+    """
 
     chart: MetricChart
     r_hat: float
-    separation: float
-    centers: np.ndarray           # (C, m)
     center_indices: np.ndarray    # (C,), flat grid indices
-    balls_eighth: list            # indices with dist <= r_hat / 8
-    balls_full: list              # indices with dist <= r_hat
-    balls_double: list            # indices with dist <= 2 r_hat
-    count_eighth: np.ndarray      # per grid point
-    count_full: np.ndarray
-    multiplicity: int
+    table: csr_array
+
+    def __post_init__(self):
+        n = self.table.shape[1]
+        cols, codes = self.table.indices, self.table.data
+        self.count_eighth = np.bincount(cols[codes == 3], minlength=n)
+        self.count_full = np.bincount(cols[codes >= 2], minlength=n)
+        self.multiplicity = int(self.count_full.max())
 
     @property
     def size(self) -> int:
         return len(self.center_indices)
 
+    @property
+    def separation(self) -> float:
+        return self.r_hat / 8.0
+
+    @property
+    def centers(self) -> np.ndarray:
+        return self.chart.box.points()[self.center_indices]
+
     def verify(self) -> dict:
         """Brute-force cover and multiplicity checks at every grid point."""
         covered = int(self.count_eighth.min())
-        return {
-            "cover_holds": bool(covered >= 1),
-            "min_cover_count": covered,
-            "multiplicity": int(self.count_full.max()),
-            "centers": self.size,
-        }
+        return {"cover_holds": bool(covered >= 1), "min_cover_count": covered,
+                "multiplicity": self.multiplicity, "centers": self.size}
 
 
-def build_cover(chart: MetricChart, r_hat: float,
-                separation_factor: float = COVER_SEPARATION_FACTOR) -> Cover:
-    """Greedy maximal separated subset of the grid with ball bookkeeping.
+def build_cover(chart: MetricChart, r_hat: float) -> Cover:
+    """Greedy maximal r_hat/8-separated subset of the grid and its rings.
 
-    Separation is ``separation_factor * r_hat`` (default r_hat/8), so
-    maximality makes the eighth-radius balls a cover.  Distances use the
-    straight-segment estimator (exact on flat charts, an upper bound in
-    general; the same estimator verifies the cover, keeping the check
-    self-consistent).
+    Maximality makes the eighth-radius balls a cover.  Distances use the
+    straight-segment estimator from center to point (exact on flat charts,
+    an upper bound in general; the same estimator verifies the cover,
+    keeping the check self-consistent).  Only grid offsets within the
+    coordinate window ``COVER_WINDOW_MARGIN * 2 r_hat / sqrt(lambda_min)``
+    are measured, lambda_min the smallest metric eigenvalue on the grid.
     """
     box = chart.box
-    step_len = float(box.steps.max()) * float(np.sqrt(chart.ellipticity_range()[1]))
+    lam_min, lam_max = chart.ellipticity_range()
+    step_len = float(box.steps.max()) * float(np.sqrt(lam_max))
     if r_hat <= step_len:
         raise ResolutionTooCoarse(
             f"r_hat={r_hat:.4g} is below the grid step "
             f"({step_len:.4g} in metric units)")
-    sep = separation_factor * r_hat
     pts = box.points()
-    n = pts.shape[0]
-    min_dist = np.full(n, np.inf)
-    centers, center_indices = [], []
-    balls_eighth, balls_full, balls_double = [], [], []
-    count_eighth = np.zeros(n, dtype=int)
-    count_full = np.zeros(n, dtype=int)
-    next_candidate = 0
-    while True:
-        while next_candidate < n and min_dist[next_candidate] <= sep:
-            next_candidate += 1
-        if next_candidate >= n:
-            break
-        c = next_candidate
-        row = segment_length(chart, pts[c][None, :], pts)
-        centers.append(pts[c])
-        center_indices.append(c)
-        e = np.flatnonzero(row <= r_hat / 8.0)
-        f = np.flatnonzero(row <= r_hat)
-        d = np.flatnonzero(row <= 2.0 * r_hat)
-        balls_eighth.append(e)
-        balls_full.append(f)
-        balls_double.append(d)
-        count_eighth[e] += 1
-        count_full[f] += 1
-        np.minimum(min_dist, row, out=min_dist)
-    return Cover(chart=chart, r_hat=float(r_hat), separation=float(sep),
-                 centers=np.array(centers),
-                 center_indices=np.array(center_indices, dtype=int),
-                 balls_eighth=balls_eighth, balls_full=balls_full,
-                 balls_double=balls_double, count_eighth=count_eighth,
-                 count_full=count_full, multiplicity=int(count_full.max()))
+    n = box.num_points
+    idx = np.arange(n).reshape(box.shape)
+    reach = COVER_WINDOW_MARGIN * 2.0 * r_hat / np.sqrt(lam_min)
+    # offsets beyond the grid extent pair no points (and would wrap slices)
+    span = np.minimum(reach // box.steps, np.array(box.shape) - 1).astype(int)
+    offsets = [off for off in itertools.product(*(range(-s, s + 1) for s in span))
+               if np.linalg.norm(np.multiply(off, box.steps)) <= reach]
+    rings = np.zeros((len(offsets), n), dtype=np.int8)  # [offset, source]
+    for ring, off in zip(rings, offsets):
+        a, b = offset_slices(off, box.shape)
+        src = idx[a].reshape(-1)
+        d = segment_length(chart, pts[src], pts[idx[b].reshape(-1)])
+        ring[src] = ((d <= 2.0 * r_hat).astype(np.int8) + (d <= r_hat)
+                     + (d <= r_hat / 8.0))
+
+    # scatter into a preallocated (N, N) CSR table; lexicographic offsets
+    # keep each row's columns sorted, int32 indices keep scipy from copying
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum((rings > 0).sum(axis=0), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    codes = np.empty(indptr[-1], dtype=np.int8)
+    fill = indptr[:-1].copy()
+    for ring, shift in zip(rings, np.dot(offsets, idx.strides) // idx.itemsize):
+        src = np.flatnonzero(ring)
+        indices[fill[src]] = src + shift
+        codes[fill[src]] = ring[src]
+        fill[src] += 1
+
+    covered = np.zeros(n, dtype=bool)
+    centers = []
+    for c in range(n):
+        if not covered[c]:
+            centers.append(c)
+            row = slice(indptr[c], indptr[c + 1])
+            covered[indices[row][codes[row] == 3]] = True
+    table = csr_array((codes, indices, indptr), shape=(n, n))
+    return Cover(chart=chart, r_hat=float(r_hat),
+                 center_indices=np.array(centers, dtype=int),
+                 table=table if len(centers) == n else table[centers])
 
 
 # ---------------------------------------------------------------------------
 # global estimate
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CenterReport:
-    """Per-center regime checks and local term powers."""
-
-    index: int
-    in_omega: bool
-    regime_ok: bool
-    lip_estimate_ok: bool
-    lhs_power: float
-    term_powers: dict
-
-    def as_record(self) -> dict:
-        return {"index": self.index, "in_omega": self.in_omega,
-                "regime_ok": self.regime_ok,
-                "lip_estimate_ok": self.lip_estimate_ok}
-
 
 @dataclass
 class GlobalEstimateInstance:
@@ -535,25 +530,11 @@ class GlobalEstimateInstance:
     terms: dict
     ratio: float
     checks: dict
-    center_reports: list
+    in_omega: np.ndarray          # (C,) bool, per cover center
     grid_resolution: tuple
     warnings: list = field(default_factory=list)
     extrapolated: bool = False
     caveats: tuple = (COMPLETENESS_CAVEAT,)
-
-    def as_record(self) -> dict:
-        rec = {"name": self.name, "p": self.p, "r_hat": self.r_hat,
-               "r": self.r, "r1M": self.radii.r1M, "r1N": self.radii.r1N,
-               "lipschitz": self.lipschitz, "ratio": self.ratio,
-               "omega_fraction": float(self.omega.mask.mean()),
-               "cover_centers": self.cover.size,
-               "multiplicity": self.cover.multiplicity,
-               "resolution": list(self.grid_resolution),
-               "extrapolated": self.extrapolated,
-               "caveats": list(self.caveats)}
-        rec.update(self.terms)
-        rec.update({f"check_{k}": v for k, v in self.checks.items()})
-        return rec
 
 
 def _inv(x: float) -> float:
@@ -610,70 +591,49 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
     cover_checks = cover.verify()
 
     values = map_model.values_on_grid()
-    vol = source.grid_sqrt_det()
-    w = quadrature_weights(box) * vol
-    wflat = w.reshape(-1)
-
-    hess = jet.norm_hess().reshape(-1)
-    lap = jet.norm_laplacian().reshape(-1)
+    wflat = (quadrature_weights(box) * source.grid_sqrt_det()).reshape(-1)
     du = jet.norm_du().reshape(-1)
     dist_o = omega.dist_to_o.reshape(-1)
-    omega_flat = omega.mask.reshape(-1)
-
-    hess_p = np.abs(hess) ** p * wflat
-    lap_p = np.abs(lap) ** p * wflat
+    hess_p = np.abs(jet.norm_hess().reshape(-1)) ** p * wflat
+    lap_p = np.abs(jet.norm_laplacian().reshape(-1)) ** p * wflat
     du_p = np.abs(du) ** p * wflat
     du_2p = np.abs(du) ** (2 * p) * wflat
     dist_p = np.abs(dist_o) ** p * wflat
 
+    # regime checks on each center's double ball, straight-segment
+    # estimator on the target, CHECK_BLOCK centers per call
     r1N = radii.r1N
-    lip_bound = r1N / 8.0
-    half_bound = r1N / 2.0
-
-    center_reports = []
-    sum_lhs_p = 0.0
-    sums = {"t_laplacian": 0.0, "t_du": 0.0, "t_du_2p": 0.0, "t_dist": 0.0}
+    finite = bool(np.isfinite(r1N))
+    center_idx = cover.center_indices
+    in_omega = omega.mask.reshape(-1)[center_idx]
+    indptr, cols_all = cover.table.indptr, cover.table.indices
     dichotomy_ok = True
-    for ci in range(cover.size):
-        gidx = int(cover.center_indices[ci])
-        in_omega = bool(omega_flat[gidx])
-        ball2 = cover.balls_double[ci]
-        ballf = cover.balls_full[ci]
-        balle = cover.balls_eighth[ci]
-        # image spread on the double ball, straight-segment estimator
+    for b0 in range(0, cover.size, CHECK_BLOCK):
+        b1 = min(b0 + CHECK_BLOCK, cover.size)
+        rows = np.repeat(np.arange(b0, b1), np.diff(indptr[b0:b1 + 1]))
+        cols = cols_all[indptr[b0]:indptr[b1]]
         img_d = segment_length(map_model.target_chart,
-                               values[gidx][None, :], values[ball2])
-        lip_ok = bool(np.all(img_d < lip_bound)) if np.isfinite(r1N) else True
-        if in_omega:
-            regime_ok = bool(np.all(dist_o[ball2] < half_bound)) \
-                if np.isfinite(r1N) else True
-        else:
-            regime_ok = bool(np.all(img_d <= dist_o[ball2]
-                                    + omega_slack * (1.0 + dist_o[ball2])))
-        dichotomy_ok &= regime_ok and lip_ok
-        lhs_p = float(hess_p[balle].sum())
-        sum_lhs_p += lhs_p
-        term_powers = {
-            "t_laplacian": float(lap_p[ballf].sum()),
-            "t_du": float(du_p[ballf].sum()),
-            "t_du_2p": float(du_2p[ballf].sum()),
-            "t_dist": float(dist_p[ballf].sum()),
-        }
-        for k in sums:
-            sums[k] += term_powers[k]
-        center_reports.append(CenterReport(
-            index=gidx, in_omega=in_omega, regime_ok=regime_ok,
-            lip_estimate_ok=lip_ok, lhs_power=lhs_p, term_powers=term_powers))
+                               values[center_idx[rows]], values[cols])
+        d_o = dist_o[cols]
+        near = d_o < r1N / 2.0 if finite else True
+        far = img_d <= d_o + omega_slack * (1.0 + d_o)
+        lip = img_d < r1N / 8.0 if finite else True
+        dichotomy_ok &= bool(np.all(np.where(in_omega[rows], near, far))
+                             and np.all(lip))
 
-    # summation step: covering from below, multiplicity from above
+    # summation step, sum_c sum_{x in B_c} f(x) = sum_x count(x) f(x):
+    # covering from below, multiplicity from above
     total = {"lhs": float(hess_p.sum()), "t_laplacian": float(lap_p.sum()),
              "t_du": float(du_p.sum()), "t_du_2p": float(du_2p.sum()),
              "t_dist": float(dist_p.sum())}
     D = cover.multiplicity
     tol = 1e-9
-    summation_lower_ok = sum_lhs_p >= total["lhs"] * (1.0 - tol)
-    summation_upper_ok = all(sums[k] <= D * total[k] * (1.0 + tol) + 1e-300
-                             for k in sums)
+    summation_lower_ok = (float(cover.count_eighth @ hess_p)
+                          >= total["lhs"] * (1.0 - tol))
+    summation_upper_ok = all(
+        float(cover.count_full @ v) <= D * total[k] * (1.0 + tol) + 1e-300
+        for k, v in (("t_laplacian", lap_p), ("t_du", du_p),
+                     ("t_du_2p", du_2p), ("t_dist", dist_p)))
 
     lhs = total["lhs"] ** (1.0 / p)
     t_lap = total["t_laplacian"] ** (1.0 / p)
@@ -697,7 +657,7 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
     return GlobalEstimateInstance(
         name=name, p=float(p), r_hat=float(r_hat), r=float(r), radii=radii,
         lipschitz=L, omega=omega, cover=cover, terms=terms,
-        ratio=float(ratio), checks=checks, center_reports=center_reports,
+        ratio=float(ratio), checks=checks, in_omega=in_omega,
         grid_resolution=box.resolution, warnings=warnings,
         extrapolated=extrapolated)
 

@@ -406,6 +406,19 @@ def substitute(node: Node, mapping: dict) -> Node:
     raise TypeError(f"unknown node {node!r}")
 
 
+def has_variable(node: Node) -> bool:
+    """True when some leaf of the tree is a variable."""
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Neg):
+        return has_variable(node.child)
+    if isinstance(node, Bin):
+        return has_variable(node.left) or has_variable(node.right)
+    if isinstance(node, Call):
+        return any(has_variable(a) for a in node.args)
+    return False
+
+
 def derive(node: Node, var: str) -> Node:
     """Symbolic partial derivative with respect to ``var``."""
     return simplify(_derive(node, var))

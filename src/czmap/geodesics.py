@@ -23,6 +23,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from .errors import Unreachable
+from .expressions import Expression, has_variable
 from .geometry import MetricChart
 
 SEGMENT_QUADRATURE = 8
@@ -31,13 +32,14 @@ SHOOTING_MAX_ITER = 50
 
 
 def _metric_is_constant(chart: MetricChart) -> bool:
+    """Exact test: every component is an expression without a variable.
+
+    Any other component callable counts as non-constant.
+    """
     if "constant_metric" not in chart._cache:
-        box = chart.box
-        rng = np.random.default_rng(7)
-        probes = box.lower + (box.upper - box.lower) * rng.random((8, box.dimension))
-        g = chart.metric(probes)
-        chart._cache["constant_metric"] = bool(
-            np.abs(g - g[0]).max() <= 1e-14 * max(1.0, float(np.abs(g[0]).max())))
+        chart._cache["constant_metric"] = all(
+            isinstance(c, Expression) and not has_variable(c.ast)
+            for row in chart.components for c in row)
     return chart._cache["constant_metric"]
 
 
@@ -61,6 +63,14 @@ def segment_length(chart: MetricChart, a, b, n_quad: int = SEGMENT_QUADRATURE):
     return total / n_quad
 
 
+def offset_slices(offset, shape) -> tuple:
+    """Slices ``(a, b)`` pairing each grid index j in ``arr[a]`` with
+    j + offset in ``arr[b]``; needs ``|offset[k]| <= shape[k]``."""
+    a = tuple(slice(max(0, -o), s - max(0, o)) for o, s in zip(offset, shape))
+    b = tuple(slice(max(0, o), s - max(0, -o)) for o, s in zip(offset, shape))
+    return a, b
+
+
 def _neighbor_offsets(m: int):
     offs = [np.array(o) for o in itertools.product((-1, 0, 1), repeat=m)
             if any(v != 0 for v in o)]
@@ -80,10 +90,7 @@ class GridGraph:
         idx = np.arange(n).reshape(shape)
         rows, cols, weights = [], [], []
         for off in _neighbor_offsets(box.dimension):
-            src_slices = tuple(slice(max(0, -o), min(s, s - o))
-                               for o, s in zip(off, shape))
-            dst_slices = tuple(slice(max(0, o), min(s, s + o))
-                               for o, s in zip(off, shape))
+            src_slices, dst_slices = offset_slices(off, shape)
             src = idx[src_slices].reshape(-1)
             dst = idx[dst_slices].reshape(-1)
             w = segment_length(chart, pts[src], pts[dst], n_quad=2)

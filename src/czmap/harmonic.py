@@ -27,7 +27,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import lgmres, splu
 
 from .errors import NotDiffeomorphic, PreconditionFailed, SolverDiverged
-from .geodesics import MetricBall, distance_field, log_map, metric_ball
+from .geodesics import (MetricBall, distance_field, log_map, metric_ball,
+                        offset_slices)
 from .geometry import MetricChart
 from .norms import holder_seminorm
 
@@ -113,9 +114,8 @@ def _erode(mask: np.ndarray, offsets) -> np.ndarray:
     out = mask.copy()
     for off in offsets:
         shifted = np.zeros_like(mask)
-        src = tuple(slice(max(0, o), s + min(0, o)) for o, s in zip(off, mask.shape))
-        dst = tuple(slice(max(0, -o), s + min(0, -o)) for o, s in zip(off, mask.shape))
-        shifted[dst] = mask[src]
+        here, there = offset_slices(off, mask.shape)
+        shifted[here] = mask[there]
         out &= shifted
     return out
 

@@ -515,8 +515,8 @@ def _parse_map(section: _Section, path: str, issues: list,
     if "lipschitz" in e:
         try:
             lipschitz = _floats(e["lipschitz"].value)[0]
-            if lipschitz < 0:
-                raise ValueError("lipschitz bound must be >= 0")
+            if not lipschitz >= 0:
+                raise ValueError("lipschitz bound must be >= 0 or inf")
         except ValueError as exc:
             issues.append(ValidationIssue(path, e["lipschitz"].line, "Lipschitz",
                                           str(exc)))
@@ -528,6 +528,13 @@ def _parse_map(section: _Section, path: str, issues: list,
                   lipschitz=lipschitz, line=section.line)
 
 
+def _ladder(text: str) -> list:
+    ladder = [int(x) for x in _floats(text)]
+    if any(r < 3 for r in ladder):
+        raise ValueError("every grid point count must be >= 3")
+    return ladder
+
+
 def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
     e = section.entries
 
@@ -537,8 +544,7 @@ def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
     mode = e.get("mode", _Entry("global", section.line)).value.strip()
     p_list = number("p", [2.0])
     basepoint = number("basepoint", None)
-    ladder = number("resolution_ladder", [],
-                    lambda text: [int(x) for x in _floats(text)])
+    ladder = number("resolution_ladder", [], _ladder)
     seed = number("seed", 20859, int)
     out = e.get("out", None)
     ball = {}
@@ -607,10 +613,10 @@ def load_scenario(path: str, build_check: bool = True) -> Scenario:
             if mdef is not None:
                 manifolds[mdef.name] = mdef
     maps = {}
+    run_section = None
     run = RunConfig(mode="global", p_list=[2.0], basepoint=None,
                     resolution_ladder=[], seed=20859, out=None, ball={},
                     uc_radius=None)
-    saw_run = False
     for sec in sections:
         if sec.kind == "map":
             mdef = _parse_map(sec, path, issues, manifolds, search)
@@ -618,10 +624,16 @@ def load_scenario(path: str, build_check: bool = True) -> Scenario:
                 maps[mdef.name] = mdef
         elif sec.kind == "run":
             run = _parse_run(sec, path, issues)
-            saw_run = True
-    if not saw_run and run.mode != "lemma":
+            run_section = sec
+    if run_section is None and run.mode != "lemma":
         issues.append(ValidationIssue(path, 0, "MissingSection",
                                       "scenario has no [run] section"))
+    target = manifolds.get(next(iter(maps.values())).target) if maps else None
+    if run.basepoint is not None and target is not None \
+            and len(run.basepoint) != target.dimension:
+        issues.append(ValidationIssue(
+            path, run_section.entries["basepoint"].line, "DimensionMismatch",
+            f"basepoint needs {target.dimension} coordinates"))
     if issues:
         raise ScenarioError(issues)
 

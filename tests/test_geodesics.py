@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_flat, make_sphere
-from czmap.geodesics import (distance_field, geodesic_distance, log_map,
-                             metric_ball, segment_length)
+from czmap.expressions import Expression
+from czmap.geodesics import (_metric_is_constant, distance_field,
+                             geodesic_distance, log_map, metric_ball,
+                             segment_length)
+from czmap.geometry import CoordinateBox, MetricChart
 
 
 class TestGeodesicDistance:
@@ -88,6 +91,17 @@ class TestSegmentsAndLogMap:
         chart = make_flat(scale=4.0)
         L = segment_length(chart, np.array([0.0, 0.0]), np.array([0.3, 0.4]))
         assert float(L) == pytest.approx(1.0, abs=1e-12)
+
+    def test_constant_metric_is_decided_from_the_expression(self):
+        v = ("x1", "x2")
+        comps = [[Expression("1 + 1e-15*x1", v), Expression("0", v)],
+                 [Expression("0", v), Expression("1", v)]]
+        chart = MetricChart(CoordinateBox([-1, -1], [1, 1], [5, 5]), comps)
+        g = chart.grid_metric()
+        # sampled values cannot tell this metric from a constant one
+        assert np.abs(g - g[0, 0]).max() <= 1e-14
+        assert not _metric_is_constant(chart)
+        assert _metric_is_constant(make_flat(scale=4.0))
 
     def test_log_map_flat_is_displacement(self):
         chart = make_flat(-2.0, 2.0, 21)

@@ -82,6 +82,8 @@ lipschitz = 1
 [run]
 mode = global
 p = 2
+basepoint = 0, 0
+resolution_ladder = 9, 17
 seed = 20859
 drift_tolerance = 0.1
 omega_slack = 1e-9
@@ -239,7 +241,8 @@ basepoint = 0, 0
     @pytest.mark.parametrize("key,bad", [
         ("seed", "abc"), ("drift_tolerance", "abc"), ("omega_slack", "x"),
         ("uc_radius", "q"), ("ball_r", "z"), ("ricci_lower_bound", "abc"),
-        ("lower", "nan")])
+        ("lower", "nan"), ("resolution_ladder", "2.5"), ("lipschitz", "nan"),
+        ("basepoint", "0")])
     def test_malformed_number_is_located(self, tmp_path, key, bad):
         path = tmp_path / "numbers.scn"
         path.write_text(NUMERIC_KEYS)
