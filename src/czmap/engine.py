@@ -22,6 +22,7 @@ of its two sides.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -35,7 +36,7 @@ from .geodesics import metric_ball, distance_field, offset_slices, segment_lengt
 from .geometry import CoordinateBox, MetricChart
 from .harmonic import RadiusCertificate
 from .maps import JetField, MapModel, generalized_hessian, immersion_check
-from .norms import DistanceEvaluator, holder_seminorm, lp_norm_on, quadrature_weights
+from .norms import DistanceEvaluator, PairTable, lp_norm_on, quadrature_weights
 
 COMPLETENESS_CAVEAT = ("chart model is a bounded box; estimates are verified "
                       "on interior balls only")
@@ -47,6 +48,16 @@ OMEGA_SLACK = 1e-9
 # ---------------------------------------------------------------------------
 # scaled elliptic lemma
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=4)
+def _ball_pairs(dimension: int, resolution: int, s: float,
+                alpha: float) -> PairTable:
+    """Pair table of the lemma grid points in B_2s (the reference grid on
+    [-2, 2]^m scaled by s), shared by every spec on that grid."""
+    ref = CoordinateBox([-2.0] * dimension, [2.0] * dimension,
+                        [resolution] * dimension).points()
+    return PairTable(s * ref[np.linalg.norm(ref, axis=1) <= 2.0], alpha)
+
 
 class EllipticOperatorSpec:
     """Second-order operator P = a^{ij} d_i d_j on the Euclidean ball B_2s.
@@ -84,6 +95,7 @@ class EllipticOperatorSpec:
         self.mask_inner = (np.linalg.norm(ref, axis=1) <= 1.0).reshape(
             self.reference_box.shape)
         self._validated = False
+        self._transfer = None
 
     def scaled_points(self) -> np.ndarray:
         return self.s * self.reference_points
@@ -113,18 +125,32 @@ class EllipticOperatorSpec:
             raise HypothesisFailed("sup bound (|a| <= Lambda)",
                                    f"sup {sup:.4g} > Lambda {self.Lambda:.4g}")
         bound = self.Lambda * self.s ** (-self.alpha)
-        m = self.dimension
-        worst = 0.0
-        for i in range(m):
-            for j in range(i, m):
-                vals = self.coefficients[i][j](pts[mask])
-                worst = max(worst, holder_seminorm(pts[mask], vals, self.alpha))
+        worst = self._coefficient_seminorm(self.s)
         if worst > bound + 1e-12:
             raise HypothesisFailed(
                 "Hölder bound ([a]_alpha <= Lambda s^-alpha)",
                 f"seminorm {worst:.4g} > {bound:.4g}")
         self._validated = True
         return self
+
+    def holder_transfer(self) -> float:
+        """max [a~^{ij}]_alpha over B_2 of the dilated coefficients
+        a~(z) = a(sz); it does not depend on the field, so it is memoised."""
+        if self._transfer is None:
+            self._transfer = self._coefficient_seminorm(1.0)
+        return self._transfer
+
+    def _coefficient_seminorm(self, scale: float) -> float:
+        """max over i <= j of the seminorm of a^{ij} sampled on B_2s,
+        taken over the grid scaled by ``scale``."""
+        pairs = _ball_pairs(self.dimension, self.resolution, scale, self.alpha)
+        pts = self.scaled_points()[self.mask_outer.reshape(-1)]
+        m = self.dimension
+        worst = 0.0
+        for i in range(m):
+            for j in range(i, m):
+                worst = max(worst, pairs.seminorm(self.coefficients[i][j](pts)))
+        return worst
 
 
 class ScalarFieldSamples:
@@ -213,13 +239,7 @@ def verify_scaling_identities(spec: EllipticOperatorSpec, u,
                        / max(1.0, abs(lhs)))
 
     # hypothesis transfer on the scaled coefficients over B_2
-    zpts = spec.reference_points[mask.reshape(-1)]
-    spts = spec.scaled_points()[mask.reshape(-1)]
-    transfer = 0.0
-    for i in range(m):
-        for j in range(i, m):
-            vals = spec.coefficients[i][j](spts)
-            transfer = max(transfer, holder_seminorm(zpts, vals, spec.alpha))
+    transfer = spec.holder_transfer()
     transfer_ok = transfer <= spec.Lambda + 1e-10
 
     tol = 1e-10 if mode == "analytic" else 1e-6

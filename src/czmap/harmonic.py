@@ -30,7 +30,7 @@ from .errors import NotDiffeomorphic, PreconditionFailed, SolverDiverged
 from .geodesics import (MetricBall, distance_field, log_map, metric_ball,
                         offset_slices)
 from .geometry import MetricChart
-from .norms import holder_seminorm
+from .norms import PairTable
 
 DIRECT_SOLVE_LIMIT = 20000
 ITERATIVE_TOL = 1e-8
@@ -347,7 +347,10 @@ def check_hr_conditions(candidate: HarmonicChartCandidate, k: int = 1,
         return RadiusCertificate(r=r, alpha=alpha, k=k, hr1_margin=hr1_margin,
                                  hr2_value=np.nan, verdict="exceeds-grid",
                                  laplace_residual=candidate.laplace_residual)
-    zpts = candidate.image_points(dmask)
+    if k == 1:
+        pairs = PairTable(candidate.image_points(dmask), alpha, seed=pair_seed)
+    else:
+        second = _second_order_terms(candidate, dz, alpha, pair_seed)
     hr2 = 0.0
     for a in range(m):
         for b in range(a, m):
@@ -356,11 +359,9 @@ def check_hr_conditions(candidate: HarmonicChartCandidate, k: int = 1,
                 samples = dz[..., a, b, c][dmask]
                 total += r * float(np.abs(samples).max())
                 if k == 1:
-                    total += r ** (1 + alpha) * holder_seminorm(
-                        zpts, samples, alpha, seed=pair_seed)
+                    total += r ** (1 + alpha) * pairs.seminorm(samples)
             if k == 2:
-                total += _second_order_terms(candidate, dz, dmask, a, b,
-                                             alpha, pair_seed)
+                total += second[a, b]
             hr2 = max(hr2, total)
     verdict = "holds" if (hr1_margin >= 0.0 and hr2 <= 1.0) else "fails"
     return RadiusCertificate(r=r, alpha=alpha, k=k, hr1_margin=hr1_margin,
@@ -368,8 +369,9 @@ def check_hr_conditions(candidate: HarmonicChartCandidate, k: int = 1,
                              laplace_residual=candidate.laplace_residual)
 
 
-def _second_order_terms(candidate, dz, dmask, a, b, alpha, pair_seed) -> float:
-    """Order-two multi-index contributions for the k=2 condition."""
+def _second_order_terms(candidate, dz, alpha, pair_seed) -> dict:
+    """Order-two multi-index contributions for the k=2 condition, per
+    (a, b) with a <= b; one pair table serves every sample."""
     box = candidate.chart.box
     m = box.dimension
     r = candidate.radius
@@ -379,25 +381,24 @@ def _second_order_terms(candidate, dz, dmask, a, b, alpha, pair_seed) -> float:
     offsets = _stencil_offsets(m)
     dz_valid = np.all(np.isfinite(dz), axis=(-3, -2, -1))
     mask2 = _erode(dz_valid, offsets) & candidate.ball.mask
+    indices = [(a, b) for a in range(m) for b in range(a, m)]
     if mask2.sum() < 3:
-        return np.inf
-    zpts = candidate.image_points(mask2)
-    total = 0.0
-    for c in range(m):
-        dxs = []
-        ok = mask2.copy()
-        for l in range(m):
-            d, okl = _masked_diff1(dz[..., a, b, c], dz_valid, l, box.steps[l])
-            dxs.append(d)
-            ok &= okl
-        dx_arr = np.stack(dxs, axis=-1)
-        d2 = np.einsum("...l,...ld->...d", np.where(np.isfinite(dx_arr), dx_arr, 0.0), jinv)
-        for d_axis in range(c, m):
-            samples = d2[..., d_axis][mask2]
-            total += r ** 2 * float(np.abs(samples).max())
-            total += r ** (2 + alpha) * holder_seminorm(
-                candidate.image_points(mask2), samples, alpha, seed=pair_seed)
-    return total
+        return dict.fromkeys(indices, np.inf)
+    pairs = PairTable(candidate.image_points(mask2), alpha, seed=pair_seed)
+    terms = {}
+    for a, b in indices:
+        total = 0.0
+        for c in range(m):
+            dx_arr = np.stack([_masked_diff1(dz[..., a, b, c], dz_valid, l,
+                                             box.steps[l])[0]
+                               for l in range(m)], axis=-1)
+            d2 = np.einsum("...l,...ld->...d", np.where(np.isfinite(dx_arr), dx_arr, 0.0), jinv)
+            for d_axis in range(c, m):
+                samples = d2[..., d_axis][mask2]
+                total += r ** 2 * float(np.abs(samples).max())
+                total += r ** (2 + alpha) * pairs.seminorm(samples)
+        terms[a, b] = total
+    return terms
 
 
 @dataclass

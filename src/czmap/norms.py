@@ -10,6 +10,7 @@ vertex sum, which makes region monotonicity exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +72,21 @@ def lp_norm(req: NormRequest, box: CoordinateBox) -> float:
 
 
 _PAIR_CAP = 10 ** 6
+_PAIR_CHUNK = 1 << 16          # pairs per denominator block in PairTable
+
+
+@functools.lru_cache(maxsize=2)
+def _all_pairs(n: int):
+    """Read-only int32 ``triu_indices(n, k=1)``, shared by every table on n points."""
+    i, j = np.triu_indices(n, k=1)
+    i, j = i.astype(np.int32), j.astype(np.int32)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def _pair_indices(n: int, cap: int = _PAIR_CAP, seed: int = 20859):
     if n * (n - 1) // 2 <= cap:
-        i, j = np.triu_indices(n, k=1)
-        return i, j
+        return _all_pairs(n)
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=cap)
     j = rng.integers(0, n, size=cap)
@@ -84,24 +94,45 @@ def _pair_indices(n: int, cap: int = _PAIR_CAP, seed: int = 20859):
     return i[keep], j[keep]
 
 
-def holder_seminorm(points: np.ndarray, values: np.ndarray, alpha: float,
-                    pair_cap: int = _PAIR_CAP, seed: int = 20859) -> float:
-    """max over sampled point pairs of |f(x)-f(y)| / |x-y|^alpha.
+class PairTable:
+    """Point pairs of one point set and their denominators ``|x-y|^alpha``.
 
     Chart-coordinate distances.  All pairs when their count fits under the
-    cap, otherwise a seeded subsample; either way the estimate is a lower
-    bound of the true seminorm and grows under grid refinement.
+    cap, otherwise a seeded subsample; either way :meth:`seminorm` is a
+    lower bound of the true seminorm and grows under grid refinement.
+    Build one table per point set and alpha, then evaluate many fields.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
-    points = np.asarray(points, dtype=float)
-    values = np.asarray(values, dtype=float).reshape(points.shape[0])
-    if points.shape[0] < 2:
-        raise ValueError("need at least two points")
-    i, j = _pair_indices(points.shape[0], pair_cap, seed)
-    num = np.abs(values[i] - values[j])
-    den = np.linalg.norm(points[i] - points[j], axis=1) ** alpha
-    return float(np.max(num / den))
+
+    def __init__(self, points: np.ndarray, alpha: float,
+                 pair_cap: int = _PAIR_CAP, seed: int = 20859):
+        if not (0.0 < alpha <= 1.0):
+            raise ValueError("alpha must lie in (0, 1]")
+        points = np.asarray(points, dtype=float)
+        if points.shape[0] < 2:
+            raise ValueError("need at least two points")
+        self.size = points.shape[0]
+        self.i, self.j = _pair_indices(self.size, pair_cap, seed)
+        self.den = np.empty(self.i.shape[0])
+        for start in range(0, self.den.shape[0], _PAIR_CHUNK):
+            block = slice(start, start + _PAIR_CHUNK)
+            self.den[block] = np.linalg.norm(
+                points[self.i[block]] - points[self.j[block]], axis=1) ** alpha
+        self.den.flags.writeable = False      # tables are shared by callers
+
+    def seminorm(self, values: np.ndarray) -> float:
+        """max over the pairs of |f(x)-f(y)| / |x-y|^alpha."""
+        values = np.asarray(values, dtype=float).reshape(self.size)
+        quotient = values[self.i] - values[self.j]
+        np.abs(quotient, out=quotient)
+        quotient /= self.den
+        return float(np.max(quotient))
+
+
+def holder_seminorm(points: np.ndarray, values: np.ndarray, alpha: float,
+                    pair_cap: int = _PAIR_CAP, seed: int = 20859) -> float:
+    """max over sampled point pairs of |f(x)-f(y)| / |x-y|^alpha; one
+    field on a one-off :class:`PairTable`."""
+    return PairTable(points, alpha, pair_cap, seed).seminorm(values)
 
 
 class DistanceEvaluator:

@@ -230,12 +230,12 @@ class RunConfig:
     drift_tolerance: float = 0.10
     omega_slack: float = 1e-9
 
-    def validate_issue(self, path: str, line: int):
+    def validate_issue(self, path: str, line: int, p_line: int):
         if self.mode not in MODES:
             return ValidationIssue(path, line, "RunMode",
                                    f"mode must be one of {MODES}")
-        if any(p <= 1.0 for p in self.p_list):
-            return ValidationIssue(path, line, "UnsupportedExponent",
+        if not all(p > 1.0 for p in self.p_list):     # nan fails too
+            return ValidationIssue(path, p_line, "UnsupportedExponent",
                                    "every p must satisfy p > 1")
         return None
 
@@ -561,7 +561,8 @@ def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
                                      lambda text: _floats(text)[0]),
                     drift_tolerance=number("drift_tolerance", 0.10, float),
                     omega_slack=number("omega_slack", 1e-9, float))
-    issue = cfg.validate_issue(path, section.line)
+    issue = cfg.validate_issue(path, section.line,
+                               e["p"].line if "p" in e else section.line)
     if issue:
         issues.append(issue)
     return cfg

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_flat
 from czmap.errors import UnsupportedExponent
 from czmap.expressions import Expression
 from czmap.fixtures import flat_chart, sphere_immersion
 from czmap.geometry import CoordinateBox
-from czmap.norms import (NormRequest, dist_to_basepoint_field, holder_seminorm,
-                         lp_norm, lp_norm_on, quadrature_weights)
+from czmap.norms import (NormRequest, PairTable, _pair_indices,
+                         dist_to_basepoint_field, holder_seminorm, lp_norm,
+                         lp_norm_on, quadrature_weights)
 
 
 def unit_square(res=41):
@@ -125,6 +128,30 @@ class TestHolderSeminorm:
         sc = holder_seminorm(coarse, f(coarse[:, 0]), 0.5)
         sf = holder_seminorm(fine, f(fine[:, 0]), 0.5)
         assert sf >= sc - 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 420), dim=st.integers(1, 3),
+           alpha=st.floats(0.0, 1.0, exclude_min=True),
+           capped=st.booleans(), cap=st.integers(10, 80_000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pair_table_matches_direct_formula(self, n, dim, alpha, capped,
+                                               cap, seed):
+        # bit-identical to the one-shot formula on the same pairs, on the
+        # all-pairs path and on the capped, seeded path
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-2.0, 2.0, size=(n, dim))
+        vals = rng.normal(size=n)
+        pair_cap = cap if capped else 10 ** 6
+        i, j = _pair_indices(n, pair_cap, seed)
+        if n * (n - 1) // 2 <= pair_cap:
+            assert all(np.array_equal(a, b)
+                       for a, b in zip((i, j), np.triu_indices(n, k=1)))
+        den = np.linalg.norm(pts[i] - pts[j], axis=1) ** alpha
+        table = PairTable(pts, alpha, pair_cap, seed)
+        assert np.array_equal(table.den, den)
+        expected = np.max(np.abs(vals[i] - vals[j]) / den)
+        assert table.seminorm(vals) == expected
+        assert holder_seminorm(pts, vals, alpha, pair_cap, seed) == expected
 
 
 class TestDistanceField:

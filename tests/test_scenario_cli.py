@@ -242,7 +242,7 @@ basepoint = 0, 0
         ("seed", "abc"), ("drift_tolerance", "abc"), ("omega_slack", "x"),
         ("uc_radius", "q"), ("ball_r", "z"), ("ricci_lower_bound", "abc"),
         ("lower", "nan"), ("resolution_ladder", "2.5"), ("lipschitz", "nan"),
-        ("basepoint", "0")])
+        ("basepoint", "0"), ("p", "nan")])
     def test_malformed_number_is_located(self, tmp_path, key, bad):
         path = tmp_path / "numbers.scn"
         path.write_text(NUMERIC_KEYS)
