@@ -53,6 +53,10 @@ class TargetEscape(CzmapError):
         )
 
 
+class LipschitzViolation(CzmapError, ValueError):
+    """A sampled difference quotient exceeds the declared Lipschitz bound."""
+
+
 class NotImmersion(CzmapError):
     """Differential is rank deficient at a grid point."""
 

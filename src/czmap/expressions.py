@@ -12,6 +12,14 @@ Known functions: sin, cos, exp, log, sqrt, pow, abs.  ``pi`` is a built-in
 constant.  Parsing errors carry the column; evaluation either returns finite
 values on the whole input or raises a located :class:`EvalError`.
 
+An :class:`Expression` compiles its tree once, on first call, into one
+closure that runs the same numpy operations in the same order as the tree
+walk :func:`evaluate`, so its values are the same bits.  The closure runs
+with numpy's overflow, divide-by-zero and invalid flags raising, and its
+output is checked for finiteness once.  A raised flag, a non-finite input
+or a non-finite output sends the call back through :func:`evaluate`, which
+stays the single source of located :class:`EvalError` exceptions.
+
 Expressions differentiate symbolically (:func:`derive`), which is what backs
 the analytic derivative oracles of charts and maps.
 """
@@ -19,7 +27,9 @@ the analytic derivative oracles of charts and maps.
 from __future__ import annotations
 
 import difflib
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -317,6 +327,60 @@ def _power(a, b):
     return np.power(a, b)
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+_UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+          "sqrt": np.sqrt, "abs": np.abs}
+
+
+def _compilable(node: Node, variables: tuple) -> bool:
+    """Whether a compiled tree can only fail where the tree walk fails.
+
+    Every variable must be bound and every number finite: an infinite
+    literal can become non-finite without raising a floating-point flag.
+    """
+    for leaf in _leaves(node):
+        if isinstance(leaf, Var) and leaf.name not in variables:
+            return False
+        if isinstance(leaf, Num) and not math.isfinite(leaf.value):
+            return False
+    return True
+
+
+def _kernel(node: Node):
+    """One closure ``env -> value`` with the tree walk's numpy operations."""
+    if isinstance(node, Num):
+        value = np.float64(node.value)
+        return lambda env: value
+    if isinstance(node, Var):
+        name = node.name
+        return lambda env: env[name]
+    if isinstance(node, Neg):
+        child = _kernel(node.child)
+        return lambda env: -child(env)
+    if isinstance(node, Bin):
+        left, right = _kernel(node.left), _kernel(node.right)
+        if node.op == "^":
+            return _power_kernel(left, node.right, right)
+        op = _BINARY[node.op]
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, Call):
+        args = [_kernel(a) for a in node.args]
+        if node.name == "pow":
+            return _power_kernel(args[0], node.args[1], args[1])
+        fn, (arg,) = _UNARY[node.name], args
+        return lambda env: fn(arg(env))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _power_kernel(base, exponent_node: Node, exponent):
+    """:func:`_power`, with the integer test of a literal exponent done once."""
+    if isinstance(exponent_node, Num) and exponent_node.value == int(exponent_node.value):
+        k = int(exponent_node.value)
+        return lambda env: np.power(base(env), k)
+    return lambda env: _power(base(env), exponent(env))
+
+
 def _num(v: float) -> Num:
     return Num(value=float(v))
 
@@ -406,17 +470,23 @@ def substitute(node: Node, mapping: dict) -> Node:
     raise TypeError(f"unknown node {node!r}")
 
 
+def _leaves(node: Node):
+    """The numbers and variables of the tree."""
+    if isinstance(node, Neg):
+        yield from _leaves(node.child)
+    elif isinstance(node, Bin):
+        yield from _leaves(node.left)
+        yield from _leaves(node.right)
+    elif isinstance(node, Call):
+        for a in node.args:
+            yield from _leaves(a)
+    else:
+        yield node
+
+
 def has_variable(node: Node) -> bool:
     """True when some leaf of the tree is a variable."""
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Neg):
-        return has_variable(node.child)
-    if isinstance(node, Bin):
-        return has_variable(node.left) or has_variable(node.right)
-    if isinstance(node, Call):
-        return any(has_variable(a) for a in node.args)
-    return False
+    return any(isinstance(leaf, Var) for leaf in _leaves(node))
 
 
 def derive(node: Node, var: str) -> Node:
@@ -502,10 +572,26 @@ class Expression:
             self.text = to_string(source)
         self._partials: dict[int, Expression] = {}
 
+    @functools.cached_property
+    def _compiled(self):
+        """The compiled tree, or None where only the tree walk is exact."""
+        if not _compilable(self.ast, self.variables):
+            return None
+        return _kernel(self.ast)
+
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         env = {name: points[..., k] for k, name in enumerate(self.variables)}
-        out = evaluate(self.ast, env, self.text)
+        out = None
+        # a non-finite input can turn into a finite output without a flag
+        if self._compiled is not None and np.isfinite(points).all():
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    out = self._compiled(env)
+            except FloatingPointError:
+                pass
+        if out is None or not np.isfinite(out).all():
+            out = evaluate(self.ast, env, self.text)
         return np.broadcast_to(out, points.shape[:-1]).astype(float, copy=True) \
             if out.shape != points.shape[:-1] else out
 

@@ -7,7 +7,10 @@ Two estimators cooperate:
   with the direct straight-segment length (both are path lengths, hence
   upper bounds; for constant metrics the straight segment is exact);
 * a shooting refinement for point pairs: Newton iteration on the initial
-  velocity of the geodesic ODE until the endpoint hits the target.
+  velocity of the geodesic ODE until the endpoint hits the target.  Each
+  Newton step makes one batched RK4 shot of the base velocities and the m
+  forward-difference probes of the endpoint's Jacobian; RK4 rows are
+  independent, so the batch gives each row the bits of a separate shot.
 
 Pair distances evaluate the arguments in a canonical order so symmetry
 holds exactly as computed.
@@ -23,7 +26,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from .errors import Unreachable
-from .expressions import Expression, has_variable
 from .geometry import MetricChart
 
 SEGMENT_QUADRATURE = 8
@@ -36,11 +38,7 @@ def _metric_is_constant(chart: MetricChart) -> bool:
 
     Any other component callable counts as non-constant.
     """
-    if "constant_metric" not in chart._cache:
-        chart._cache["constant_metric"] = all(
-            isinstance(c, Expression) and not has_variable(c.ast)
-            for row in chart.components for c in row)
-    return chart._cache["constant_metric"]
+    return all(isinstance(g, float) for _, _, g, _ in chart.oracles())
 
 
 def segment_length(chart: MetricChart, a, b, n_quad: int = SEGMENT_QUADRATURE):
@@ -236,18 +234,21 @@ def log_map(chart: MetricChart, x, targets, tol: float = 1e-10,
         if not active.any():
             break
         va = v[active]
-        end, ok = shoot(chart, x, va)
+        # one shot for the base velocities and the m forward-difference
+        # probes va + eps e_k of the endpoint's Jacobian; rows are independent
+        eps = 1e-6 * max(1.0, float(np.abs(va).max()))
+        probes = eps * np.eye(m)
+        ends, oks = shoot(chart, x, np.concatenate(
+            [va] + [va + probes[k] for k in range(m)]))
+        ends = ends.reshape(m + 1, *va.shape)
+        oks = oks.reshape(m + 1, va.shape[0])
+        end, ok = ends[0], oks[0]
         res = end - targets[active]
         hit = ok & (np.abs(res).max(axis=1) <= tol * scale)
-        # forward-difference Jacobian of endpoint w.r.t. initial velocity
-        eps = 1e-6 * max(1.0, float(np.abs(va).max()))
         jac = np.empty((va.shape[0], m, m))
         for k in range(m):
-            dv = np.zeros(m)
-            dv[k] = eps
-            end_k, ok_k = shoot(chart, x, va + dv)
-            jac[:, :, k] = (end_k - end) / eps
-            ok &= ok_k
+            jac[:, :, k] = (ends[k + 1] - end) / eps
+            ok &= oks[k + 1]
         try:
             delta = np.linalg.solve(jac, res[..., None])[..., 0]
         except np.linalg.LinAlgError:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import fd
 from .errors import DegenerateMetric
+from .expressions import Expression, evaluate, has_variable
 
 SPD_EIGENVALUE_FLOOR = 1e-12
 
@@ -97,6 +98,17 @@ def _symmetrize(components, m: int):
     return comps
 
 
+def _constant_or_oracle(oracle):
+    """The float of an expression without a variable, else the oracle."""
+    if isinstance(oracle, Expression) and not has_variable(oracle.ast):
+        return float(evaluate(oracle.ast, {}, oracle.text))
+    return oracle
+
+
+def _at(oracle, points):
+    return oracle if isinstance(oracle, float) else oracle(points)
+
+
 class MetricChart:
     """Metric component oracles over a coordinate box.
 
@@ -126,16 +138,51 @@ class MetricChart:
 
     # -- pointwise evaluation -------------------------------------------------
 
+    def oracles(self) -> list:
+        """``(i, j, g_ij, [d_k g_ij for each k])`` for every i <= j, built once.
+
+        An expression without a variable is stored as its float.  A
+        partial is an explicit derivative oracle, else the component's
+        ``partial(k)`` ("analytic") or a central difference that reads
+        ``fd_step`` when called ("fd").
+        """
+        if "oracles" not in self._cache:
+            m = self.dimension
+            self._cache["oracles"] = [
+                (i, j, _constant_or_oracle(self.components[i][j]),
+                 [_constant_or_oracle(self._partial_oracle(i, j, k))
+                  for k in range(m)])
+                for i in range(m) for j in range(i, m)]
+        return self._cache["oracles"]
+
+    def _partial_oracle(self, i: int, j: int, k: int):
+        oracle = self.derivative_oracles.get((i, j, k)) \
+            or self.derivative_oracles.get((j, i, k))
+        if oracle is not None:
+            return oracle
+        comp = self.components[i][j]
+        if self.derivative_mode == "fd":
+            return lambda points: fd.point_diff1(
+                comp, points, k, float(self.fd_step[k]),
+                self.box.lower, self.box.upper)
+        if hasattr(comp, "partial"):
+            return comp.partial(k)
+
+        def missing(points):
+            raise TypeError(f"component g[{i}][{j}] of {self.name} has no "
+                            "analytic partials; use derivative_mode='fd' or "
+                            "pass derivative_oracles")
+        return missing
+
     def metric(self, points) -> np.ndarray:
         """Metric matrices ``(..., m, m)`` at arbitrary points."""
         points = np.asarray(points, dtype=float)
         m = self.dimension
         out = np.empty(points.shape[:-1] + (m, m), dtype=float)
-        for i in range(m):
-            for j in range(i, m):
-                val = self.components[i][j](points)
-                out[..., i, j] = val
-                out[..., j, i] = val
+        for i, j, g, _ in self.oracles():
+            val = _at(g, points)
+            out[..., i, j] = val
+            out[..., j, i] = val
         return out
 
     def metric_derivative(self, points) -> np.ndarray:
@@ -143,26 +190,11 @@ class MetricChart:
         points = np.asarray(points, dtype=float)
         m = self.dimension
         out = np.empty(points.shape[:-1] + (m, m, m), dtype=float)
-        for i in range(m):
-            for j in range(i, m):
-                comp = self.components[i][j]
-                for k in range(m):
-                    oracle = self.derivative_oracles.get((i, j, k)) \
-                        or self.derivative_oracles.get((j, i, k))
-                    if oracle is not None:
-                        val = oracle(points)
-                    elif self.derivative_mode == "analytic":
-                        if not hasattr(comp, "partial"):
-                            raise TypeError(
-                                f"component g[{i}][{j}] of {self.name} has no "
-                                "analytic partials; use derivative_mode='fd' or "
-                                "pass derivative_oracles")
-                        val = comp.partial(k)(points)
-                    else:
-                        val = fd.point_diff1(comp, points, k, float(self.fd_step[k]),
-                                             self.box.lower, self.box.upper)
-                    out[..., i, j, k] = val
-                    out[..., j, i, k] = val
+        for i, j, _, partials in self.oracles():
+            for k, dg in enumerate(partials):
+                val = _at(dg, points)
+                out[..., i, j, k] = val
+                out[..., j, i, k] = val
         return out
 
     def christoffel_at(self, points) -> np.ndarray:

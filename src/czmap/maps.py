@@ -26,7 +26,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from . import fd
-from .errors import NotImmersion, TargetEscape
+from .errors import LipschitzViolation, NotImmersion, TargetEscape
 from .geodesics import metric_ball, segment_length
 from .geometry import ChristoffelField, MetricChart
 from .norms import DistanceEvaluator
@@ -91,7 +91,7 @@ class MapModel:
             den = segment_length(self.source_chart, pts[i], pts[j])
             quotient = np.max(num / np.maximum(den, 1e-300))
             if quotient > L * (1.0 + tol):
-                raise ValueError(
+                raise LipschitzViolation(
                     f"map {self.name}: sampled difference quotient {quotient:.4g} "
                     f"exceeds declared Lipschitz bound {L:.4g}")
         return self

@@ -12,17 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CzmapError, EmptyFeasibleSet, PreconditionFailed,
-                     ResolutionTooCoarse, TargetEscape)
+from .errors import CzmapError, EmptyFeasibleSet
 
 RESTARTS = 3
 INITIAL_STEP_FRACTION = 0.25
 CONTRACTION = 0.5
 MAX_CONTRACTIONS = 6
 SEARCH_SEED = 20859
-
-_FEASIBILITY_ERRORS = (PreconditionFailed, ResolutionTooCoarse, TargetEscape,
-                       ValueError)
 
 
 @dataclass
@@ -56,7 +52,8 @@ class MapFamily:
 
     ``bounds``: (lower, upper) arrays.  ``evaluate(params)`` returns the
     global-estimate ratio for one parameter point; infeasible candidates
-    raise one of the feasibility errors.
+    raise a :class:`CzmapError`.  Any other exception is a fault and ends
+    the search.
     """
 
     def __init__(self, lower, upper, evaluate, name="family"):
@@ -98,8 +95,6 @@ def extremal_ratio_search(family: MapFamily, seed: int = SEARCH_SEED,
         try:
             value = family.evaluate(params)
             feasible = bool(np.isfinite(value))
-        except _FEASIBILITY_ERRORS:
-            value, feasible = None, False
         except CzmapError:
             value, feasible = None, False
         trace.append(SearchTraceEntry(params=tuple(float(x) for x in params),

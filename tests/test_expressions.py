@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from czmap.errors import EvalError, ExpressionSyntaxError, UnknownIdentifier
-from czmap.expressions import (Expression, evaluate, parse_expression,
-                               to_string)
+from czmap.expressions import (Expression, derive, evaluate,
+                               parse_expression, to_string)
 
 
 def ev(text, variables=(), **env):
@@ -139,3 +140,70 @@ def test_fuzzed_expressions_never_crash(text):
         evaluate(ast, {"x": 0.7, "y": 1.3}, text)
     except EvalError:
         pass
+
+
+_point_value = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 800.0, math.inf, -math.inf,
+                     math.nan]))
+_point_batch = st.integers(0, 5).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, 2) if n else (2,),
+                         elements=_point_value))
+
+
+def _assert_same_as_tree_walk(source, points, variables=("x", "y")):
+    """The compiled call returns the tree walk's bits or raises its error."""
+    expr = Expression(source, variables)
+    assert expr._compiled is not None
+    env = {name: points[..., k] for k, name in enumerate(variables)}
+    try:
+        expected = evaluate(expr.ast, env, expr.text)
+    except EvalError as err:
+        with pytest.raises(EvalError) as got:
+            expr(points)
+        assert got.value.position == err.position
+        return
+    expected = np.broadcast_to(expected, points.shape[:-1])
+    got = expr(points)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expr_text(), _point_batch)
+def test_compiled_expression_matches_tree_walk(text, points):
+    try:
+        ast = parse_expression(text, ("x", "y"))
+    except ExpressionSyntaxError:
+        return
+    _assert_same_as_tree_walk(text, points)
+    # derivatives carry the negative literals that folding makes
+    _assert_same_as_tree_walk(derive(ast, "x"), points)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/(1/x)", 0.0),          # finite output, infinite intermediate
+    ("log(x - x)", 1.0),
+    ("sqrt(-x*x - 1)", 1.0),
+    ("exp(1000*x)", 1.0),
+    ("1/abs(x)", math.inf),    # infinite input, finite output
+])
+def test_compiled_expression_non_finite_intermediate(text, value):
+    points = np.array([[value, 0.0], [0.5, 0.0]])
+    with pytest.raises(EvalError):
+        Expression(text, ("x", "y"))(points)
+    _assert_same_as_tree_walk(text, points)
+
+
+def test_compiled_call_skips_the_tree_walk(monkeypatch):
+    import czmap.expressions as expressions
+
+    e = Expression("sin(x)^2 + 1/(y*y)", ("x", "y"))
+    pts = np.array([[0.3, 1.5], [1.1, 0.7]])
+    expected = e(pts)
+
+    def no_walk(*args):
+        raise AssertionError("tree walk on a finite evaluation")
+
+    monkeypatch.setattr(expressions, "evaluate", no_walk)
+    assert e(pts).tobytes() == expected.tobytes()

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_flat, make_sphere
+from conftest import make_flat, make_hyperbolic, make_sphere
 from czmap.expressions import Expression
 from czmap.geodesics import (_metric_is_constant, distance_field,
                              geodesic_distance, log_map, metric_ball,
-                             segment_length)
+                             segment_length, shoot)
 from czmap.geometry import CoordinateBox, MetricChart
 
 
@@ -116,3 +116,20 @@ class TestSegmentsAndLogMap:
         assert ok[0]
         G = chart.metric(np.array([math.pi / 2, 0.0]))
         assert math.sqrt(v[0] @ G @ v[0]) == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("make, x, escape", [
+        (make_sphere, [1.4, 0.6], [2.5, 0.1]),
+        (make_hyperbolic, [0.1, 1.2], [0.2, -1.5]),
+    ])
+    def test_stacked_shot_equals_per_block_shots(self, make, x, escape):
+        chart = make()
+        rng = np.random.default_rng(5)
+        blocks = [0.3 * rng.standard_normal((4, 2)) for _ in range(3)]
+        blocks[1][2] = escape
+        ends, oks = shoot(chart, x, np.concatenate(blocks))
+        assert not oks[4 + 2] and oks.sum() == 11
+        for b, block in enumerate(blocks):
+            end, ok = shoot(chart, x, block)
+            rows = slice(4 * b, 4 * b + 4)
+            assert ends[rows].tobytes() == end.tobytes()
+            assert np.array_equal(oks[rows], ok)

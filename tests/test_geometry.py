@@ -89,6 +89,17 @@ class TestChristoffel:
         factor = errs[0] / errs[1]
         assert 3.5 <= factor <= 4.5
 
+    def test_fd_christoffel_follows_reassigned_step(self):
+        pt = np.array([math.pi / 3, 0.2])
+        chart = make_sphere(mode="fd")
+        before = chart.christoffel_at(pt)
+        chart.fd_step = np.array([0.01, 0.01])
+        fresh = make_sphere(mode="fd")
+        fresh.fd_step = np.array([0.01, 0.01])
+        after = chart.christoffel_at(pt)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == fresh.christoffel_at(pt).tobytes()
+
     def test_hilbert_schmidt_norms(self):
         field = christoffel(make_sphere())
         manual = np.sqrt((field.values ** 2).sum(axis=(-2, -1)))

@@ -71,6 +71,26 @@ class TestPatternSearch:
         with pytest.raises(EmptyFeasibleSet):
             extremal_ratio_search(family, restarts=2, max_contractions=1)
 
+    def test_lipschitz_violation_is_infeasible(self):
+        def steep(params):
+            source = flat_chart(0.0, 0.5, 9, dim=1, names=("x",))
+            target = flat_chart(-3.0, 3.0, 5, dim=1, names=("u",))
+            MapModel(source, target, [Expression("4*x", ("x",))],
+                     lipschitz_bound=1.0).validate()
+            return 0.0
+
+        family = MapFamily([0.0], [1.0], steep)
+        with pytest.raises(EmptyFeasibleSet):
+            extremal_ratio_search(family, restarts=1, max_contractions=1)
+
+    def test_other_errors_end_the_search(self):
+        def faulty(params):
+            raise ValueError("a fault, not an infeasible candidate")
+
+        family = MapFamily([0.0], [1.0], faulty)
+        with pytest.raises(ValueError, match="a fault"):
+            extremal_ratio_search(family, restarts=1, max_contractions=1)
+
 
 class TestSearchScenarios:
     def test_sine_scenario(self):
