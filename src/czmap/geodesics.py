@@ -11,6 +11,9 @@ Two estimators cooperate:
   Newton step makes one batched RK4 shot of the base velocities and the m
   forward-difference probes of the endpoint's Jacobian; RK4 rows are
   independent, so the batch gives each row the bits of a separate shot.
+  The RK4 right-hand side is (v, -Γ(v, v)) from
+  :meth:`MetricChart.geodesic_acceleration`, which solves g a = -w on the
+  metric oracles and never forms the Christoffel tensor.
 
 Pair distances evaluate the arguments in a canonical order so symmetry
 holds exactly as computed.
@@ -184,7 +187,10 @@ def metric_ball(chart: MetricChart, center, r: float,
 def shoot(chart: MetricChart, x, v0: np.ndarray, n_steps: int = SHOOTING_STEPS):
     """Integrate the geodesic equation from ``x`` with initial velocities.
 
-    ``v0`` has shape ``(batch, m)``; fixed-step RK4 on t in [0, 1].
+    ``v0`` has shape ``(batch, m)``; fixed-step RK4 on t in [0, 1] for
+    x' = v, v' = -Γ^l_ij v^i v^j, the acceleration read straight from the
+    metric oracles (:meth:`MetricChart.geodesic_acceleration`).  Rows
+    still in the box are evaluated at their position clipped to it.
     Returns endpoints ``(batch, m)`` and a validity mask (False where the
     trajectory left the chart box, where the metric oracle is undefined).
     """
@@ -201,8 +207,7 @@ def shoot(chart: MetricChart, x, v0: np.ndarray, n_steps: int = SHOOTING_STEPS):
         acc = np.zeros_like(v)
         if valid.any():
             safe = np.clip(p[valid], box.lower, box.upper)
-            gam = chart.christoffel_at(safe)
-            acc[valid] = -np.einsum("blij,bi,bj->bl", gam, v[valid], v[valid])
+            acc[valid] = chart.geodesic_acceleration(safe, v[valid])
         return v, acc
 
     for _ in range(n_steps):

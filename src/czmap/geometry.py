@@ -109,6 +109,11 @@ def _at(oracle, points):
     return oracle if isinstance(oracle, float) else oracle(points)
 
 
+def _is_zero(value) -> bool:
+    """True for the float 0.0 that stands for a vanishing constant term."""
+    return isinstance(value, float) and value == 0.0
+
+
 class MetricChart:
     """Metric component oracles over a coordinate box.
 
@@ -209,6 +214,55 @@ class MetricChart:
         sym = t_i_jk + t_j_ik - t_k_ij
         # Gamma^l_ij = 1/2 g^{lk} (d_i g_jk + d_j g_ik - d_k g_ij)
         return 0.5 * np.einsum("...lk,...ijk->...lij", ginv, sym)
+
+    def geodesic_acceleration(self, points, v) -> np.ndarray:
+        """``-Gamma^l_ij v^i v^j`` at ``points``, shape ``(..., m)``.
+
+        Gamma is never formed: g a = -w with
+        w_k = sum_ij (d_i g_jk - 1/2 d_k g_ij) v^i v^j, each oracle read
+        once and float-0.0 oracles skipped.  g is SPD, so Gaussian elimination
+        without pivoting is safe; it is unrolled over the components, and
+        every row of the batch is computed on its own.
+        """
+        points = np.asarray(points, dtype=float)
+        v = np.asarray(v, dtype=float)
+        m = self.dimension
+        vs = [v[..., i] for i in range(m)]
+        g = [[0.0] * m for _ in range(m)]
+        w = [0.0] * m
+        for i, j, gij, partials in self.oracles():
+            g[i][j] = g[j][i] = _at(gij, points)
+            dgs = [(k, _at(dg, points)) for k, dg in enumerate(partials)
+                   if not _is_zero(dg)]
+            if not dgs:
+                continue
+            # the entry stands for g_ij and g_ji in both sums of w
+            along = sum(vs[k] * dg for k, dg in dgs)   # v^a d_a g_ij
+            w[j] = w[j] + vs[i] * along
+            if i == j:
+                quad = 0.5 * vs[i] * vs[i]
+            else:
+                w[i] = w[i] + vs[j] * along
+                quad = vs[i] * vs[j]
+            for k, dg in dgs:
+                w[k] = w[k] - quad * dg
+        rhs = [-wk for wk in w]
+        for c in range(m):                 # forward elimination
+            for r in range(c + 1, m):
+                if _is_zero(g[r][c]):
+                    continue
+                f = g[r][c] / g[c][c]
+                for k in range(c + 1, m):
+                    g[r][k] = g[r][k] - f * g[c][k]
+                rhs[r] = rhs[r] - f * rhs[c]
+        acc = np.empty(np.broadcast_shapes(points.shape, v.shape))
+        for r in reversed(range(m)):       # back substitution
+            s = rhs[r]
+            for k in range(r + 1, m):
+                if not _is_zero(g[r][k]):
+                    s = s - g[r][k] * acc[..., k]
+            acc[..., r] = s / g[r][r]
+        return acc
 
     def metric_at(self, x):
         """Metric data at one point.

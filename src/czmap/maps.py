@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from . import fd
 from .errors import LipschitzViolation, NotImmersion, TargetEscape
@@ -167,6 +166,7 @@ def target_christoffel_at(map_model: MapModel, values: np.ndarray,
     if target.derivative_mode == "analytic" and target_gamma is None or \
        (target_gamma is not None and target_gamma.chart.derivative_mode == "analytic"):
         return target.christoffel_at(values)
+    from scipy.interpolate import RegularGridInterpolator
     gamma = target_gamma or target.grid_christoffel()
     n = target.dimension
     flatv = values.reshape(-1, n)

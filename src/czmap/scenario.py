@@ -34,6 +34,7 @@ ScenarioError.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -47,6 +48,8 @@ from .maps import MapModel
 
 MODES = ("lemma", "ball", "global", "intro", "corollaryA", "search")
 FIXTURE_ENV_VAR = "CZMAP_FIXTURES"
+# the cover's ring table indexes grid points with int32
+MAX_GRID_POINTS = np.iinfo(np.int32).max
 
 
 def fixture_dir() -> str:
@@ -341,6 +344,10 @@ def _parse_manifold(section: _Section, path: str, issues: list) -> ManifoldDef |
             issues.append(ValidationIssue(path, e["resolution"].line, "Resolution",
                                           "resolution must be >= 3 per axis"))
             ok = False
+    if ok and math.prod(vals["resolution"]) > MAX_GRID_POINTS:
+        issues.append(ValidationIssue(path, e["resolution"].line, "Resolution",
+                                      f"grid has more than {MAX_GRID_POINTS} points"))
+        ok = False
 
     derivative_exprs = {}
     for key, entry in e.items():
@@ -586,6 +593,11 @@ def _parse_search(section: _Section, path: str, issues: list) -> SearchConfig | 
         issues.append(ValidationIssue(path, section.line, "SearchBounds",
                                       "search needs lower/upper per parameter"))
         return None
+    for key, nums in (("lower", lower), ("upper", upper)):
+        if not np.all(np.isfinite(nums)):
+            issues.append(ValidationIssue(path, e[key].line, "NumberFormat",
+                                          f"'{key}' entries must be finite"))
+            return None
     return SearchConfig(parameters=params, lower=lower, upper=upper,
                         line=section.line)
 
@@ -635,6 +647,12 @@ def load_scenario(path: str, build_check: bool = True) -> Scenario:
         issues.append(ValidationIssue(
             path, run_section.entries["basepoint"].line, "DimensionMismatch",
             f"basepoint needs {target.dimension} coordinates"))
+    source = manifolds.get(next(iter(maps.values())).source) if maps else None
+    if source is not None and any(r ** source.dimension > MAX_GRID_POINTS
+                                  for r in run.resolution_ladder):
+        issues.append(ValidationIssue(
+            path, run_section.entries["resolution_ladder"].line, "Resolution",
+            f"a ladder grid has more than {MAX_GRID_POINTS} points"))
     if issues:
         raise ScenarioError(issues)
 

@@ -133,3 +133,18 @@ class TestSegmentsAndLogMap:
             rows = slice(4 * b, 4 * b + 4)
             assert ends[rows].tobytes() == end.tobytes()
             assert np.array_equal(oks[rows], ok)
+
+    def test_shot_forms_no_christoffel_tensor(self, monkeypatch):
+        chart = make_sphere()
+        v0 = np.array([[0.3, -0.2], [0.1, 0.4], [-0.25, 0.05]])
+        expected = shoot(chart, [1.4, 0.6], v0)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("shoot formed the Christoffel tensor")
+
+        monkeypatch.setattr(MetricChart, "christoffel_at", banned)
+        monkeypatch.setattr(np.linalg, "inv", banned)
+        monkeypatch.setattr(np, "einsum", banned)
+        ends, oks = shoot(chart, [1.4, 0.6], v0)
+        assert ends.tobytes() == expected[0].tobytes()
+        assert np.array_equal(oks, expected[1])

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_flat, make_hyperbolic, make_sphere
 from czmap.errors import DegenerateMetric
@@ -188,3 +190,70 @@ class TestScalingLaws:
         scaled = make_flat(scale=4.0)  # lambda = 2, m = 2
         ratio = scaled.grid_sqrt_det() / flat.grid_sqrt_det()
         assert np.abs(ratio - 4.0).max() < 1e-12
+
+
+def _explicit_half_plane():
+    v = ("x", "y")
+    comps = [[Expression("1/(y*y)", v), Expression("0", v)],
+             [Expression("0", v), Expression("1/(y*y)", v)]]
+    dy = Expression("-2/(y*y*y)", v)
+    oracles = {(0, 0, 0): Expression("0", v), (0, 0, 1): dy,
+               (1, 1, 0): Expression("0", v), (1, 1, 1): lambda p: dy(p)}
+    return MetricChart(CoordinateBox([-0.8, 0.7], [0.8, 2.3], [9, 9]), comps,
+                       derivative_oracles=oracles, name="explicit")
+
+
+def _tilted_3d():
+    v = ("x", "y", "z")
+    comps = [[Expression("1 + x^2", v), Expression("0.3*sin(y)", v),
+              Expression("0", v)],
+             [None, Expression("2 + cos(x*z)", v), Expression("0.2*x*y", v)],
+             [None, None, Expression("1 + y^2 + 0.5*z", v)]]
+    return MetricChart(CoordinateBox([-0.5] * 3, [0.5] * 3, [5] * 3), comps,
+                       name="tilted-3d")
+
+
+def _constant_tilted():
+    v = ("x1", "x2")
+    comps = [[Expression("2", v), Expression("0.5", v)],
+             [None, Expression("1", v)]]
+    return MetricChart(CoordinateBox([-1, -1], [1, 1], [5, 5]), comps,
+                       name="constant-tilted")
+
+
+ACCELERATION_CHARTS = {
+    "flat": make_flat(), "constant-tilted": _constant_tilted(),
+    "sphere": make_sphere(), "half-plane": make_hyperbolic(),
+    "sphere-fd": make_sphere(mode="fd"), "explicit": _explicit_half_plane(),
+    "tilted-3d": _tilted_3d()}
+
+
+class TestGeodesicAcceleration:
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(ACCELERATION_CHARTS)),
+           data=st.data())
+    def test_matches_christoffel_contraction(self, name, data):
+        chart = ACCELERATION_CHARTS[name]
+        m = chart.dimension
+        rows = data.draw(st.integers(1, 6))
+        unit = st.floats(0.0, 1.0)
+        t = np.array(data.draw(st.lists(unit, min_size=rows * m,
+                                        max_size=rows * m))).reshape(rows, m)
+        pts = chart.box.lower + t * (chart.box.upper - chart.box.lower)
+        v = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=rows * m,
+                                        max_size=rows * m))).reshape(rows, m)
+        gam = chart.christoffel_at(pts)
+        expected = -np.einsum("...lij,...i,...j->...l", gam, v, v)
+        got = chart.geodesic_acceleration(pts, v)
+        assert got.shape == expected.shape
+        # each term's size, through |g^-1| and the condition number of g
+        g = chart.metric(pts)
+        sym = np.abs(chart.metric_derivative(pts))
+        av = np.abs(v)
+        terms = (np.einsum("...jki,...i,...j->...k", sym, av, av)
+                 + 0.5 * np.einsum("...ijk,...i,...j->...k", sym, av, av))
+        scale = np.einsum("...lk,...k->...l", np.abs(np.linalg.inv(g)), terms)
+        ulp = 8 * np.finfo(float).eps * np.linalg.cond(g)[:, None] * scale
+        # products of tiny velocities may underflow differently
+        assert np.all(np.abs(got - expected)
+                      <= ulp + np.finfo(float).smallest_normal)

@@ -149,12 +149,15 @@ REPORT_VALUES = st.recursive(
     max_leaves=12)
 
 
+FIXTURE_NAMES = ("flat-identity", "sphere-immersion", "sphere-global",
+                 "cylinder-immersion", "graph-immersion", "hyperbolic-map",
+                 "flat-to-sphere", "sine-search", "saddle-search",
+                 "lemma-battery", "ball-estimate")
+
+
 class TestLoader:
     def test_shipped_fixtures_all_load(self):
-        for name in ("flat-identity", "sphere-immersion", "sphere-global",
-                     "cylinder-immersion", "graph-immersion", "hyperbolic-map",
-                     "flat-to-sphere", "sine-search", "saddle-search",
-                     "lemma-battery", "ball-estimate"):
+        for name in FIXTURE_NAMES:
             scenario = load_scenario(fixture_path(name))
             assert scenario.name == name
 
@@ -242,7 +245,8 @@ basepoint = 0, 0
         ("seed", "abc"), ("drift_tolerance", "abc"), ("omega_slack", "x"),
         ("uc_radius", "q"), ("ball_r", "z"), ("ricci_lower_bound", "abc"),
         ("lower", "nan"), ("resolution_ladder", "2.5"), ("lipschitz", "nan"),
-        ("basepoint", "0"), ("p", "nan")])
+        ("basepoint", "0"), ("p", "nan"), ("resolution", "1e300"),
+        ("resolution_ladder", "9, 1e300")])
     def test_malformed_number_is_located(self, tmp_path, key, bad):
         path = tmp_path / "numbers.scn"
         path.write_text(NUMERIC_KEYS)
@@ -271,6 +275,65 @@ basepoint = 0, 0
         assert "component.1 = x1 +* 2" in BAD_SYMMETRY.replace(
             "component.1 = x1", "component.1 = x1 +* 2")
         assert issue.line > 0
+
+
+# replacement values and lines; a grid they declare is small or over the limit
+JUNK = ("", "abc", "nan", "inf", "-inf", "-1", "0", "2", "0.5", "3.5", "1e-300",
+        "1e300", "-1e300", "(", "x1 +", "exp(", "sin(", "1/0", "1, 2, 3",
+        "0, 0", "inf, 1", "=", ",", "x1", "th", "eps")
+JUNK_LINES = JUNK + ("[run]", "[manifold x]", "[map]", "[search]",
+                     "[bogus y]", "[manifold", "key = 1")
+
+
+def _mutate(lines: list, kind: str, index: int, junk: str) -> None:
+    index %= len(lines)
+    if kind == "drop":
+        del lines[index]
+    elif kind == "duplicate":
+        lines.insert(index, lines[index])
+    elif "=" in lines[index]:
+        lines[index] = lines[index].split("=", 1)[0] + "= " + junk
+    else:
+        lines[index] = junk
+
+
+class TestMutatedFixtures:
+    @settings(max_examples=1000, deadline=None)
+    @given(name=st.sampled_from(FIXTURE_NAMES),
+           edits=st.lists(st.tuples(
+               st.sampled_from(("drop", "duplicate", "corrupt")),
+               st.integers(0, 10 ** 6), st.sampled_from(JUNK_LINES)),
+               min_size=1, max_size=3))
+    def test_validate_ends_clean_or_located(self, name, edits):
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        for kind, index, junk in edits:
+            if lines:
+                _mutate(lines, kind, index, junk)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mutated.scn")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines))
+            try:
+                load_scenario(path)
+            except ScenarioError as err:
+                assert err.issues
+                for issue in err.issues:
+                    assert issue.path == path
+                    assert 0 <= issue.line <= len(lines)
+
+    @pytest.mark.parametrize("key, value", [("lower", "inf"), ("upper", "nan")])
+    def test_search_bounds_must_be_finite(self, tmp_path, key, value):
+        with open(fixture_path("saddle-search"), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        index = next(i for i, line in enumerate(lines)
+                     if line.startswith(f"{key} ="))   # the [search] section
+        lines[index] = f"{key} = {value}"
+        path = tmp_path / "bounds.scn"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        assert err.value.issues[0].line == index + 1
 
 
 class TestRunner:
