@@ -7,16 +7,15 @@ from .engine import (BallEstimateInstance, EllipticOperatorSpec,
                      compute_r_hat, omega_decomposition, verify_ball_estimate,
                      verify_euclidean_corollaries, verify_global_estimate,
                      verify_interior_estimate, verify_scaling_identities)
-from .expressions import Expression, ExpressionAst, parse_expression, to_string
+from .expressions import Expression, parse_expression, to_string
 from .geodesics import geodesic_distance, metric_ball
-from .geometry import (ChristoffelField, CoordinateBox, ManifoldModel,
-                       MetricChart, christoffel, metric_at, ricci_samples)
+from .geometry import (ChristoffelField, CoordinateBox, MetricChart,
+                       check_ricci_lower_bound, ricci_samples)
 from .harmonic import (HarmonicChartCandidate, RadiusCertificate,
                        check_hr_conditions, derivative_decay_experiment,
                        estimate_harmonic_radius, solve_harmonic_chart)
-from .maps import (ImmersionData, JetField, MapModel, differential,
-                   generalized_hessian, generalized_laplacian, immersion_check,
-                   pointwise_norms, uniform_continuity_profile)
+from .maps import (ImmersionData, JetField, MapModel, generalized_hessian,
+                   immersion_check, uniform_continuity_profile)
 from .norms import NormRequest, dist_to_basepoint_field, holder_seminorm, lp_norm
 from .report import InequalityReport, write_reports
 from .runner import run_and_report, run_scenario

@@ -36,13 +36,16 @@ from .geodesics import metric_ball, distance_field, offset_slices, segment_lengt
 from .geometry import CoordinateBox, MetricChart
 from .harmonic import RadiusCertificate
 from .maps import JetField, MapModel, generalized_hessian, immersion_check
-from .norms import DistanceEvaluator, PairTable, lp_norm_on, quadrature_weights
+from .norms import (PairTable, dist_to_basepoint_field, lp_norm_on,
+                    quadrature_weights)
 
 COMPLETENESS_CAVEAT = ("chart model is a bounded box; estimates are verified "
                       "on interior balls only")
 COVER_WINDOW_MARGIN = 1.05     # coordinate window slack, see build_cover
 CHECK_BLOCK = 32               # cover centers per target-side regime check
 OMEGA_SLACK = 1e-9
+DIAMETER_SAMPLES = 1500        # image points sampled for diam(u(M))
+DIAMETER_SEED = 20859
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +381,7 @@ def verify_ball_estimate(map_model: MapModel, x, y, r: float, R: float,
     ball_2r = metric_ball(source, x, 2.0 * r, distances=dist)
     warnings = list(ball_2r.warnings)
 
-    evaluator = DistanceEvaluator(map_model.target_chart, y)
-    values = map_model.values_on_grid()
-    dist_to_y = evaluator(values).reshape(source.box.shape)
+    dist_to_y = dist_to_basepoint_field(map_model, y)
     inside = dist_to_y[ball_r.mask] < R
     if not np.all(inside):
         worst = float(dist_to_y[ball_r.mask].max())
@@ -423,8 +424,7 @@ def omega_decomposition(map_model: MapModel, o, r1N: float) -> OmegaDecompositio
     (the ball of infinite radius is the whole target).
     """
     source = map_model.source_chart
-    evaluator = DistanceEvaluator(map_model.target_chart, o)
-    dist = evaluator(map_model.values_on_grid()).reshape(source.box.shape)
+    dist = dist_to_basepoint_field(map_model, o)
     if np.isinf(r1N):
         mask = np.ones(source.box.shape, dtype=bool)
     else:
@@ -689,9 +689,7 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
 def verify_euclidean_corollaries(map_model: MapModel, p: float,
                                  mode: str = "intro",
                                  basepoint=None,
-                                 radii: HarmonicRadii | None = None,
-                                 diam_samples: int = 1500,
-                                 seed: int = 20859) -> dict:
+                                 radii: HarmonicRadii | None = None) -> dict:
     """Immersion inequalities: second-fundamental-form norm against mean
     curvature plus lower-order data.
 
@@ -729,8 +727,7 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
     if mode == "intro":
         if basepoint is None:
             basepoint = np.zeros(map_model.target_dimension)
-        evaluator = DistanceEvaluator(map_model.target_chart, basepoint)
-        dist = evaluator(map_model.values_on_grid()).reshape(box.shape)
+        dist = dist_to_basepoint_field(map_model, basepoint)
         norm_dist = lp_norm_on(box, p, dist, vol)
         record["norm_dist"] = norm_dist
         record["ratio"] = _ratio(norm_ii, 1.0 + norm_h + norm_dist)
@@ -739,8 +736,8 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
         raise CertificateRequired("corollaryA mode needs harmonic radii")
     r = min(radii.r1M, radii.r1N, 1.0)
     values = map_model.values_on_grid()
-    rng = np.random.default_rng(seed)
-    count = min(diam_samples, values.shape[0])
+    rng = np.random.default_rng(DIAMETER_SEED)
+    count = min(DIAMETER_SAMPLES, values.shape[0])
     sel = rng.choice(values.shape[0], size=count, replace=False)
     sub = values[sel]
     diam = 0.0

@@ -46,10 +46,6 @@ class Node:
     pos: int = field(default=0, compare=False, kw_only=True)
 
 
-# the public name for parsed trees; concrete nodes are Num, Var, Neg, Bin, Call
-ExpressionAst = Node
-
-
 @dataclass(frozen=True)
 class Num(Node):
     value: float = 0.0

@@ -32,8 +32,9 @@ from .errors import Unreachable
 from .geometry import MetricChart
 
 SEGMENT_QUADRATURE = 8
-SHOOTING_STEPS = 64
-SHOOTING_MAX_ITER = 50
+SHOOTING_STEPS = 64           # RK4 steps per shot
+SHOOTING_MAX_ITER = 50        # Newton steps per log_map
+SHOOTING_TOL = 1e-10          # endpoint tolerance relative to the offset
 
 
 def _metric_is_constant(chart: MetricChart) -> bool:
@@ -147,9 +148,6 @@ class MetricBall:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask.reshape(-1))
 
-    def point_count(self) -> int:
-        return int(self.mask.sum())
-
 
 def metric_ball(chart: MetricChart, center, r: float,
                 distances: np.ndarray | None = None) -> MetricBall:
@@ -184,12 +182,12 @@ def metric_ball(chart: MetricChart, center, r: float,
                       truncated=truncated, warnings=warn)
 
 
-def shoot(chart: MetricChart, x, v0: np.ndarray, n_steps: int = SHOOTING_STEPS):
+def shoot(chart: MetricChart, x, v0: np.ndarray):
     """Integrate the geodesic equation from ``x`` with initial velocities.
 
-    ``v0`` has shape ``(batch, m)``; fixed-step RK4 on t in [0, 1] for
-    x' = v, v' = -Γ^l_ij v^i v^j, the acceleration read straight from the
-    metric oracles (:meth:`MetricChart.geodesic_acceleration`).  Rows
+    ``v0`` has shape ``(batch, m)``; SHOOTING_STEPS RK4 steps on t in
+    [0, 1] for x' = v, v' = -Γ^l_ij v^i v^j, the acceleration read straight
+    from the metric oracles (:meth:`MetricChart.geodesic_acceleration`).  Rows
     still in the box are evaluated at their position clipped to it.
     Returns endpoints ``(batch, m)`` and a validity mask (False where the
     trajectory left the chart box, where the metric oracle is undefined).
@@ -201,7 +199,7 @@ def shoot(chart: MetricChart, x, v0: np.ndarray, n_steps: int = SHOOTING_STEPS):
     vel = v0.copy()
     ok = np.ones(batch, dtype=bool)
     box = chart.box
-    h = 1.0 / n_steps
+    h = 1.0 / SHOOTING_STEPS
 
     def rhs(p, v, valid):
         acc = np.zeros_like(v)
@@ -210,7 +208,7 @@ def shoot(chart: MetricChart, x, v0: np.ndarray, n_steps: int = SHOOTING_STEPS):
             acc[valid] = chart.geodesic_acceleration(safe, v[valid])
         return v, acc
 
-    for _ in range(n_steps):
+    for _ in range(SHOOTING_STEPS):
         k1p, k1v = rhs(pos, vel, ok)
         k2p, k2v = rhs(pos + 0.5 * h * k1p, vel + 0.5 * h * k1v, ok)
         k3p, k3v = rhs(pos + 0.5 * h * k2p, vel + 0.5 * h * k2v, ok)
@@ -221,8 +219,7 @@ def shoot(chart: MetricChart, x, v0: np.ndarray, n_steps: int = SHOOTING_STEPS):
     return pos, ok
 
 
-def log_map(chart: MetricChart, x, targets, tol: float = 1e-10,
-            max_iter: int = SHOOTING_MAX_ITER):
+def log_map(chart: MetricChart, x, targets):
     """Initial velocities of geodesics from ``x`` reaching ``targets``.
 
     Newton iteration on the shooting endpoint, batched over targets.
@@ -234,7 +231,7 @@ def log_map(chart: MetricChart, x, targets, tol: float = 1e-10,
     v = targets - x
     scale = max(1.0, float(np.abs(targets - x).max()))
     converged = np.zeros(targets.shape[0], dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(SHOOTING_MAX_ITER):
         active = ~converged
         if not active.any():
             break
@@ -249,7 +246,7 @@ def log_map(chart: MetricChart, x, targets, tol: float = 1e-10,
         oks = oks.reshape(m + 1, va.shape[0])
         end, ok = ends[0], oks[0]
         res = end - targets[active]
-        hit = ok & (np.abs(res).max(axis=1) <= tol * scale)
+        hit = ok & (np.abs(res).max(axis=1) <= SHOOTING_TOL * scale)
         jac = np.empty((va.shape[0], m, m))
         for k in range(m):
             jac[:, :, k] = (ends[k + 1] - end) / eps

@@ -13,7 +13,7 @@ Component callables must be vectorized: they take point arrays of shape
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class CoordinateBox:
 
     def ravel_index(self, idx) -> int:
         return int(np.ravel_multi_index(idx, self.resolution))
-
-    def refined(self) -> "CoordinateBox":
-        """Box with halved grid step; coarse points are a subset."""
-        return CoordinateBox(self.lower, self.upper,
-                             [2 * r - 1 for r in self.resolution])
 
     def __repr__(self):
         return (f"CoordinateBox(lower={self.lower.tolist()}, "
@@ -311,7 +306,7 @@ class MetricChart:
         def build():
             pts = self.box.points()
             gam = self.christoffel_at(pts).reshape(self.box.shape + (self.dimension,) * 3)
-            return ChristoffelField(chart=self, values=gam)
+            return ChristoffelField(values=gam)
         return self._grid("christoffel", build)
 
     def ellipticity_range(self):
@@ -327,13 +322,7 @@ class MetricChart:
 class ChristoffelField:
     """Grid-sampled Christoffel symbols, ``values[..., l, i, j]``."""
 
-    chart: MetricChart
     values: np.ndarray
-
-    @property
-    def hs_norms(self) -> np.ndarray:
-        """Hilbert-Schmidt norm over (i, j) per upper index l."""
-        return np.sqrt(np.sum(self.values ** 2, axis=(-2, -1)))
 
 
 @dataclass
@@ -378,45 +367,20 @@ def ricci_samples(chart: MetricChart) -> RicciSamples:
     return RicciSamples(values=ric, min_eigenvalue=eig[..., 0])
 
 
-def christoffel(chart: MetricChart) -> ChristoffelField:
-    """Grid-sampled Christoffel symbols of a chart."""
-    return chart.grid_christoffel()
+def check_ricci_lower_bound(chart: MetricChart, A: float) -> float:
+    """Sampled Ricci floor of a chart against a declared bound Ric >= -A.
 
-
-def metric_at(chart: MetricChart, x):
-    """Pointwise metric data; see :meth:`MetricChart.metric_at`."""
-    return chart.metric_at(x)
-
-
-@dataclass
-class ManifoldModel:
-    """A chart atlas with a declared Ricci lower bound.
-
-    Charts are independent boxes; estimates run chart-locally.  The Ricci
-    bound ``Ric >= -A`` is validated by sampling and reported as a warning
-    on violation (grid noise must not block runs).
+    Returns the floor.  A violation beyond grid noise (tolerance
+    ``1e-4 (1 + A)``) is a RicciBoundWarning, not an error, since grid
+    noise must not block runs.
     """
-
-    dimension: int
-    atlas: list
-    ricci_lower_bound: float = 0.0
-    base_points: list = field(default_factory=list)
-    name: str = "manifold"
-
-    def validate(self, ricci_check: bool = True) -> "ManifoldModel":
-        if self.ricci_lower_bound < 0:
-            raise ValueError("ricci lower-bound parameter A must be >= 0")
-        for chart in self.atlas:
-            if chart.dimension != self.dimension:
-                raise ValueError(f"chart {chart.name} dimension mismatch")
-            chart.grid_metric()  # SPD check
-            if ricci_check:
-                A = self.ricci_lower_bound
-                tol = 1e-4 * (1.0 + abs(A))
-                floor = ricci_samples(chart).floor()
-                if floor < -A - tol:
-                    warnings.warn(
-                        f"chart {chart.name}: sampled Ricci eigenvalue "
-                        f"{floor:.4e} below -A={-A:.4e} (tol {tol:.1e})",
-                        RicciBoundWarning, stacklevel=2)
-        return self
+    if A < 0:
+        raise ValueError("ricci lower-bound parameter A must be >= 0")
+    tol = 1e-4 * (1.0 + A)
+    floor = ricci_samples(chart).floor()
+    if floor < -A - tol:
+        warnings.warn(
+            f"chart {chart.name}: sampled Ricci eigenvalue "
+            f"{floor:.4e} below -A={-A:.4e} (tol {tol:.1e})",
+            RicciBoundWarning, stacklevel=2)
+    return floor

@@ -10,8 +10,9 @@ conditions are checked on the pushed-forward inverse metric
 g~^{ab} = J g^{ij} J^T (J the Jacobian of phi):
 
 * hr1, the ellipticity sandwich  1/2 <= g~ <= 2  as bilinear forms;
-* hr2, the weighted bound  sum_beta r^{|beta|} sup |d_beta g~^{ab}|
-  + r^{k+alpha} [d_beta g~^{ab}]_alpha <= 1 per component pair (a, b).
+* hr2, the weighted bound  r sup |d g~^{ab}| + r^{1+alpha} [d g~^{ab}]_alpha
+  <= 1 per component pair (a, b), summed over the derivative directions
+  (the C^{1,alpha} conditions, k = 1).
 
 The radius estimator bisects on the verdict; certificates under-claim by
 construction (ties resolve downward).
@@ -36,7 +37,6 @@ DIRECT_SOLVE_LIMIT = 20000
 ITERATIVE_TOL = 1e-8
 ITERATIVE_MAXITER = 10000
 JACOBIAN_DET_FLOOR = 1e-6
-DEFAULT_PAIR_SEED = 20859
 # the Dirichlet problem is solved on the padded ball B_{(1+pad) r} so that
 # every certified sample of B_r sits compactly inside the solve domain,
 # away from the staircase-boundary layer where discrete second derivatives
@@ -50,7 +50,6 @@ class RadiusCertificate:
 
     r: float
     alpha: float
-    k: int
     hr1_margin: float
     hr2_value: float
     verdict: str                      # holds | fails | exceeds-grid
@@ -62,15 +61,15 @@ class RadiusCertificate:
         return self.verdict == "holds"
 
     def as_record(self) -> dict:
-        return {"r": self.r, "alpha": self.alpha, "k": self.k,
+        return {"r": self.r, "alpha": self.alpha, "k": 1,
                 "residual": self.laplace_residual,
                 "hr1_margin": self.hr1_margin, "hr2_value": self.hr2_value,
                 "verdict": self.verdict, "source": self.source}
 
 
-def declared_certificate(r: float, alpha: float = 0.5, k: int = 1) -> RadiusCertificate:
+def declared_certificate(r: float, alpha: float = 0.5) -> RadiusCertificate:
     """Certificate backed by a scenario declaration instead of a solve."""
-    return RadiusCertificate(r=float(r), alpha=alpha, k=k, hr1_margin=np.nan,
+    return RadiusCertificate(r=float(r), alpha=alpha, hr1_margin=np.nan,
                              hr2_value=np.nan, verdict="holds", source="declared")
 
 
@@ -181,16 +180,17 @@ def _laplace_operator(chart: MetricChart, interior: np.ndarray):
     return L, pts_idx
 
 
-def solve_harmonic_chart(chart: MetricChart, x, r: float,
-                         pad: float = SOLVE_PAD) -> HarmonicChartCandidate:
+def solve_harmonic_chart(chart: MetricChart, x,
+                         r: float) -> HarmonicChartCandidate:
     """Solve for centered harmonic coordinates covering B_r(x).
 
-    The Dirichlet problem runs on the padded ball B_{(1+pad) r}(x) with
-    geodesic normal coordinates at x as boundary data (log map expressed
-    in a g-orthonormal frame); the candidate's certified samples are the
-    grid points of B_r(x).  Raises PreconditionFailed when the padded ball
-    is truncated by the chart box, SolverDiverged when the iterative
-    fallback stalls, NotDiffeomorphic when the solved Jacobian degenerates.
+    The Dirichlet problem runs on the padded ball B_{(1+pad) r}(x), pad at
+    least SOLVE_PAD, with geodesic normal coordinates at x as boundary data
+    (log map expressed in a g-orthonormal frame); the candidate's certified
+    samples are the grid points of B_r(x).  Raises PreconditionFailed when
+    the padded ball is truncated by the chart box, SolverDiverged when the
+    iterative fallback stalls, NotDiffeomorphic when the solved Jacobian
+    degenerates.
     """
     x = np.asarray(x, dtype=float)
     box = chart.box
@@ -200,7 +200,7 @@ def solve_harmonic_chart(chart: MetricChart, x, r: float,
     # certified masks always cover every grid point of B_r
     lam_max = float(np.linalg.eigvalsh(chart.metric(x))[-1])
     step_len = float(box.steps.max()) * np.sqrt(lam_max)
-    pad_eff = max(pad, 4.0 * step_len / r)
+    pad_eff = max(SOLVE_PAD, 4.0 * step_len / r)
     outer = metric_ball(chart, x, (1.0 + pad_eff) * r, distances=dist)
     ball = metric_ball(chart, x, r, distances=dist)
     if outer.truncated:
@@ -323,19 +323,16 @@ def _pushed_derivatives(candidate: HarmonicChartCandidate):
     return dz, ok_all
 
 
-def check_hr_conditions(candidate: HarmonicChartCandidate, k: int = 1,
-                        alpha: float = 0.5,
-                        pair_seed: int = DEFAULT_PAIR_SEED) -> RadiusCertificate:
+def check_hr_conditions(candidate: HarmonicChartCandidate,
+                        alpha: float = 0.5) -> RadiusCertificate:
     """Evaluate the two harmonic-radius conditions on a candidate."""
-    if k not in (1, 2):
-        raise ValueError("only k in {1, 2} is supported")
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
     m = candidate.chart.dimension
     r = candidate.radius
     mask = candidate.jet_mask
     if mask.sum() < 3:
-        return RadiusCertificate(r=r, alpha=alpha, k=k, hr1_margin=np.nan,
+        return RadiusCertificate(r=r, alpha=alpha, hr1_margin=np.nan,
                                  hr2_value=np.nan, verdict="exceeds-grid",
                                  laplace_residual=candidate.laplace_residual)
     pushed = candidate.pushed_inverse[mask]        # (count, m, m)
@@ -344,13 +341,10 @@ def check_hr_conditions(candidate: HarmonicChartCandidate, k: int = 1,
 
     dz, dmask = _pushed_derivatives(candidate)
     if dmask.sum() < 3:
-        return RadiusCertificate(r=r, alpha=alpha, k=k, hr1_margin=hr1_margin,
+        return RadiusCertificate(r=r, alpha=alpha, hr1_margin=hr1_margin,
                                  hr2_value=np.nan, verdict="exceeds-grid",
                                  laplace_residual=candidate.laplace_residual)
-    if k == 1:
-        pairs = PairTable(candidate.image_points(dmask), alpha, seed=pair_seed)
-    else:
-        second = _second_order_terms(candidate, dz, alpha, pair_seed)
+    pairs = PairTable(candidate.image_points(dmask), alpha)
     hr2 = 0.0
     for a in range(m):
         for b in range(a, m):
@@ -358,47 +352,12 @@ def check_hr_conditions(candidate: HarmonicChartCandidate, k: int = 1,
             for c in range(m):
                 samples = dz[..., a, b, c][dmask]
                 total += r * float(np.abs(samples).max())
-                if k == 1:
-                    total += r ** (1 + alpha) * pairs.seminorm(samples)
-            if k == 2:
-                total += second[a, b]
+                total += r ** (1 + alpha) * pairs.seminorm(samples)
             hr2 = max(hr2, total)
     verdict = "holds" if (hr1_margin >= 0.0 and hr2 <= 1.0) else "fails"
-    return RadiusCertificate(r=r, alpha=alpha, k=k, hr1_margin=hr1_margin,
+    return RadiusCertificate(r=r, alpha=alpha, hr1_margin=hr1_margin,
                              hr2_value=float(hr2), verdict=verdict,
                              laplace_residual=candidate.laplace_residual)
-
-
-def _second_order_terms(candidate, dz, alpha, pair_seed) -> dict:
-    """Order-two multi-index contributions for the k=2 condition, per
-    (a, b) with a <= b; one pair table serves every sample."""
-    box = candidate.chart.box
-    m = box.dimension
-    r = candidate.radius
-    jac = candidate.jacobian
-    with np.errstate(all="ignore"):
-        jinv = np.linalg.inv(np.where(np.isfinite(jac), jac, np.eye(m)))
-    offsets = _stencil_offsets(m)
-    dz_valid = np.all(np.isfinite(dz), axis=(-3, -2, -1))
-    mask2 = _erode(dz_valid, offsets) & candidate.ball.mask
-    indices = [(a, b) for a in range(m) for b in range(a, m)]
-    if mask2.sum() < 3:
-        return dict.fromkeys(indices, np.inf)
-    pairs = PairTable(candidate.image_points(mask2), alpha, seed=pair_seed)
-    terms = {}
-    for a, b in indices:
-        total = 0.0
-        for c in range(m):
-            dx_arr = np.stack([_masked_diff1(dz[..., a, b, c], dz_valid, l,
-                                             box.steps[l])[0]
-                               for l in range(m)], axis=-1)
-            d2 = np.einsum("...l,...ld->...d", np.where(np.isfinite(dx_arr), dx_arr, 0.0), jinv)
-            for d_axis in range(c, m):
-                samples = d2[..., d_axis][mask2]
-                total += r ** 2 * float(np.abs(samples).max())
-                total += r ** (2 + alpha) * pairs.seminorm(samples)
-        terms[a, b] = total
-    return terms
 
 
 @dataclass
@@ -430,7 +389,7 @@ def default_r_max(chart: MetricChart, x) -> float:
     return 0.7 * margin * float(np.sqrt(lam_min))
 
 
-def estimate_harmonic_radius(chart: MetricChart, x, k: int = 1,
+def estimate_harmonic_radius(chart: MetricChart, x,
                              alpha: float = 0.5, r_max: float = 1.0,
                              bisection_steps: int = 12) -> RadiusEstimate:
     """Bisection on the harmonic-radius verdict over (0, r_max].
@@ -443,12 +402,12 @@ def estimate_harmonic_radius(chart: MetricChart, x, k: int = 1,
     def verdict_at(r: float) -> RadiusCertificate:
         try:
             cand = solve_harmonic_chart(chart, x, r)
-            cert = check_hr_conditions(cand, k=k, alpha=alpha)
+            cert = check_hr_conditions(cand, alpha=alpha)
         except PreconditionFailed:
-            cert = RadiusCertificate(r=r, alpha=alpha, k=k, hr1_margin=np.nan,
+            cert = RadiusCertificate(r=r, alpha=alpha, hr1_margin=np.nan,
                                      hr2_value=np.nan, verdict="exceeds-grid")
         except NotDiffeomorphic:
-            cert = RadiusCertificate(r=r, alpha=alpha, k=k, hr1_margin=np.nan,
+            cert = RadiusCertificate(r=r, alpha=alpha, hr1_margin=np.nan,
                                      hr2_value=np.nan, verdict="fails")
         tested.append(cert)
         return cert

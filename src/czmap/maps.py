@@ -27,11 +27,15 @@ import numpy as np
 from . import fd
 from .errors import LipschitzViolation, NotImmersion, TargetEscape
 from .geodesics import metric_ball, segment_length
-from .geometry import ChristoffelField, MetricChart
+from .geometry import MetricChart
 from .norms import DistanceEvaluator
 
 RANK_THRESHOLD = 1e-8
-TRACE_IDENTITY_TOL = 1e-10
+# MapModel.validate: sampled pairs, slack over the declared bound, seed
+LIPSCHITZ_PAIRS = 256
+LIPSCHITZ_TOL = 0.05
+LIPSCHITZ_SEED = 20859
+UC_CENTERS = 16                # sub-lattice size of uniform_continuity_profile
 
 
 class MapModel:
@@ -73,23 +77,22 @@ class MapModel:
             self._cache["values"] = vals
         return self._cache["values"]
 
-    def validate(self, quotient_pairs: int = 256, tol: float = 0.05,
-                 seed: int = 20859) -> "MapModel":
+    def validate(self) -> "MapModel":
         """Target containment plus sampled Lipschitz difference quotients."""
         self.values_on_grid()
         L = self.lipschitz_bound
         if np.isfinite(L):
             pts = self.source_chart.box.points()
-            rng = np.random.default_rng(seed)
-            i = rng.integers(0, pts.shape[0], quotient_pairs)
-            j = rng.integers(0, pts.shape[0], quotient_pairs)
+            rng = np.random.default_rng(LIPSCHITZ_SEED)
+            i = rng.integers(0, pts.shape[0], LIPSCHITZ_PAIRS)
+            j = rng.integers(0, pts.shape[0], LIPSCHITZ_PAIRS)
             keep = i != j
             i, j = i[keep], j[keep]
             num = segment_length(self.target_chart, self.values(pts[i]),
                                  self.values(pts[j]))
             den = segment_length(self.source_chart, pts[i], pts[j])
             quotient = np.max(num / np.maximum(den, 1e-300))
-            if quotient > L * (1.0 + tol):
+            if quotient > L * (1.0 + LIPSCHITZ_TOL):
                 raise LipschitzViolation(
                     f"map {self.name}: sampled difference quotient {quotient:.4g} "
                     f"exceeds declared Lipschitz bound {L:.4g}")
@@ -155,23 +158,21 @@ def target_metric_at(map_model: MapModel, values: np.ndarray) -> np.ndarray:
     return map_model.target_chart.metric(values)
 
 
-def target_christoffel_at(map_model: MapModel, values: np.ndarray,
-                          target_gamma: ChristoffelField | None = None) -> np.ndarray:
+def target_christoffel_at(map_model: MapModel, values: np.ndarray) -> np.ndarray:
     """tGamma^a_bc along the image, shape ``(..., n, n, n)``.
 
     Analytic charts evaluate exactly; otherwise the grid field is
     interpolated multilinearly (interpolation order recorded in reports).
     """
     target = map_model.target_chart
-    if target.derivative_mode == "analytic" and target_gamma is None or \
-       (target_gamma is not None and target_gamma.chart.derivative_mode == "analytic"):
+    if target.derivative_mode == "analytic":
         return target.christoffel_at(values)
     from scipy.interpolate import RegularGridInterpolator
-    gamma = target_gamma or target.grid_christoffel()
     n = target.dimension
     flatv = values.reshape(-1, n)
     interp = RegularGridInterpolator(target.box.axes,
-                                     gamma.values, bounds_error=False,
+                                     target.grid_christoffel().values,
+                                     bounds_error=False,
                                      fill_value=None)
     out = interp(flatv)
     return out.reshape(values.shape[:-1] + (n, n, n))
@@ -188,7 +189,6 @@ class JetField:
 
     map_model: MapModel
     du: np.ndarray                 # (*grid, n, m)
-    raw_second: np.ndarray         # (*grid, n, m, m) coordinate second partials
     scalar_hess: np.ndarray        # (*grid, n, m, m)
     nonlinear_term: np.ndarray     # (*grid, n, m, m)
     hess: np.ndarray               # (*grid, n, m, m)
@@ -227,10 +227,6 @@ class JetField:
                        self.target_metric, self.laplacian, self.laplacian)
         return np.sqrt(np.maximum(sq, 0.0))
 
-    def hs_norm_du(self) -> np.ndarray:
-        """|du|_HS of the raw coordinate matrix (diagnostic)."""
-        return np.sqrt(np.sum(self.du ** 2, axis=(-2, -1)))
-
     def hs_chain_terms(self) -> np.ndarray:
         """sum_a (|G^-1 Hess(u^a)|_HS + |G^-1 T^a|_HS) per grid point."""
         ginv = self.source_chart.grid_inverse()
@@ -249,28 +245,15 @@ class JetField:
         return float(np.max(lhs[active] / rhs[active]))
 
 
-def differential(map_model: MapModel):
-    """First derivatives d_i u^a on the grid and the |du| samples."""
-    du = _map_first_derivatives(map_model)
-    values = map_model.values_on_grid().reshape(
-        map_model.source_chart.box.shape + (map_model.target_dimension,))
-    h = target_metric_at(map_model, values)
-    ginv = map_model.source_chart.grid_inverse()
-    sq = np.einsum("...ij,...ab,...ai,...bj->...", ginv, h, du, du)
-    return du, np.sqrt(np.maximum(sq, 0.0))
-
-
-def generalized_hessian(map_model: MapModel,
-                        source_gamma: ChristoffelField | None = None,
-                        target_gamma: ChristoffelField | None = None) -> JetField:
+def generalized_hessian(map_model: MapModel) -> JetField:
     """Full second-order jet of a map; see the module formula."""
     source = map_model.source_chart
     box = source.box
     values = map_model.values_on_grid().reshape(box.shape + (map_model.target_dimension,))
     du = _map_first_derivatives(map_model)
     ddu = _map_second_derivatives(map_model)
-    sgam = (source_gamma or source.grid_christoffel()).values
-    tgam_at_u = target_christoffel_at(map_model, values, target_gamma)
+    sgam = source.grid_christoffel().values
+    tgam_at_u = target_christoffel_at(map_model, values)
     h_at_u = target_metric_at(map_model, values)
 
     scalar_hess = ddu - np.einsum("...lij,...al->...aij", sgam, du)
@@ -287,45 +270,18 @@ def generalized_hessian(map_model: MapModel,
                                 tgam_at_u, ginv, du, du)
     laplacian_split = scalar_lap + nonlinear_trace
 
-    return JetField(map_model=map_model, du=du, raw_second=ddu,
-                    scalar_hess=scalar_hess, nonlinear_term=nonlinear,
-                    hess=hess, laplacian=laplacian,
+    return JetField(map_model=map_model, du=du, scalar_hess=scalar_hess,
+                    nonlinear_term=nonlinear, hess=hess, laplacian=laplacian,
                     laplacian_split=laplacian_split, target_metric=h_at_u)
-
-
-def generalized_laplacian(jet: JetField, source_chart: MetricChart | None = None,
-                          tol: float = TRACE_IDENTITY_TOL) -> np.ndarray:
-    """Tension field (Δu)^a; asserts the two routes agree to ``tol``."""
-    chart = source_chart or jet.source_chart
-    ginv = chart.grid_inverse()
-    trace = np.einsum("...ij,...aij->...a", ginv, jet.hess)
-    scale = max(1.0, float(np.abs(trace).max()))
-    gap = float(np.abs(trace - jet.laplacian_split).max())
-    if gap > tol * scale:
-        raise AssertionError(
-            f"laplacian routes disagree: {gap:.3e} (scale {scale:.3e})")
-    return trace
-
-
-def pointwise_norms(jet: JetField, source_chart=None, target_chart=None) -> dict:
-    """All pointwise norms and Hilbert-Schmidt diagnostics of a jet."""
-    return {
-        "du": jet.norm_du(),
-        "hess": jet.norm_hess(),
-        "laplacian": jet.norm_laplacian(),
-        "du_hs": jet.hs_norm_du(),
-        "hs_chain": jet.hs_chain_terms(),
-        "chain_bound": jet.hessian_chain_bound(),
-    }
 
 
 @dataclass
 class ImmersionData:
     """Immersion specialization of a jet.
 
-    ``second_fundamental_form`` aliases the generalized Hessian and
-    ``mean_curvature`` its trace; defects quantify how isometric and how
-    normal the data is.
+    The second fundamental form is ``jet.hess`` and the mean curvature its
+    trace ``jet.laplacian``; defects quantify how isometric and how normal
+    the data is.
     """
 
     jet: JetField
@@ -333,20 +289,6 @@ class ImmersionData:
     isometry_defect: float
     normality: np.ndarray             # (*grid, m, m, m): h(Hess_ij, d_k u)
     normality_defect: float
-
-    @property
-    def second_fundamental_form(self) -> np.ndarray:
-        return self.jet.hess
-
-    @property
-    def mean_curvature(self) -> np.ndarray:
-        return self.jet.laplacian
-
-    def norm_ii(self) -> np.ndarray:
-        return self.jet.norm_hess()
-
-    def norm_h(self) -> np.ndarray:
-        return self.jet.norm_laplacian()
 
 
 def immersion_check(map_model: MapModel, jet: JetField | None = None) -> ImmersionData:
@@ -374,24 +316,21 @@ def immersion_check(map_model: MapModel, jet: JetField | None = None) -> Immersi
                          normality_defect=float(np.abs(normality).max()))
 
 
-def uniform_continuity_profile(map_model: MapModel, r: float,
-                               centers=None, max_centers: int = 16) -> float:
+def uniform_continuity_profile(map_model: MapModel, r: float) -> float:
     """Smallest sampled R with u(B_r(center)) inside B_R(u(center)).
 
-    Centers default to a coarse sub-lattice of the source grid.  For an
-    L-Lipschitz map the result is <= L * r up to grid tolerance.
+    Centers are a sub-lattice of about UC_CENTERS source grid points.  For
+    an L-Lipschitz map the result is <= L * r up to grid tolerance.
     """
     if r <= 0:
         raise ValueError("radius r must be positive")
     source = map_model.source_chart
     box = source.box
-    if centers is None:
-        stride = [max(1, s // int(round(max_centers ** (1 / box.dimension))))
-                  for s in box.shape]
-        mesh = np.meshgrid(*[ax[::st] for ax, st in zip(box.axes, stride)],
-                           indexing="ij")
-        centers = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    centers = np.asarray(centers, dtype=float)
+    stride = [max(1, s // int(round(UC_CENTERS ** (1 / box.dimension))))
+              for s in box.shape]
+    mesh = np.meshgrid(*[ax[::st] for ax, st in zip(box.axes, stride)],
+                       indexing="ij")
+    centers = np.stack([g.reshape(-1) for g in mesh], axis=-1)
     values = map_model.values_on_grid()
     R = 0.0
     for c in centers:

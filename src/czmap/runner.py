@@ -89,8 +89,9 @@ class RunContext:
 
     @classmethod
     def build(cls, scenario: Scenario, resolution=None) -> "RunContext":
-        source, target = (m.atlas[0]
-                          for m in scenario.build_manifolds(resolution))
+        mdef = scenario.primary_map()
+        source = scenario.manifolds[mdef.source].build_chart(resolution)
+        target = scenario.manifolds[mdef.target].build_chart()
         return cls(scenario, source, target,
                    resolve_radii(scenario, source, target))
 

@@ -40,16 +40,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CzmapError, DegenerateMetric, ExpressionSyntaxError,
-                     ScenarioError, TargetEscape, ValidationIssue)
-from .expressions import Expression, parse_expression, to_string
-from .geometry import CoordinateBox, ManifoldModel, MetricChart
+from .errors import (CzmapError, ExpressionSyntaxError, ScenarioError,
+                     ValidationIssue)
+from .expressions import (Expression, Num, parse_expression, substitute,
+                          to_string)
+from .geometry import CoordinateBox, MetricChart
 from .maps import MapModel
 
 MODES = ("lemma", "ball", "global", "intro", "corollaryA", "search")
 FIXTURE_ENV_VAR = "CZMAP_FIXTURES"
 # the cover's ring table indexes grid points with int32
 MAX_GRID_POINTS = np.iinfo(np.int32).max
+# the keys each section parser reads; an entry ending in "." names a family
+SECTION_KEYS = {
+    "manifold": ("coordinates", "lower", "upper", "resolution",
+                 "derivative_mode", "ricci_lower_bound", "base_point",
+                 "base_points", "r1_half", "metric.", "metric_derivative."),
+    "map": ("source", "target", "lipschitz", "component."),
+    "run": ("mode", "p", "basepoint", "resolution_ladder", "seed", "out",
+            "ball_center", "ball_target_center", "ball_r", "ball_R",
+            "uc_radius", "drift_tolerance", "omega_slack"),
+    "search": ("parameters", "lower", "upper"),
+}
 
 
 def fixture_dir() -> str:
@@ -119,6 +131,12 @@ def _parse_sections(path: str, issues: list) -> list:
                 issues.append(ValidationIssue(path, lineno, "DuplicateKey",
                                               f"duplicate key '{key}'"))
                 continue
+            if not any(key == k or (k.endswith(".") and key.startswith(k))
+                       for k in SECTION_KEYS[current.kind]):
+                issues.append(ValidationIssue(
+                    path, lineno, "UnknownKey",
+                    f"unknown {current.kind} key '{key}'"))
+                continue
             current.entries[key] = _Entry(value=value, line=lineno)
     return sections
 
@@ -168,28 +186,21 @@ class ManifoldDef:
     def dimension(self) -> int:
         return len(self.coordinates)
 
-    def build_chart(self, resolution=None, extra_variables=()) -> MetricChart:
+    def build_chart(self, resolution=None) -> MetricChart:
+        """The chart at ``resolution`` (default: the declared one), with its
+        grid metric checked positive definite (DegenerateMetric if not)."""
         res = list(resolution) if resolution is not None else self.resolution
         box = CoordinateBox(self.lower, self.upper, res)
         m = self.dimension
         comps = [[None] * m for _ in range(m)]
         for (i, j), text in self.metric_exprs.items():
             comps[i][j] = Expression(text, self.coordinates)
-        for i in range(m):
-            for j in range(m):
-                if comps[i][j] is None and comps[j][i] is not None:
-                    comps[i][j] = comps[j][i]
         oracles = {key: Expression(text, self.coordinates)
                    for key, text in self.derivative_exprs.items()}
-        return MetricChart(box, comps, derivative_mode=self.derivative_mode,
-                           derivative_oracles=oracles, name=self.name)
-
-    def build_manifold(self, resolution=None, ricci_check=False) -> ManifoldModel:
-        chart = self.build_chart(resolution)
-        return ManifoldModel(dimension=self.dimension, atlas=[chart],
-                             ricci_lower_bound=self.ricci_lower_bound,
-                             base_points=list(self.base_points),
-                             name=self.name).validate(ricci_check=ricci_check)
+        chart = MetricChart(box, comps, derivative_mode=self.derivative_mode,
+                            derivative_oracles=oracles, name=self.name)
+        chart.grid_metric()
+        return chart
 
 
 @dataclass
@@ -198,24 +209,22 @@ class MapDef:
     source: str
     target: str
     component_exprs: list
+    coordinates: tuple            # of the source manifold
     lipschitz: float
     line: int
 
     def build(self, source_chart: MetricChart, target_chart: MetricChart,
               parameter_values: dict | None = None) -> MapModel:
         comps = []
-        variables = tuple(source_chart.components[0][0].variables) \
-            if hasattr(source_chart.components[0][0], "variables") else None
         for text in self.component_exprs:
             if parameter_values:
-                params = tuple(parameter_values)
-                expr = Expression(text, variables + params)
-                from .expressions import Num, substitute
+                expr = Expression(text,
+                                  self.coordinates + tuple(parameter_values))
                 ast = substitute(expr.ast, {k: Num(value=float(v))
                                             for k, v in parameter_values.items()})
-                comps.append(Expression(ast, variables))
+                comps.append(Expression(ast, self.coordinates))
             else:
-                comps.append(Expression(text, variables))
+                comps.append(Expression(text, self.coordinates))
         return MapModel(source_chart, target_chart, comps,
                         lipschitz_bound=self.lipschitz, name=self.name)
 
@@ -268,24 +277,13 @@ class Scenario:
             raise CzmapError(f"scenario {self.name} declares no map")
         return next(iter(self.maps.values()))
 
-    def build_manifolds(self, resolution=None) -> tuple:
-        """(source, target) ManifoldModels of the primary map, each with
-        one SPD-checked chart; ``resolution`` overrides the source grid."""
-        mdef = self.primary_map()
-        return (self.manifolds[mdef.source].build_manifold(
-                    resolution, ricci_check=False),
-                self.manifolds[mdef.target].build_manifold(ricci_check=False))
-
     def build_models(self, resolution=None, parameter_values=None):
-        """(source ManifoldModel, target ManifoldModel, MapModel).
-
-        The manifold models share their chart instances with the map, so
-        grid caches are computed once per run.
-        """
-        source, target = self.build_manifolds(resolution)
-        map_model = self.primary_map().build(source.atlas[0], target.atlas[0],
-                                             parameter_values)
-        return source, target, map_model
+        """(source chart, target chart, MapModel) of the primary map;
+        ``resolution`` overrides the source grid."""
+        mdef = self.primary_map()
+        source = self.manifolds[mdef.source].build_chart(resolution)
+        target = self.manifolds[mdef.target].build_chart()
+        return source, target, mdef.build(source, target, parameter_values)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +530,8 @@ def _parse_map(section: _Section, path: str, issues: list,
         return None
     return MapDef(name=section.name, source=e["source"].value,
                   target=e["target"].value, component_exprs=components,
-                  lipschitz=lipschitz, line=section.line)
+                  coordinates=source.coordinates, lipschitz=lipschitz,
+                  line=section.line)
 
 
 def _ladder(text: str) -> list:
@@ -602,10 +601,10 @@ def _parse_search(section: _Section, path: str, issues: list) -> SearchConfig | 
                         line=section.line)
 
 
-def load_scenario(path: str, build_check: bool = True) -> Scenario:
+def load_scenario(path: str) -> Scenario:
     """Parse and fully validate a scenario file.
 
-    ``build_check`` additionally builds the models at their declared
+    Unless the run mode is lemma, also builds every chart at its declared
     resolution and runs the runtime invariants (metric positive
     definiteness, map target containment).  All failures are collected
     into one ScenarioError.
@@ -658,7 +657,7 @@ def load_scenario(path: str, build_check: bool = True) -> Scenario:
 
     scenario = Scenario(path=path, manifolds=manifolds, maps=maps, run=run,
                         search=search)
-    if build_check and run.mode != "lemma":
+    if run.mode != "lemma":
         _runtime_validation(scenario, issues)
         if issues:
             raise ScenarioError(issues)
@@ -667,12 +666,10 @@ def load_scenario(path: str, build_check: bool = True) -> Scenario:
 
 def _runtime_validation(scenario: Scenario, issues: list):
     path = scenario.path
-    for mdef in scenario.manifolds.values():
+    charts = {}
+    for name, mdef in scenario.manifolds.items():
         try:
-            mdef.build_manifold()
-        except DegenerateMetric as exc:
-            issues.append(ValidationIssue(path, mdef.line, "DegenerateMetric",
-                                          str(exc)))
+            charts[name] = mdef.build_chart()
         except CzmapError as exc:
             issues.append(ValidationIssue(path, mdef.line, type(exc).__name__,
                                           str(exc)))
@@ -685,12 +682,8 @@ def _runtime_validation(scenario: Scenario, issues: list):
                 params = {name: 0.5 * (lo + hi) for name, lo, hi in
                           zip(scenario.search.parameters, scenario.search.lower,
                               scenario.search.upper)}
-            source = scenario.manifolds[mapdef.source].build_chart()
-            target = scenario.manifolds[mapdef.target].build_chart()
-            mapdef.build(source, target, params).validate()
-        except TargetEscape as exc:
-            issues.append(ValidationIssue(path, mapdef.line, "TargetEscape",
-                                          str(exc)))
+            mapdef.build(charts[mapdef.source], charts[mapdef.target],
+                         params).validate()
         except (CzmapError, ValueError) as exc:
             issues.append(ValidationIssue(path, mapdef.line, type(exc).__name__,
                                           str(exc)))

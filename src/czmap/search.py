@@ -40,12 +40,6 @@ class SearchResult:
     trace: list = field(default_factory=list)
     evaluations: int = 0
 
-    def as_record(self) -> dict:
-        return {"best_params": self.best_params.tolist(),
-                "best_value": self.best_value,
-                "evaluations": self.evaluations,
-                "trace": [t.as_record() for t in self.trace]}
-
 
 class MapFamily:
     """A parametric family for the extremal search.

@@ -18,7 +18,6 @@ from czmap.expressions import Expression
 from czmap.fixtures import (cylinder_immersion, flat_chart, graph_immersion,
                             sphere_chart, sphere_immersion)
 from czmap.geodesics import geodesic_distance, segment_length
-from czmap.geometry import christoffel
 from czmap.harmonic import (check_hr_conditions, estimate_harmonic_radius,
                             solve_harmonic_chart)
 from czmap.maps import generalized_hessian, immersion_check
@@ -280,9 +279,9 @@ class TestCriterion10ScalingLaws:
         n2 = lp_norm_on(quad.box, 2.0, field, quad.grid_sqrt_det())
         norm_dev = abs(n2 - 2.0 * n1)
 
-        gamma_dev = float(np.abs(christoffel(quad).values
-                                 - christoffel(flat).values).max())
-        curved1 = christoffel(sphere1).values
+        gamma_dev = float(np.abs(quad.grid_christoffel().values
+                                 - flat.grid_christoffel().values).max())
+        curved1 = sphere1.grid_christoffel().values
         v = ("th", "ph")
         from czmap.geometry import MetricChart
         sphere4 = MetricChart(sphere1.box,
@@ -290,7 +289,7 @@ class TestCriterion10ScalingLaws:
                                [Expression("0", v),
                                 Expression("4*sin(th)^2", v)]])
         gamma_dev = max(gamma_dev,
-                        float(np.abs(christoffel(sphere4).values
+                        float(np.abs(sphere4.grid_christoffel().values
                                      - curved1).max()))
 
         ok = (dist_dev <= 1e-6 and sphere_dev <= 1e-6 and norm_dev <= 1e-6

@@ -55,7 +55,7 @@ class TestMetricBall:
     def test_tiny_radius_keeps_nearest_grid_point(self):
         chart = make_flat(-2.0, 2.0, 17)  # step 0.25
         ball = metric_ball(chart, [0.06, -0.04], 0.05)
-        assert ball.point_count() == 1
+        assert ball.indices.size == 1
         pt = chart.box.points()[ball.indices[0]]
         assert np.allclose(pt, [0.0, 0.0])
 

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from conftest import make_flat, make_hyperbolic, make_sphere
 from czmap.errors import DegenerateMetric
 from czmap.expressions import Expression
-from czmap.geometry import (CoordinateBox, ManifoldModel, MetricChart,
-                            RicciBoundWarning, christoffel, metric_at,
-                            ricci_samples)
+from czmap.geometry import (CoordinateBox, MetricChart, RicciBoundWarning,
+                            check_ricci_lower_bound, ricci_samples)
 
 
 class TestMetricAt:
     def test_flat_identity(self):
         chart = make_flat()
-        G, Ginv, vol, (lo, hi) = metric_at(chart, [0.3, -0.7])
+        G, Ginv, vol, (lo, hi) = chart.metric_at([0.3, -0.7])
         assert np.allclose(G, np.eye(2))
         assert np.allclose(Ginv, np.eye(2))
         assert vol == pytest.approx(1.0)
@@ -25,20 +24,20 @@ class TestMetricAt:
 
     def test_constant_conformal_scaling(self):
         chart = make_flat(scale=4.0)
-        G, Ginv, vol, _ = metric_at(chart, [0.1, 0.2])
+        G, Ginv, vol, _ = chart.metric_at([0.1, 0.2])
         assert np.allclose(G, 4.0 * np.eye(2))
         assert np.allclose(Ginv, 0.25 * np.eye(2))
         assert vol == pytest.approx(4.0)   # sqrt(det) = sqrt(16)
 
     def test_sphere_equator(self):
         chart = make_sphere()
-        G, Ginv, vol, _ = metric_at(chart, [math.pi / 2, 0.3])
+        G, Ginv, vol, _ = chart.metric_at([math.pi / 2, 0.3])
         assert np.allclose(G, np.eye(2))
         assert vol == pytest.approx(1.0)
 
     def test_inverse_is_exact(self):
         chart = make_sphere()
-        G, Ginv, _, _ = metric_at(chart, [1.1, 0.5])
+        G, Ginv, _, _ = chart.metric_at([1.1, 0.5])
         assert np.abs(Ginv @ G - np.eye(2)).max() < 1e-12
 
     def test_degenerate_metric_names_point(self):
@@ -53,11 +52,11 @@ class TestMetricAt:
 
 class TestChristoffel:
     def test_flat_vanishes(self):
-        field = christoffel(make_flat())
+        field = make_flat().grid_christoffel()
         assert np.abs(field.values).max() == 0.0
 
     def test_constant_metric_vanishes(self):
-        field = christoffel(make_flat(scale=4.0))
+        field = make_flat(scale=4.0).grid_christoffel()
         assert np.abs(field.values).max() == 0.0
 
     def test_sphere_closed_form(self):
@@ -68,7 +67,7 @@ class TestChristoffel:
         assert gam[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_everywhere(self):
-        field = christoffel(make_sphere())
+        field = make_sphere().grid_christoffel()
         assert np.array_equal(field.values, np.swapaxes(field.values, -1, -2))
 
     def test_fd_mode_cross_check(self):
@@ -101,11 +100,6 @@ class TestChristoffel:
         after = chart.christoffel_at(pt)
         assert not np.array_equal(after, before)
         assert after.tobytes() == fresh.christoffel_at(pt).tobytes()
-
-    def test_hilbert_schmidt_norms(self):
-        field = christoffel(make_sphere())
-        manual = np.sqrt((field.values ** 2).sum(axis=(-2, -1)))
-        assert np.allclose(field.hs_norms, manual)
 
     def test_oversized_fd_step_asks_to_shrink_domain(self):
         from czmap.errors import ShrinkDomain
@@ -150,39 +144,37 @@ class TestRicci:
 
 
 class TestManifoldModel:
+    """A manifold's declared Ricci lower bound Ric >= -A against its chart."""
+
     def test_negative_bound_parameter_rejected(self):
         with pytest.raises(ValueError):
-            ManifoldModel(2, [make_flat()], ricci_lower_bound=-1.0).validate()
+            check_ricci_lower_bound(make_flat(), -1.0)
 
     def test_ricci_violation_warns_not_raises(self):
-        model = ManifoldModel(2, [make_hyperbolic()], ricci_lower_bound=0.0)
         with pytest.warns(RicciBoundWarning):
-            model.validate()
+            check_ricci_lower_bound(make_hyperbolic(), 0.0)
 
     def test_flat_with_zero_bound_is_quiet(self):
-        model = ManifoldModel(2, [make_flat()], ricci_lower_bound=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model.validate()
+            check_ricci_lower_bound(make_flat(), 0.0)
 
     def test_warning_tolerance_tracks_bound_size(self):
         # sampled floor is -1 up to grid noise; a generous declared bound
         # must stay quiet even though the tight one warns
-        model = ManifoldModel(2, [make_hyperbolic(res=49)],
-                              ricci_lower_bound=1.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model.validate()
+            check_ricci_lower_bound(make_hyperbolic(res=49), 1.1)
 
 
 class TestScalingLaws:
     def test_christoffel_invariant_under_constant_scaling(self):
-        base = christoffel(make_sphere()).values
+        base = make_sphere().grid_christoffel().values
         v = ("th", "ph")
         comps = [[Expression("4", v), Expression("0", v)],
                  [Expression("0", v), Expression("4*sin(th)^2", v)]]
         box = make_sphere().box
-        scaled = christoffel(MetricChart(box, comps)).values
+        scaled = MetricChart(box, comps).grid_christoffel().values
         assert np.abs(base - scaled).max() < 1e-6
 
     def test_volume_density_scales_by_lambda_m(self):

@@ -7,9 +7,8 @@ from czmap.errors import NotImmersion, TargetEscape
 from czmap.expressions import Expression
 from czmap.fixtures import (flat_chart, graph_immersion, identity_map,
                             sphere_immersion)
-from czmap.maps import (MapModel, differential, generalized_hessian,
-                        generalized_laplacian, immersion_check,
-                        pointwise_norms, uniform_continuity_profile)
+from czmap.maps import (MapModel, generalized_hessian, immersion_check,
+                        uniform_continuity_profile)
 
 V2 = ("x1", "x2")
 
@@ -25,19 +24,19 @@ def flat_map(components, lipschitz=np.inf, res=21, extent=1.0,
 
 class TestDifferential:
     def test_identity_norm_is_sqrt_dim(self):
-        du, norm = differential(flat_map(["x1", "x2"], 1.0))
-        assert np.allclose(du[..., 0, 0], 1.0)
-        assert np.allclose(du[..., 0, 1], 0.0)
-        assert np.allclose(norm, math.sqrt(2.0))
+        jet = generalized_hessian(flat_map(["x1", "x2"], 1.0))
+        assert np.allclose(jet.du[..., 0, 0], 1.0)
+        assert np.allclose(jet.du[..., 0, 1], 0.0)
+        assert np.allclose(jet.norm_du(), math.sqrt(2.0))
 
     def test_constant_map(self):
-        du, norm = differential(flat_map(["0.5", "-0.25"], 0.0))
-        assert np.abs(du).max() == 0.0
-        assert np.abs(norm).max() == 0.0
+        jet = generalized_hessian(flat_map(["0.5", "-0.25"], 0.0))
+        assert np.abs(jet.du).max() == 0.0
+        assert np.abs(jet.norm_du()).max() == 0.0
 
     def test_anisotropic_stretch(self):
-        du, norm = differential(flat_map(["2*x1", "x2"], 2.0))
-        assert np.allclose(norm ** 2, 5.0)
+        jet = generalized_hessian(flat_map(["2*x1", "x2"], 2.0))
+        assert np.allclose(jet.norm_du() ** 2, 5.0)
 
     def test_target_escape_names_point(self):
         bad = flat_map(["10*x1", "x2"], target_extent=3.0)
@@ -91,13 +90,13 @@ class TestGeneralizedHessian:
 class TestGeneralizedLaplacian:
     def test_quadratic_bowl(self):
         jet = generalized_hessian(flat_map(["x1^2 + x2^2"], target_extent=3.0))
-        lap = generalized_laplacian(jet)
-        assert np.allclose(lap[..., 0], 4.0)
+        assert np.allclose(jet.laplacian[..., 0], 4.0)
+        assert jet.route_agreement() <= 1e-10 * 4.0
 
     def test_harmonic_component_vanishes(self):
         jet = generalized_hessian(flat_map(["x1*x2"], target_extent=2.0))
-        lap = generalized_laplacian(jet)
-        assert np.abs(lap).max() < 1e-13
+        assert np.abs(jet.laplacian).max() < 1e-13
+        assert jet.route_agreement() <= 1e-10
 
     def test_sphere_mean_curvature(self, sphere_jet):
         _, jet = sphere_jet
@@ -114,8 +113,7 @@ class TestGeneralizedLaplacian:
 class TestPointwiseNorms:
     def test_affine_map_all_zero_second_order(self):
         jet = generalized_hessian(flat_map(["x1 + x2", "x1"], 3.0))
-        norms = pointwise_norms(jet)
-        assert np.abs(norms["hess"]).max() == 0.0
+        assert np.abs(jet.norm_hess()).max() == 0.0
 
     def test_scaled_source_contraction(self):
         # g = 4 delta, u = x1^2: |Hess|^2 = g^11 g^11 (2)^2 = 1/4
@@ -141,21 +139,21 @@ class TestImmersionCheck:
     def test_flat_graph(self):
         data = immersion_check(graph_immersion(resolution=21))
         assert data.isometry_defect < 1e-12
-        assert np.abs(data.second_fundamental_form).max() < 1e-12
-        assert np.abs(data.mean_curvature).max() < 1e-12
+        assert np.abs(data.jet.hess).max() < 1e-12
+        assert np.abs(data.jet.laplacian).max() < 1e-12
 
     def test_sphere(self, sphere_jet):
         psi, jet = sphere_jet
         data = immersion_check(psi, jet)
         assert data.isometry_defect <= 1e-8
-        assert np.allclose(data.norm_h(), 2.0, atol=1e-10)
+        assert np.allclose(data.jet.norm_laplacian(), 2.0, atol=1e-10)
         assert data.normality_defect <= 1e-6
 
     def test_cylinder_principal_curvatures(self, cylinder_jet):
         psi, jet = cylinder_jet
         data = immersion_check(psi, jet)
-        assert np.allclose(data.norm_h(), 1.0, atol=1e-12)
-        assert np.allclose(data.norm_ii(), 1.0, atol=1e-12)
+        assert np.allclose(data.jet.norm_laplacian(), 1.0, atol=1e-12)
+        assert np.allclose(data.jet.norm_hess(), 1.0, atol=1e-12)
         assert data.isometry_defect <= 1e-12
 
     def test_rank_deficiency_names_point(self):

@@ -335,6 +335,26 @@ class TestMutatedFixtures:
             load_scenario(str(path))
         assert err.value.issues[0].line == index + 1
 
+    @pytest.mark.parametrize("name, key, misspelt", [
+        ("flat-identity", "resolution_ladder", "resolution_laddr"),
+        ("flat-identity", "ricci_lower_bound", "ricci_lower_bnd"),
+        ("flat-identity", "lipschitz", "lipshitz"),
+        ("saddle-search", "upper", "uper"),          # the [search] section
+        ("saddle-search", "metric.1.1", "metrik.1.1")])
+    def test_unknown_key_is_located(self, tmp_path, name, key, misspelt):
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        index = next(i for i, line in enumerate(lines)
+                     if line.startswith(f"{key} ="))
+        lines[index] = lines[index].replace(key, misspelt, 1)
+        path = tmp_path / "misspelt.scn"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        issue = err.value.issues[0]
+        assert (issue.invariant, issue.line) == ("UnknownKey", index + 1)
+        assert misspelt in issue.detail
+
 
 class TestRunner:
     def test_flat_identity_report_contents(self):
