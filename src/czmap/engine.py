@@ -25,9 +25,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import fd
 from .errors import (CertificateRequired, DegenerateRadius, HypothesisFailed,
@@ -38,6 +38,9 @@ from .harmonic import RadiusCertificate
 from .maps import JetField, MapModel, generalized_hessian, immersion_check
 from .norms import (PairTable, dist_to_basepoint_field, lp_norm_on,
                     quadrature_weights)
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 COMPLETENESS_CAVEAT = ("chart model is a bounded box; estimates are verified "
                       "on interior balls only")
@@ -68,19 +71,17 @@ class EllipticOperatorSpec:
     ``coefficients``: symmetric nested sequence of scalar callables.
     Hypotheses checked by :meth:`validate`: (a^{ij}) >= 1/2 as bilinear
     forms on the grid, sup |a^{ij}| <= Lambda, and the Hölder bound
-    [a^{ij}]_alpha <= Lambda s^-alpha.
+    [a^{ij}]_alpha <= Lambda s^-alpha.  None of them involves the norm
+    exponent, which the verifiers take per call.
     """
 
-    def __init__(self, s: float, q: float, coefficients, Lambda: float,
+    def __init__(self, s: float, coefficients, Lambda: float,
                  alpha: float = 0.5, dimension: int = 2, resolution: int = 33):
         if not (0.0 < s <= 1.0):
             raise ValueError("s must lie in (0, 1]")
-        if not (1.0 < q < np.inf):
-            raise UnsupportedExponent(q)
         if not (0.0 < alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
         self.s = float(s)
-        self.q = float(q)
         self.alpha = float(alpha)
         self.Lambda = float(Lambda)
         self.dimension = int(dimension)
@@ -145,14 +146,22 @@ class EllipticOperatorSpec:
 
     def _coefficient_seminorm(self, scale: float) -> float:
         """max over i <= j of the seminorm of a^{ij} sampled on B_2s,
-        taken over the grid scaled by ``scale``."""
-        pairs = _ball_pairs(self.dimension, self.resolution, scale, self.alpha)
+        taken over the grid scaled by ``scale``.
+
+        A coefficient whose samples are all equal is skipped: on distinct
+        grid points each of its quotients is 0/|x-y|^alpha = 0.0, which
+        cannot raise ``worst`` from its start at 0.0.
+        """
         pts = self.scaled_points()[self.mask_outer.reshape(-1)]
         m = self.dimension
         worst = 0.0
         for i in range(m):
             for j in range(i, m):
-                worst = max(worst, pairs.seminorm(self.coefficients[i][j](pts)))
+                vals = self.coefficients[i][j](pts)
+                if np.all(vals == vals[0]):
+                    continue
+                pairs = _ball_pairs(m, self.resolution, scale, self.alpha)
+                worst = max(worst, pairs.seminorm(vals))
         return worst
 
 
@@ -188,7 +197,7 @@ class ScalarFieldSamples:
         return np.einsum("...ij,ij...->...", a, self.hess)
 
 
-def verify_scaling_identities(spec: EllipticOperatorSpec, u,
+def verify_scaling_identities(spec: EllipticOperatorSpec, u, q: float,
                               mode: str = "analytic") -> dict:
     """Check the dilation identities of the elliptic lemma.
 
@@ -201,8 +210,10 @@ def verify_scaling_identities(spec: EllipticOperatorSpec, u,
     sides of each identity come from independent symbolic routes.  In fd
     mode both sides are grid stencils at mirrored steps.
     """
+    if not (1.0 < q < np.inf):
+        raise UnsupportedExponent(q)
     spec.validate()
-    s, q, m = spec.s, spec.q, spec.dimension
+    s, m = spec.s, spec.dimension
     box = spec.reference_box
     samples = ScalarFieldSamples(spec, u, mode=mode)
     mask = spec.mask_outer
@@ -258,14 +269,17 @@ def verify_scaling_identities(spec: EllipticOperatorSpec, u,
     return report
 
 
-def verify_interior_estimate(spec: EllipticOperatorSpec, u,
+def verify_interior_estimate(spec: EllipticOperatorSpec, u, q: float,
                              mode: str = "analytic") -> dict:
-    """Interior a-priori estimate: norms of u, grad u, second derivatives
-    on B_s against ||Pu|| + s^-2 ||u|| on B_2s; reports the empirical ratio.
+    """Interior a-priori estimate: L^q norms of u, grad u, second
+    derivatives on B_s against ||Pu|| + s^-2 ||u|| on B_2s; reports the
+    empirical ratio.
     """
+    if not (1.0 < q < np.inf):
+        raise UnsupportedExponent(q)
     spec.validate()
     box = spec.reference_box
-    s, q = spec.s, spec.q
+    s = spec.s
     scaled_box = CoordinateBox(box.lower * s, box.upper * s, box.resolution)
     samples = ScalarFieldSamples(spec, u, mode=mode)
     ones = np.ones(box.shape)
@@ -482,6 +496,7 @@ def build_cover(chart: MetricChart, r_hat: float) -> Cover:
     coordinate window ``COVER_WINDOW_MARGIN * 2 r_hat / sqrt(lambda_min)``
     are measured, lambda_min the smallest metric eigenvalue on the grid.
     """
+    from scipy.sparse import csr_array
     box = chart.box
     lam_min, lam_max = chart.ellipticity_range()
     step_len = float(box.steps.max()) * float(np.sqrt(lam_max))

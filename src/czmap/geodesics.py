@@ -25,8 +25,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from .errors import Unreachable
 from .geometry import MetricChart
@@ -84,6 +82,7 @@ class GridGraph:
     """Sparse neighbor graph of a chart grid with metric edge weights."""
 
     def __init__(self, chart: MetricChart):
+        from scipy.sparse import coo_matrix
         self.chart = chart
         box = chart.box
         pts = box.points()
@@ -105,7 +104,8 @@ class GridGraph:
         self.matrix = coo_matrix((weights, (rows, cols)), shape=(n, n)).tocsr()
 
     def dijkstra_from(self, node: int) -> np.ndarray:
-        return _sparse_dijkstra(self.matrix, directed=False, indices=node)
+        from scipy.sparse.csgraph import dijkstra
+        return dijkstra(self.matrix, directed=False, indices=node)
 
 
 def _graph(chart: MetricChart) -> GridGraph:

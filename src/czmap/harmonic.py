@@ -24,8 +24,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import lgmres, splu
 
 from .errors import NotDiffeomorphic, PreconditionFailed, SolverDiverged
 from .geodesics import (MetricBall, distance_field, log_map, metric_ball,
@@ -137,6 +135,7 @@ def _laplace_operator(chart: MetricChart, interior: np.ndarray):
     Expanded divergence form g^{ij} d_i d_j + b^l d_l with
     b^l = -g^{ij} Gamma^l_ij, central stencils.
     """
+    from scipy.sparse import coo_matrix
     box = chart.box
     m = box.dimension
     h = box.steps
@@ -192,6 +191,7 @@ def solve_harmonic_chart(chart: MetricChart, x,
     iterative fallback stalls, NotDiffeomorphic when the solved Jacobian
     degenerates.
     """
+    from scipy.sparse.linalg import lgmres, splu
     x = np.asarray(x, dtype=float)
     box = chart.box
     m = box.dimension

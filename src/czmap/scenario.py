@@ -231,14 +231,17 @@ class MapDef:
 
 @dataclass
 class RunConfig:
-    mode: str
-    p_list: list
-    basepoint: list | None
-    resolution_ladder: list       # source grid point counts per level
-    seed: int
-    out: str | None
-    ball: dict
-    uc_radius: float | None
+    """The ``[run]`` section; each default is the value of an absent key."""
+
+    mode: str = "global"
+    p_list: list = field(default_factory=lambda: [2.0])
+    basepoint: list | None = None
+    # source grid point counts per level
+    resolution_ladder: list = field(default_factory=list)
+    seed: int = 20859
+    out: str | None = None
+    ball: dict = field(default_factory=dict)
+    uc_radius: float | None = None
     drift_tolerance: float = 0.10
     omega_slack: float = 1e-9
 
@@ -543,30 +546,30 @@ def _ladder(text: str) -> list:
 
 def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
     e = section.entries
+    cfg = RunConfig()
 
     def number(key, default, convert=_floats):
         return _number(e, key, default, convert, path, issues)
 
-    mode = e.get("mode", _Entry("global", section.line)).value.strip()
-    p_list = number("p", [2.0])
-    basepoint = number("basepoint", None)
-    ladder = number("resolution_ladder", [], _ladder)
-    seed = number("seed", 20859, int)
-    out = e.get("out", None)
-    ball = {}
+    if "mode" in e:
+        cfg.mode = e["mode"].value.strip()
+    if "out" in e:
+        cfg.out = e["out"].value
+    cfg.p_list = number("p", cfg.p_list)
+    cfg.basepoint = number("basepoint", cfg.basepoint)
+    cfg.resolution_ladder = number("resolution_ladder", cfg.resolution_ladder,
+                                   _ladder)
+    cfg.seed = number("seed", cfg.seed, int)
     for key in ("center", "target_center", "r", "R"):
         bkey = f"ball_{key}"
         if bkey in e:
-            ball[key] = (e[bkey].value if key == "target_center"
-                         and e[bkey].value.strip() == "image"
-                         else number(bkey, None))
-    cfg = RunConfig(mode=mode, p_list=p_list, basepoint=basepoint,
-                    resolution_ladder=ladder, seed=seed,
-                    out=out.value if out else None, ball=ball,
-                    uc_radius=number("uc_radius", None,
-                                     lambda text: _floats(text)[0]),
-                    drift_tolerance=number("drift_tolerance", 0.10, float),
-                    omega_slack=number("omega_slack", 1e-9, float))
+            cfg.ball[key] = (e[bkey].value if key == "target_center"
+                             and e[bkey].value.strip() == "image"
+                             else number(bkey, None))
+    cfg.uc_radius = number("uc_radius", cfg.uc_radius,
+                           lambda text: _floats(text)[0])
+    cfg.drift_tolerance = number("drift_tolerance", cfg.drift_tolerance, float)
+    cfg.omega_slack = number("omega_slack", cfg.omega_slack, float)
     issue = cfg.validate_issue(path, section.line,
                                e["p"].line if "p" in e else section.line)
     if issue:
@@ -626,9 +629,7 @@ def load_scenario(path: str) -> Scenario:
                 manifolds[mdef.name] = mdef
     maps = {}
     run_section = None
-    run = RunConfig(mode="global", p_list=[2.0], basepoint=None,
-                    resolution_ladder=[], seed=20859, out=None, ball={},
-                    uc_radius=None)
+    run = RunConfig()
     for sec in sections:
         if sec.kind == "map":
             mdef = _parse_map(sec, path, issues, manifolds, search)

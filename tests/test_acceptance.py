@@ -141,9 +141,9 @@ class TestCriterion4ScalingIdentities:
         worst = 0.0
         for s in (0.25, 0.5, 1.0):
             for q in (1.5, 2.0, 4.0):
-                spec = EllipticOperatorSpec(s=s, q=q, coefficients=coeffs,
+                spec = EllipticOperatorSpec(s=s, coefficients=coeffs,
                                             Lambda=2.0)
-                rep = verify_scaling_identities(spec, u)
+                rep = verify_scaling_identities(spec, u, q)
                 worst = max(worst, rep["dev_operator"], rep["dev_hessian"],
                             rep["dev_gradient"], rep["dev_norm"])
         _report(4, worst <= 1e-10, f"max identity deviation {worst:.2e}")

@@ -19,8 +19,8 @@ def wavy_coefficients():
             [Expression("0", V2), Expression("1", V2)]]
 
 
-def spec(s=0.5, q=2.0, coeffs=None, Lambda=2.0, resolution=33):
-    return EllipticOperatorSpec(s=s, q=q,
+def spec(s=0.5, coeffs=None, Lambda=2.0, resolution=33):
+    return EllipticOperatorSpec(s=s,
                                 coefficients=coeffs or identity_coefficients(),
                                 Lambda=Lambda, resolution=resolution)
 
@@ -48,26 +48,32 @@ class TestHypotheses:
         assert "Hölder" in err.value.bound_name
 
     def test_exponent_range(self):
-        with pytest.raises(UnsupportedExponent):
-            spec(q=1.0)
+        # the operator does not depend on q; the verifiers check it
+        sp, u = spec(), Expression("x1^2", V2)
+        for verify in (verify_scaling_identities, verify_interior_estimate):
+            for q in (1.0, 0.5, np.inf, np.nan):
+                with pytest.raises(UnsupportedExponent):
+                    verify(sp, u, q)
 
 
 class TestScalingIdentities:
     def test_quadratic_with_half_scale(self):
         # P = Laplacian, u = x1^2: both sides of the operator identity are
         # the constant 2 s^2 = 0.5
-        report = verify_scaling_identities(spec(s=0.5), Expression("x1^2", V2))
+        report = verify_scaling_identities(spec(s=0.5), Expression("x1^2", V2),
+                                           2.0)
         assert report["passed"]
         assert report["dev_operator"] <= 1e-12
 
     def test_constant_field_trivial(self):
-        report = verify_scaling_identities(spec(s=0.25), Expression("3", V2))
+        report = verify_scaling_identities(spec(s=0.25), Expression("3", V2),
+                                           2.0)
         assert report["passed"]
 
     def test_variable_coefficients_quarter_scale(self):
         report = verify_scaling_identities(
-            spec(s=0.25, q=2.0, coeffs=wavy_coefficients()),
-            Expression("x1*x2", V2))
+            spec(s=0.25, coeffs=wavy_coefficients()),
+            Expression("x1*x2", V2), 2.0)
         assert report["passed"]
         assert max(report["dev_operator"], report["dev_hessian"],
                    report["dev_gradient"], report["dev_norm"]) <= 1e-8
@@ -76,8 +82,8 @@ class TestScalingIdentities:
     @pytest.mark.parametrize("q", (1.5, 2.0, 4.0))
     def test_analytic_identities_across_scales(self, s, q):
         report = verify_scaling_identities(
-            spec(s=s, q=q, coeffs=wavy_coefficients()),
-            Expression("sin(2*x1)*x2", V2))
+            spec(s=s, coeffs=wavy_coefficients()),
+            Expression("sin(2*x1)*x2", V2), q)
         assert report["passed"]
         worst = max(report["dev_operator"], report["dev_hessian"],
                     report["dev_gradient"], report["dev_norm"])
@@ -86,27 +92,28 @@ class TestScalingIdentities:
     def test_fd_mode_within_loose_tolerance(self):
         report = verify_scaling_identities(spec(s=0.5),
                                            Expression("sin(2*x1)*x2", V2),
-                                           mode="fd")
+                                           2.0, mode="fd")
         assert report["passed"]
         assert report["tolerance"] == 1e-6
 
     def test_holder_transfer_to_unit_scale(self):
         report = verify_scaling_identities(
             spec(s=0.25, coeffs=wavy_coefficients()),
-            Expression("x1*x2", V2))
+            Expression("x1*x2", V2), 2.0)
         assert report["holder_transfer_ok"]
         assert report["holder_transfer"] <= 2.0
 
 
 class TestInteriorEstimate:
     def test_zero_field(self):
-        result = verify_interior_estimate(spec(), Expression("0", V2))
+        result = verify_interior_estimate(spec(), Expression("0", V2), 2.0)
         assert result["lhs"] == 0.0
         assert result["ratio"] == 0.0
 
     def test_linear_harmonic_field(self):
         # Pu = 0, so the right side is the zero-order term alone
-        result = verify_interior_estimate(spec(s=0.5), Expression("x1", V2))
+        result = verify_interior_estimate(spec(s=0.5), Expression("x1", V2),
+                                          2.0)
         assert result["lhs"] > 0
         assert np.isfinite(result["ratio"])
 
@@ -116,7 +123,7 @@ class TestInteriorEstimate:
             for k in range(1, 9):
                 sp = spec(s=0.5, resolution=resolution)
                 u = Expression(f"sin({k}*x1)", V2)
-                ratios.append(verify_interior_estimate(sp, u)["ratio"])
+                ratios.append(verify_interior_estimate(sp, u, 2.0)["ratio"])
             return max(ratios)
 
         coarse = family_max(33)

@@ -1,0 +1,34 @@
+"""scipy is imported inside the functions that use it, so `import czmap`
+and the lemma battery, which needs none of it, never load scipy.
+
+Each check runs in a fresh interpreter: the test process itself has
+long since imported scipy through other tests.
+"""
+
+import os
+import subprocess
+import sys
+
+import czmap
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(czmap.__file__)))
+
+LEMMA_RUN = """
+import sys
+import czmap
+from czmap import cli
+assert cli.main(["run", "--scenario", "lemma-battery", "--out", sys.argv[1]]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_lemma_battery_loads_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", LEMMA_RUN, str(tmp_path / "lemma")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "lemma.jsonl").exists()

@@ -1,5 +1,6 @@
 """Pair tables of the lemma battery: shared across specs, memoised per spec,
-and equal to the seminorms computed from scratch."""
+skipped for constant coefficients, and equal to the seminorms computed
+from scratch."""
 
 import numpy as np
 
@@ -30,6 +31,19 @@ def brute_coefficient_seminorm(spec, points):
     return worst
 
 
+def counted_seminorm_calls(monkeypatch) -> list:
+    """The tables ``PairTable.seminorm`` is called on, one entry per call."""
+    calls = []
+    seminorm = PairTable.seminorm
+
+    def counted(self, values):
+        calls.append(self)
+        return seminorm(self, values)
+
+    monkeypatch.setattr(PairTable, "seminorm", counted)
+    return calls
+
+
 def test_battery_shares_tables_and_matches_brute_force(monkeypatch):
     specs = []
 
@@ -40,10 +54,14 @@ def test_battery_shares_tables_and_matches_brute_force(monkeypatch):
 
     monkeypatch.setattr(runner, "EllipticOperatorSpec", Recorded)
     engine._ball_pairs.cache_clear()
+    calls = counted_seminorm_calls(monkeypatch)
     runner.run_lemma_battery(load_scenario(fixture_path("lemma-battery")))
     # s = 1/4, 1/2, 1; the transfer check shares the s = 1 table
     assert engine._ball_pairs.cache_info().currsize <= 3
-    assert len(specs) == 18
+    # 3 scales x 2 operators, built once for every q
+    assert len(specs) == 6
+    # only the wavy a^11 varies: validate and transfer once per scale
+    assert len(calls) == 6
     for spec in specs:
         assert spec.holder_transfer() == brute_coefficient_seminorm(
             spec, spec.reference_points)
@@ -52,20 +70,29 @@ def test_battery_shares_tables_and_matches_brute_force(monkeypatch):
 
 
 def test_transfer_seminorm_computed_once_per_spec(monkeypatch):
-    calls = []
-    seminorm = PairTable.seminorm
-
-    def counted(self, values):
-        calls.append(self)
-        return seminorm(self, values)
-
-    monkeypatch.setattr(PairTable, "seminorm", counted)
+    calls = counted_seminorm_calls(monkeypatch)
     coeffs = [[Expression("1 + 0.1*sin(x1)", V2), Expression("0", V2)],
               [Expression("0", V2), Expression("1", V2)]]
-    spec = EllipticOperatorSpec(s=0.5, q=2.0, coefficients=coeffs, Lambda=2.0)
+    spec = EllipticOperatorSpec(s=0.5, coefficients=coeffs, Lambda=2.0)
     fields = ("x1^2", "x1*x2", "sin(2*x1)*x2")
-    transfers = {verify_scaling_identities(spec, Expression(u, V2))["holder_transfer"]
-                 for u in fields}
-    # three coefficients for validate, three for the transfer, none per field
-    assert len(calls) == 6
+    transfers = {verify_scaling_identities(spec, Expression(u, V2),
+                                           q)["holder_transfer"]
+                 for u in fields for q in (1.5, 2.0, 4.0)}
+    # a^11 for validate and for the transfer; the constant a^12 and a^22,
+    # each field and each q add none
+    assert len(calls) == 2
     assert transfers == {spec.holder_transfer()}
+
+
+def test_constant_coefficients_make_no_seminorm_calls(monkeypatch):
+    calls = counted_seminorm_calls(monkeypatch)
+    coeffs = [[Expression("1.5", V2), Expression("0.25", V2)],
+              [Expression("0.25", V2), Expression("1", V2)]]
+    for s in (0.25, 1.0):
+        spec = EllipticOperatorSpec(s=s, coefficients=coeffs, Lambda=2.0)
+        spec.validate()
+        assert spec.holder_transfer() == brute_coefficient_seminorm(
+            spec, spec.reference_points) == 0.0
+        assert spec._coefficient_seminorm(spec.s) == brute_coefficient_seminorm(
+            spec, spec.scaled_points())
+    assert calls == []
