@@ -36,16 +36,13 @@ def _resolve_scenario(arg: str) -> str:
 
 
 def _apply_overrides(scenario, args):
-    if getattr(args, "mode", None):
+    """Set the run flags on ``scenario``; returns the issue of the first
+    malformed or out-of-range flag, else None."""
+    if args.mode:
         scenario.run.mode = args.mode
-    if getattr(args, "p", None):
-        scenario.run.p_list = [float(x) for x in args.p.split(",")]
-    if getattr(args, "resolution", None):
-        scenario.run.resolution_ladder = [int(x) for x
-                                          in args.resolution.split(",")]
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         scenario.run.seed = args.seed
-    return scenario
+    return scenario.override_run(args.p, args.resolution)
 
 
 def _load(args):
@@ -73,7 +70,10 @@ def cmd_run(args) -> int:
     scenario = _load(args)
     if scenario is None:
         return 1
-    _apply_overrides(scenario, args)
+    issue = _apply_overrides(scenario, args)
+    if issue:
+        print(repr(issue), file=sys.stderr)
+        return 1
     reports, jsonl, tsv = run_and_report(scenario, args.out)
     print(summarize(reports))
     if jsonl:

@@ -29,13 +29,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import fd
 from .errors import (CertificateRequired, DegenerateRadius, HypothesisFailed,
                      PreconditionFailed, ResolutionTooCoarse, UnsupportedExponent)
 from .geodesics import metric_ball, distance_field, offset_slices, segment_length
 from .geometry import CoordinateBox, MetricChart
 from .harmonic import RadiusCertificate
-from .maps import JetField, MapModel, generalized_hessian, immersion_check
+from .maps import (JetField, MapModel, field_jet, generalized_hessian,
+                   immersion_check)
 from .norms import (PairTable, dist_to_basepoint_field, lp_norm_on,
                     quadrature_weights)
 
@@ -92,34 +92,39 @@ class EllipticOperatorSpec:
         # reference grid on [-2, 2]^m; the scaled grid is s * reference,
         # which realizes the dilation operator sample-for-sample
         self.reference_box = CoordinateBox([-2.0] * m, [2.0] * m, [resolution] * m)
-        ref = self.reference_box.points()
-        self.reference_points = ref
-        self.mask_outer = (np.linalg.norm(ref, axis=1) <= 2.0).reshape(
+        self.reference_points = self.reference_box.points()
+        radius = np.linalg.norm(self.reference_points, axis=1).reshape(
             self.reference_box.shape)
-        self.mask_inner = (np.linalg.norm(ref, axis=1) <= 1.0).reshape(
-            self.reference_box.shape)
+        self.mask_outer, self.mask_inner = radius <= 2.0, radius <= 1.0
         self._validated = False
         self._transfer = None
+        self._samples: dict = {}
 
     def scaled_points(self) -> np.ndarray:
         return self.s * self.reference_points
 
-    def coefficient_matrix(self, points) -> np.ndarray:
-        m = self.dimension
-        out = np.empty(points.shape[:-1] + (m, m))
+    @functools.cached_property
+    def grid_coefficients(self) -> np.ndarray:
+        """(a^{ij}) on the scaled grid, shape ``(*grid, m, m)``."""
+        m, shape = self.dimension, self.reference_box.shape
+        points = self.scaled_points().reshape(shape + (m,))
+        out = np.empty(shape + (m, m))
         for i in range(m):
             for j in range(i, m):
-                val = self.coefficients[i][j](points)
-                out[..., i, j] = val
-                out[..., j, i] = val
+                out[..., i, j] = out[..., j, i] = self.coefficients[i][j](points)
         return out
+
+    def field_samples(self, u, mode: str) -> "ScalarFieldSamples":
+        """The samples of ``u`` on this spec's grid, built once per
+        (field, mode) for every exponent."""
+        if (u, mode) not in self._samples:
+            self._samples[u, mode] = ScalarFieldSamples(self, u, mode)
+        return self._samples[u, mode]
 
     def validate(self) -> "EllipticOperatorSpec":
         if self._validated:
             return self
-        pts = self.scaled_points()
-        mask = self.mask_outer.reshape(-1)
-        a = self.coefficient_matrix(pts[mask])
+        a = self.grid_coefficients[self.mask_outer]
         eig = np.linalg.eigvalsh(a)
         if float(eig[..., 0].min()) < 0.5 - 1e-12:
             raise HypothesisFailed("ellipticity (a >= 1/2)",
@@ -152,12 +157,12 @@ class EllipticOperatorSpec:
         grid points each of its quotients is 0/|x-y|^alpha = 0.0, which
         cannot raise ``worst`` from its start at 0.0.
         """
-        pts = self.scaled_points()[self.mask_outer.reshape(-1)]
+        a = self.grid_coefficients[self.mask_outer]
         m = self.dimension
         worst = 0.0
         for i in range(m):
             for j in range(i, m):
-                vals = self.coefficients[i][j](pts)
+                vals = a[:, i, j]
                 if np.all(vals == vals[0]):
                     continue
                 pairs = _ball_pairs(m, self.resolution, scale, self.alpha)
@@ -166,35 +171,29 @@ class EllipticOperatorSpec:
 
 
 class ScalarFieldSamples:
-    """Samples of u and its first/second derivatives on the lemma grid."""
+    """What the two lemma verifiers read of a field u on a spec's grid,
+    none of which depends on q: the samples of u and Pu, the pointwise
+    |grad u| and |Hess u|, and the largest deviations over B_2 of the
+    three dilation identities (see :func:`verify_scaling_identities`).
+    The jets they come from are not kept."""
 
-    def __init__(self, spec: EllipticOperatorSpec, u, mode: str = "analytic"):
-        self.spec = spec
-        box = spec.reference_box
-        m = spec.dimension
+    def __init__(self, spec: EllipticOperatorSpec, u, mode: str):
+        s, box, mask = spec.s, spec.reference_box, spec.mask_outer
         pts = spec.scaled_points()
-        shape = box.shape
-        self.values = np.asarray(u(pts), dtype=float).reshape(shape)
-        steps = box.steps * spec.s
-        if mode == "analytic":
-            self.grad = np.stack(
-                [np.asarray(u.partial(i)(pts)).reshape(shape) for i in range(m)])
-            self.hess = np.empty((m, m) + shape)
-            for i in range(m):
-                di = u.partial(i)
-                for j in range(i, m):
-                    val = np.asarray(di.partial(j)(pts)).reshape(shape)
-                    self.hess[i, j] = val
-                    self.hess[j, i] = val
-        else:
-            self.grad = fd.grid_gradient(self.values, steps)
-            self.hess = fd.grid_hessian(self.values, steps)
-
-    def apply_operator(self) -> np.ndarray:
-        pts = self.spec.scaled_points().reshape(
-            self.spec.reference_box.shape + (self.spec.dimension,))
-        a = self.spec.coefficient_matrix(pts)
-        return np.einsum("...ij,ij...->...", a, self.hess)
+        self.values = np.asarray(u(pts), dtype=float).reshape(box.shape)
+        grad, hess = field_jet(u, self.values, pts, box.steps * s, mode)
+        self.grad_norm = np.sqrt(np.sum(grad ** 2, axis=0))
+        self.hess_norm = np.sqrt(np.sum(hess ** 2, axis=(0, 1)))
+        a = spec.grid_coefficients
+        self.pu = np.einsum("...ij,ij...->...", a, hess)
+        # the dilated field tu(z) = u(sz) on the reference grid
+        grad_t, hess_t = field_jet(u.dilated(s) if mode == "analytic" else None,
+                                   self.values, spec.reference_points,
+                                   box.steps, mode)
+        self.dev_gradient = float(np.abs(grad_t - s * grad)[:, mask].max())
+        self.dev_hessian = float(np.abs(hess_t - s * s * hess)[:, :, mask].max())
+        p_tilde_u = np.einsum("...ij,ij...->...", a, hess_t)
+        self.dev_operator = float(np.abs(p_tilde_u - s * s * self.pu)[mask].max())
 
 
 def verify_scaling_identities(spec: EllipticOperatorSpec, u, q: float,
@@ -215,37 +214,12 @@ def verify_scaling_identities(spec: EllipticOperatorSpec, u, q: float,
     spec.validate()
     s, m = spec.s, spec.dimension
     box = spec.reference_box
-    samples = ScalarFieldSamples(spec, u, mode=mode)
+    samples = spec.field_samples(u, mode)
     mask = spec.mask_outer
-    zpts_grid = spec.reference_points
-
-    if mode == "analytic":
-        dilated = u.dilated(s)
-        grad_t = np.stack([np.asarray(dilated.partial(i)(zpts_grid)).reshape(box.shape)
-                           for i in range(m)])
-        hess_t = np.empty((m, m) + box.shape)
-        for i in range(m):
-            di = dilated.partial(i)
-            for j in range(i, m):
-                val = np.asarray(di.partial(j)(zpts_grid)).reshape(box.shape)
-                hess_t[i, j] = val
-                hess_t[j, i] = val
-    else:
-        grad_t = fd.grid_gradient(samples.values, box.steps)
-        hess_t = fd.grid_hessian(samples.values, box.steps)
-
-    dev_grad = float(np.abs(grad_t - s * samples.grad)[:, mask].max())
-    dev_hess = float(np.abs(hess_t - s * s * samples.hess)[:, :, mask].max())
-
-    pu = samples.apply_operator()
-    a_tilde = spec.coefficient_matrix(spec.scaled_points().reshape(
-        box.shape + (m,)))
-    p_tilde_u = np.einsum("...ij,ij...->...", a_tilde, hess_t)
-    dev_op = float(np.abs(p_tilde_u - s * s * pu)[mask].max())
 
     # norm scaling on u and Pu over the outer ball
     dev_norm = 0.0
-    for field_vals in (samples.values, pu):
+    for field_vals in (samples.values, samples.pu):
         lhs = lp_norm_on(box, q, field_vals, np.ones(box.shape), mask)
         rhs_box = CoordinateBox(box.lower * s, box.upper * s, box.resolution)
         rhs = lp_norm_on(rhs_box, q, field_vals, np.ones(box.shape), mask)
@@ -257,16 +231,15 @@ def verify_scaling_identities(spec: EllipticOperatorSpec, u, q: float,
     transfer_ok = transfer <= spec.Lambda + 1e-10
 
     tol = 1e-10 if mode == "analytic" else 1e-6
-    report = {
-        "s": s, "q": q, "mode": mode,
-        "dev_operator": dev_op, "dev_hessian": dev_hess,
-        "dev_gradient": dev_grad, "dev_norm": float(dev_norm),
+    devs = {"dev_operator": samples.dev_operator,
+            "dev_hessian": samples.dev_hessian,
+            "dev_gradient": samples.dev_gradient, "dev_norm": float(dev_norm)}
+    return {
+        "s": s, "q": q, "mode": mode, **devs,
         "holder_transfer": transfer, "holder_transfer_ok": bool(transfer_ok),
         "tolerance": tol,
-        "passed": bool(max(dev_op, dev_hess, dev_grad, dev_norm) <= tol
-                       and transfer_ok),
+        "passed": bool(max(devs.values()) <= tol and transfer_ok),
     }
-    return report
 
 
 def verify_interior_estimate(spec: EllipticOperatorSpec, u, q: float,
@@ -281,17 +254,14 @@ def verify_interior_estimate(spec: EllipticOperatorSpec, u, q: float,
     box = spec.reference_box
     s = spec.s
     scaled_box = CoordinateBox(box.lower * s, box.upper * s, box.resolution)
-    samples = ScalarFieldSamples(spec, u, mode=mode)
+    samples = spec.field_samples(u, mode)
     ones = np.ones(box.shape)
-    grad_norm = np.sqrt(np.sum(samples.grad ** 2, axis=0))
-    hess_norm = np.sqrt(np.sum(samples.hess ** 2, axis=(0, 1)))
     inner = spec.mask_inner
     outer = spec.mask_outer
     lhs = (lp_norm_on(scaled_box, q, samples.values, ones, inner)
-           + lp_norm_on(scaled_box, q, grad_norm, ones, inner)
-           + lp_norm_on(scaled_box, q, hess_norm, ones, inner))
-    pu = samples.apply_operator()
-    rhs = (lp_norm_on(scaled_box, q, pu, ones, outer)
+           + lp_norm_on(scaled_box, q, samples.grad_norm, ones, inner)
+           + lp_norm_on(scaled_box, q, samples.hess_norm, ones, inner))
+    rhs = (lp_norm_on(scaled_box, q, samples.pu, ones, outer)
            + s ** (-2) * lp_norm_on(scaled_box, q, samples.values, ones, outer))
     ratio = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
     return {"lhs": lhs, "rhs": rhs, "ratio": float(ratio), "s": s, "q": q}

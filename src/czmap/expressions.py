@@ -567,6 +567,7 @@ class Expression:
             self.ast = source
             self.text = to_string(source)
         self._partials: dict[int, Expression] = {}
+        self._dilations: dict[float, Expression] = {}
 
     @functools.cached_property
     def _compiled(self):
@@ -598,10 +599,14 @@ class Expression:
         return self._partials[axis]
 
     def dilated(self, factor: float) -> "Expression":
-        """The composition with coordinate scaling x -> factor * x."""
-        mapping = {v: Bin(op="*", left=_num(factor), right=Var(name=v))
-                   for v in self.variables}
-        return Expression(substitute(self.ast, mapping), self.variables)
+        """The composition with coordinate scaling x -> factor * x, built
+        once per factor (so its partials are derived once too)."""
+        if factor not in self._dilations:
+            mapping = {v: Bin(op="*", left=_num(factor), right=Var(name=v))
+                       for v in self.variables}
+            self._dilations[factor] = Expression(substitute(self.ast, mapping),
+                                                 self.variables)
+        return self._dilations[factor]
 
     def __repr__(self):
         return f"Expression({self.text!r}, vars={self.variables})"

@@ -99,54 +99,28 @@ class MapModel:
         return self
 
 
-def _component_grids(map_model: MapModel) -> np.ndarray:
-    """Component samples in grid shape, ``(n, *grid)``."""
-    vals = map_model.values_on_grid()
-    shape = map_model.source_chart.box.shape
-    return np.stack([vals[:, a].reshape(shape)
-                     for a in range(map_model.target_dimension)])
+def field_jet(u, values: np.ndarray, points: np.ndarray, steps,
+              mode: str) -> tuple:
+    """Gradient ``(m, *grid)`` and Hessian ``(m, m, *grid)`` of a scalar
+    field on a grid.
 
-
-def _map_first_derivatives(map_model: MapModel) -> np.ndarray:
-    """d_i u^a, shape ``(*grid, n, m)``."""
-    chart = map_model.source_chart
-    box = chart.box
-    m, n = chart.dimension, map_model.target_dimension
-    out = np.empty(box.shape + (n, m))
-    if chart.derivative_mode == "analytic":
-        pts = box.points()
-        for a, comp in enumerate(map_model.components):
-            for i in range(m):
-                out[..., a, i] = comp.partial(i)(pts).reshape(box.shape)
-    else:
-        grids = _component_grids(map_model)
-        for a in range(n):
-            for i in range(m):
-                out[..., a, i] = fd.diff1(grids[a], axis=i, h=box.steps[i])
-    return out
-
-
-def _map_second_derivatives(map_model: MapModel) -> np.ndarray:
-    """d_i d_j u^a, shape ``(*grid, n, m, m)``."""
-    chart = map_model.source_chart
-    box = chart.box
-    m, n = chart.dimension, map_model.target_dimension
-    out = np.empty(box.shape + (n, m, m))
-    if chart.derivative_mode == "analytic":
-        pts = box.points()
-        for a, comp in enumerate(map_model.components):
-            for i in range(m):
-                di = comp.partial(i)
-                for j in range(i, m):
-                    val = di.partial(j)(pts).reshape(box.shape)
-                    out[..., a, i, j] = val
-                    out[..., a, j, i] = val
-    else:
-        grids = _component_grids(map_model)
-        for a in range(n):
-            hess = fd.grid_hessian(grids[a], box.steps)
-            out[..., a, :, :] = np.moveaxis(hess, (0, 1), (-2, -1))
-    return out
+    ``values`` are the field's samples in grid shape and ``points`` the
+    matching flat grid points.  ``analytic`` mode evaluates the symbolic
+    partials of the expression ``u`` at ``points`` (d_i d_j for j >= i,
+    mirrored); ``fd`` mode differentiates ``values`` with grid stencils at
+    ``steps`` and does not read ``u``.
+    """
+    if mode != "analytic":
+        return fd.grid_gradient(values, steps), fd.grid_hessian(values, steps)
+    shape, m = values.shape, values.ndim
+    grad = np.empty((m,) + shape)
+    hess = np.empty((m, m) + shape)
+    for i in range(m):
+        di = u.partial(i)
+        grad[i] = di(points).reshape(shape)
+        for j in range(i, m):
+            hess[i, j] = hess[j, i] = di.partial(j)(points).reshape(shape)
+    return grad, hess
 
 
 def target_metric_at(map_model: MapModel, values: np.ndarray) -> np.ndarray:
@@ -249,9 +223,15 @@ def generalized_hessian(map_model: MapModel) -> JetField:
     """Full second-order jet of a map; see the module formula."""
     source = map_model.source_chart
     box = source.box
-    values = map_model.values_on_grid().reshape(box.shape + (map_model.target_dimension,))
-    du = _map_first_derivatives(map_model)
-    ddu = _map_second_derivatives(map_model)
+    m, n = source.dimension, map_model.target_dimension
+    values = map_model.values_on_grid().reshape(box.shape + (n,))
+    du = np.empty(box.shape + (n, m))            # d_i u^a
+    ddu = np.empty(box.shape + (n, m, m))        # d_i d_j u^a
+    for a, comp in enumerate(map_model.components):
+        grad, hess = field_jet(comp, values[..., a], box.points(), box.steps,
+                               source.derivative_mode)
+        du[..., a, :] = np.moveaxis(grad, 0, -1)
+        ddu[..., a, :, :] = np.moveaxis(hess, (0, 1), (-2, -1))
     sgam = source.grid_christoffel().values
     tgam_at_u = target_christoffel_at(map_model, values)
     h_at_u = target_metric_at(map_model, values)

@@ -270,12 +270,15 @@ def run_lemma_battery(scenario: Scenario) -> list:
     battery, for every q in the run's p list and every scale.
 
     The specs and fields do not depend on q, so they are built once: each
-    spec validates and takes its transfer seminorm once, and each field
-    derives its symbolic partials once.
+    spec validates and takes its transfer seminorm once, up front, so the
+    Hölder pair tables are done with before any field is sampled; each
+    spec then samples each field once (see ``field_samples``).
     """
     specs = {s: [EllipticOperatorSpec(s=s, coefficients=coeffs, Lambda=Lam)
                  for _, coeffs, Lam in _lemma_operators()]
              for s in LEMMA_SCALES}
+    for spec in (spec for level in specs.values() for spec in level):
+        spec.validate().holder_transfer()
     fields = _lemma_fields()
     reports = []
     for q in scenario.run.p_list:

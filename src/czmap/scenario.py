@@ -249,9 +249,9 @@ class RunConfig:
         if self.mode not in MODES:
             return ValidationIssue(path, line, "RunMode",
                                    f"mode must be one of {MODES}")
-        if not all(p > 1.0 for p in self.p_list):     # nan fails too
+        if not all(1.0 < p < math.inf for p in self.p_list):  # nan fails too
             return ValidationIssue(path, p_line, "UnsupportedExponent",
-                                   "every p must satisfy p > 1")
+                                   "every p must satisfy 1 < p < inf")
         return None
 
 
@@ -279,6 +279,30 @@ class Scenario:
         if not self.maps:
             raise CzmapError(f"scenario {self.name} declares no map")
         return next(iter(self.maps.values()))
+
+    def override_run(self, p: str | None, resolution: str | None):
+        """Replace the p list and the resolution ladder by command-line
+        text under the rules of the ``p`` and ``resolution_ladder`` keys.
+        Returns None, or the issue of the first flag that breaks a rule:
+        line 0 of the scenario file, the flag and its text in the detail."""
+        run = self.run
+        for flag, text, attr, convert in (
+                ("--p", p, "p_list", _floats),
+                ("--resolution", resolution, "resolution_ladder", _ladder)):
+            if text is None:
+                continue
+            try:
+                setattr(run, attr, convert(text))
+            except (ValueError, OverflowError) as exc:
+                issue = ValidationIssue(self.path, 0, "NumberFormat", str(exc))
+            else:
+                issue = (run.validate_issue(self.path, 0, 0) if flag == "--p"
+                         else _ladder_issue(run, self.manifolds, self.maps,
+                                            self.path, 0))
+            if issue:
+                issue.detail = f"{flag} {text}: {issue.detail}"
+                return issue
+        return None
 
     def build_models(self, resolution=None, parameter_values=None):
         """(source chart, target chart, MapModel) of the primary map;
@@ -544,6 +568,18 @@ def _ladder(text: str) -> list:
     return ladder
 
 
+def _ladder_issue(run: RunConfig, manifolds: dict, maps: dict, path: str,
+                  line: int):
+    """The issue of a ladder level whose grid on the primary map's source
+    has more than MAX_GRID_POINTS points, or None."""
+    source = manifolds.get(next(iter(maps.values())).source) if maps else None
+    if source is not None and any(r ** source.dimension > MAX_GRID_POINTS
+                                  for r in run.resolution_ladder):
+        return ValidationIssue(path, line, "Resolution", "a ladder grid has "
+                               f"more than {MAX_GRID_POINTS} points")
+    return None
+
+
 def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
     e = section.entries
     cfg = RunConfig()
@@ -584,11 +620,10 @@ def _parse_search(section: _Section, path: str, issues: list) -> SearchConfig | 
                                       "search section missing 'parameters'"))
         return None
     params = _names(e["parameters"].value)
-    try:
-        lower = _floats(e["lower"].value) if "lower" in e else None
-        upper = _floats(e["upper"].value) if "upper" in e else None
-    except ValueError as exc:
-        issues.append(ValidationIssue(path, section.line, "NumberFormat", str(exc)))
+    found = len(issues)
+    lower = _number(e, "lower", None, _floats, path, issues)
+    upper = _number(e, "upper", None, _floats, path, issues)
+    if len(issues) > found:
         return None
     if lower is None or upper is None or len(lower) != len(params) \
             or len(upper) != len(params):
@@ -647,12 +682,11 @@ def load_scenario(path: str) -> Scenario:
         issues.append(ValidationIssue(
             path, run_section.entries["basepoint"].line, "DimensionMismatch",
             f"basepoint needs {target.dimension} coordinates"))
-    source = manifolds.get(next(iter(maps.values())).source) if maps else None
-    if source is not None and any(r ** source.dimension > MAX_GRID_POINTS
-                                  for r in run.resolution_ladder):
-        issues.append(ValidationIssue(
-            path, run_section.entries["resolution_ladder"].line, "Resolution",
-            f"a ladder grid has more than {MAX_GRID_POINTS} points"))
+    if run.resolution_ladder:
+        issue = _ladder_issue(run, manifolds, maps, path,
+                              run_section.entries["resolution_ladder"].line)
+        if issue:
+            issues.append(issue)
     if issues:
         raise ScenarioError(issues)
 

@@ -1,10 +1,10 @@
 """Pair tables of the lemma battery: shared across specs, memoised per spec,
 skipped for constant coefficients, and equal to the seminorms computed
-from scratch."""
+from scratch.  Field samples and dilations are built once per field."""
 
 import numpy as np
 
-from czmap import engine, runner
+from czmap import engine, expressions, runner
 from czmap.engine import EllipticOperatorSpec, verify_scaling_identities
 from czmap.expressions import Expression
 from czmap.norms import PairTable
@@ -96,3 +96,38 @@ def test_constant_coefficients_make_no_seminorm_calls(monkeypatch):
         assert spec._coefficient_seminorm(spec.s) == brute_coefficient_seminorm(
             spec, spec.scaled_points())
     assert calls == []
+
+
+def test_battery_samples_each_field_once(monkeypatch):
+    counts = {"samples": 0, "substitutions": 0, "derivatives": 0}
+    depth = [0]
+    init = engine.ScalarFieldSamples.__init__
+    substitute, derive = expressions.substitute, expressions.derive
+
+    def counted_init(*args, **kwargs):
+        counts["samples"] += 1
+        init(*args, **kwargs)
+
+    def counted_substitute(*args, **kwargs):
+        # substitute recurses through the module name; count the outer call
+        counts["substitutions"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return substitute(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_derive(*args, **kwargs):
+        counts["derivatives"] += 1
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(engine.ScalarFieldSamples, "__init__", counted_init)
+    monkeypatch.setattr(expressions, "substitute", counted_substitute)
+    monkeypatch.setattr(expressions, "derive", counted_derive)
+    runner.run_lemma_battery(load_scenario(fixture_path("lemma-battery")))
+    # 6 specs x 3 fields, whatever the number of exponents
+    assert counts["samples"] == 18
+    # one dilation per (field, scale)
+    assert counts["substitutions"] == 9
+    # 5 partials (2 first, 3 second) for each field and each dilation
+    assert counts["derivatives"] <= 60

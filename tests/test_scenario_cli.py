@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from czmap.cli import main
+from czmap.cli import _apply_overrides, build_parser, main
 from czmap.errors import ScenarioError
 from czmap.report import read_reports
 from czmap.runner import run_scenario
@@ -245,7 +245,7 @@ basepoint = 0, 0
         ("seed", "abc"), ("drift_tolerance", "abc"), ("omega_slack", "x"),
         ("uc_radius", "q"), ("ball_r", "z"), ("ricci_lower_bound", "abc"),
         ("lower", "nan"), ("resolution_ladder", "2.5"), ("lipschitz", "nan"),
-        ("basepoint", "0"), ("p", "nan"), ("resolution", "1e300"),
+        ("basepoint", "0"), ("p", "nan"), ("p", "inf"), ("resolution", "1e300"),
         ("resolution_ladder", "9, 1e300")])
     def test_malformed_number_is_located(self, tmp_path, key, bad):
         path = tmp_path / "numbers.scn"
@@ -322,7 +322,8 @@ class TestMutatedFixtures:
                     assert issue.path == path
                     assert 0 <= issue.line <= len(lines)
 
-    @pytest.mark.parametrize("key, value", [("lower", "inf"), ("upper", "nan")])
+    @pytest.mark.parametrize("key, value", [("lower", "inf"), ("upper", "nan"),
+                                            ("lower", "abc")])
     def test_search_bounds_must_be_finite(self, tmp_path, key, value):
         with open(fixture_path("saddle-search"), encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -552,6 +553,32 @@ class TestCli:
                      "corollaryA", "--p", "2"])
         assert code == 0
         assert "corollaryA" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, invariant", [
+        ("--p", "abc", "NumberFormat"), ("--p", "0.5", "UnsupportedExponent"),
+        ("--p", "nan", "UnsupportedExponent"),
+        ("--p", "inf", "UnsupportedExponent"),
+        ("--resolution", "2", "NumberFormat"),
+        ("--resolution", "2.5", "NumberFormat")])
+    def test_bad_override_flag_is_one_issue(self, capsys, flag, value,
+                                            invariant):
+        # the [run] rules of p and resolution_ladder hold for the flags
+        assert main(["run", "--scenario", "flat-identity", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        issue, = captured.err.strip().split("\n")
+        assert f"[{invariant}] {flag} {value}:" in issue
+        assert issue.startswith(fixture_path("flat-identity") + ":0: ")
+
+    def test_override_ladder_grid_limit(self):
+        # validation alone: a run at these levels would allocate the grid
+        for ladder, kind in (("46341", "Resolution"), ("29, 1e300", "Resolution"),
+                             ("inf", "NumberFormat"), ("46340", None)):
+            args = build_parser().parse_args(
+                ["run", "--scenario", "flat-identity", "--resolution", ladder])
+            issue = _apply_overrides(
+                load_scenario(fixture_path("flat-identity")), args)
+            assert (issue and issue.invariant) == kind
 
     def test_radius_subcommand_flat_sentinel(self, tmp_path, capsys):
         text = """

@@ -1,0 +1,102 @@
+"""Compare the reports of two czmap source trees on every shipped fixture.
+
+    python3 tools/compare_reports.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory that holds the ``czmap`` package (a
+checkout's ``src``).  For each tree and each fixture in that tree's
+``czmap/fixtures``, the script runs ``czmap run --scenario <fixture>
+--out <prefix>`` and ``czmap validate --scenario <fixture>`` in a fresh
+interpreter with the tree on PYTHONPATH.  It then compares
+
+* the JSONL records, parsed, with the wall-clock key ``timing_seconds``
+  removed;
+* the TSV files, byte for byte;
+* the ``validate`` stdout, byte for byte;
+* the exit codes of both commands.
+
+It prints every difference and exits 1 if there is one, else 0.  Only
+the standard library is used; fixtures run one at a time.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def _czmap(src: str, args: list) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("CZMAP_FIXTURES", None)
+    return subprocess.run([sys.executable, "-m", "czmap", *args], env=env,
+                          capture_output=True, timeout=600)
+
+
+def _records(path: str) -> list:
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    for record in records:
+        record.pop("timing_seconds", None)
+    return records
+
+
+def _read(path: str):
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def outputs(src: str, fixture: str, workdir: str) -> dict:
+    """Everything compared for one fixture under one tree."""
+    prefix = os.path.join(workdir, fixture)
+    run = _czmap(src, ["run", "--scenario", fixture, "--out", prefix])
+    validate = _czmap(src, ["validate", "--scenario", fixture])
+    jsonl = prefix + ".jsonl"
+    return {
+        "run exit code": run.returncode,
+        "JSONL records (minus timing_seconds)":
+            _records(jsonl) if os.path.exists(jsonl) else None,
+        "TSV bytes": _read(prefix + ".tsv"),
+        "validate exit code": validate.returncode,
+        "validate stdout": validate.stdout,
+    }
+
+
+def fixtures(src: str) -> list:
+    folder = os.path.join(src, "czmap", "fixtures")
+    return sorted(name[:-4] for name in os.listdir(folder)
+                  if name.endswith(".scn"))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent, change = argv
+    names = fixtures(parent)
+    differences = []
+    if names != fixtures(change):
+        differences.append(f"fixture sets differ: {names} vs {fixtures(change)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            sides = []
+            for label, src in (("parent", parent), ("change", change)):
+                workdir = os.path.join(tmp, label)
+                os.makedirs(workdir, exist_ok=True)
+                sides.append(outputs(src, name, workdir))
+            found = [f"{name}: {what} differ"
+                     for what, before in sides[0].items()
+                     if before != sides[1][what]]
+            print(f"{name}: {'differs' if found else 'identical'}", flush=True)
+            differences.extend(found)
+    for line in differences:
+        print(line)
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
