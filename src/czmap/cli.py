@@ -90,23 +90,28 @@ def cmd_radius(args) -> int:
     scenario = _load(args)
     if scenario is None:
         return 1
+    resolution, r_max, issue = scenario.radius_flags(args.resolution,
+                                                     args.r_max)
+    if issue:
+        print(repr(issue), file=sys.stderr)
+        return 1
     status = 0
     for name, mdef in scenario.manifolds.items():
-        chart = mdef.build_chart([args.resolution] * mdef.dimension
-                                 if args.resolution else None)
+        chart = mdef.build_chart(None if resolution is None
+                                 else [resolution] * mdef.dimension)
         points = mdef.base_points or [0.5 * (np.asarray(mdef.lower)
                                              + np.asarray(mdef.upper))]
         for x in points:
             x = np.asarray(x, dtype=float)
-            r_max = args.r_max or default_r_max(chart, x)
+            bound = r_max if r_max is not None else default_r_max(chart, x)
             try:
-                est = estimate_harmonic_radius(chart, x, r_max=r_max)
+                est = estimate_harmonic_radius(chart, x, r_max=bound)
             except CzmapError as exc:
                 print(f"{name} at {x.tolist()}: error {exc}", file=sys.stderr)
                 status = 1
                 continue
             print(f"{name} at {x.tolist()}: r_1,1/2 {est} "
-                  f"(r_max {r_max:.4g}, {len(est.certificates)} solves)")
+                  f"(r_max {bound:.4g}, {len(est.certificates)} solves)")
             for cert in est.certificates:
                 rec = cert.as_record()
                 print(f"    r={rec['r']:.5g} verdict={rec['verdict']} "
@@ -161,8 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("radius", help="estimate harmonic radii")
     pd.add_argument("--scenario", required=True)
-    pd.add_argument("--resolution", type=int)
-    pd.add_argument("--r-max", dest="r_max", type=float)
+    pd.add_argument("--resolution",
+                    help="grid points per axis of every manifold")
+    pd.add_argument("--r-max", dest="r_max",
+                    help="upper end of the radius bisection (default: "
+                         "0.7 of the box margin in metric units)")
     pd.set_defaults(func=cmd_radius)
 
     pp = sub.add_parser("report", help="pretty-print a report file")

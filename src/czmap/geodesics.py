@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Unreachable
-from .geometry import MetricChart
+from .geometry import MetricChart, _at, _is_zero
 
 SEGMENT_QUADRATURE = 8
 SHOOTING_STEPS = 64           # RK4 steps per shot
@@ -48,18 +48,27 @@ def segment_length(chart: MetricChart, a, b, n_quad: int = SEGMENT_QUADRATURE):
 
     ``a``, ``b``: arrays of shape ``(..., m)``.  Composite midpoint rule
     with ``n_quad`` nodes; one node suffices (and is exact) for constant
-    metrics.
+    metrics, which evaluate nothing and build no midpoint.  The quadratic
+    form d.g.d is read straight from the metric oracles:
+    sum over i <= j of c_ij d_i d_j g_ij, c_ij = 1 on the diagonal and 2
+    off it, float-0.0 entries skipped.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d = b - a
-    if _metric_is_constant(chart):
+    constant = _metric_is_constant(chart)
+    if constant:
         n_quad = 1
-    total = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    terms = []                          # (c_ij d_i d_j, g_ij)
+    for i, j, g, _ in chart.oracles():
+        if not _is_zero(g):
+            dd = d[..., i] * d[..., j]
+            terms.append((dd if i == j else 2.0 * dd, g))
+    total = np.zeros(d.shape[:-1])
     for k in range(n_quad):
-        t = (k + 0.5) / n_quad
-        g = chart.metric(a + t * d)
-        total = total + np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", d, g, d), 0.0))
+        mid = None if constant else a + ((k + 0.5) / n_quad) * d
+        quad = sum(dd * _at(g, mid) for dd, g in terms)
+        total = total + np.sqrt(np.maximum(quad, 0.0))
     return total / n_quad
 
 

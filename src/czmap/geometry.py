@@ -12,6 +12,7 @@ Component callables must be vectorized: they take point arrays of shape
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -75,6 +76,54 @@ class CoordinateBox:
 
     def ravel_index(self, idx) -> int:
         return int(np.ravel_multi_index(idx, self.resolution))
+
+    def interpolate(self, values, points, extrapolate: bool = False) -> np.ndarray:
+        """Multilinear interpolation of grid samples at ``points``.
+
+        ``values`` has shape ``box.shape + trailing`` and ``points``
+        ``(..., m)``; the result has shape ``points.shape[:-1] + trailing``.
+        A point outside the box gives nan unless ``extrapolate`` (then the
+        edge cell's multilinear form is continued); a nan coordinate gives
+        nan.  The arithmetic is that of scipy's
+        ``RegularGridInterpolator(method="linear")``, term for term, so
+        the results are the same bits: a 2-D scalar field sums the four
+        corners as its compiled path does, any other field adds
+        ``v * (1.0 * w_0 * w_1 ...)`` over the corners in
+        ``itertools.product`` order.
+        """
+        values = np.asarray(values, dtype=float)
+        points = np.asarray(points, dtype=float)
+        m = self.dimension
+        flat = points.reshape(-1, m)
+        cells, ys = [], []
+        outside = np.zeros(flat.shape[0], dtype=bool)
+        for k, axis in enumerate(self.axes):
+            x = flat[:, k]
+            i = np.clip(np.searchsorted(axis, x, side="right") - 1,
+                        0, axis.size - 2)
+            cells.append(i)
+            ys.append((x - axis[i]) / (axis[i + 1] - axis[i]))
+            outside |= (x < axis[0]) | (x > axis[-1])
+        if m == 2 and values.ndim == 2:
+            (i0, i1), (y0, y1) = cells, ys
+            out = 0.0 + values[i0, i1] * (1 - y0) * (1 - y1)
+            out = out + values[i0, i1 + 1] * (1 - y0) * y1
+            out = out + values[i0 + 1, i1] * y0 * (1 - y1)
+            out = out + values[i0 + 1, i1 + 1] * y0 * y1
+        else:
+            trailing = (1,) * (values.ndim - m)
+            sides = [(1 - y, y) for y in ys]
+            out = 0.0
+            for corner in itertools.product((0, 1), repeat=m):
+                weight = 1.0
+                for c, side in zip(corner, sides):
+                    weight = weight * side[c]
+                corner_values = values[tuple(i + c for i, c in zip(cells, corner))]
+                out = out + corner_values * weight.reshape(weight.shape + trailing)
+        if not extrapolate:
+            out[outside] = np.nan
+        out[np.isnan(flat).any(axis=1)] = np.nan
+        return out.reshape(points.shape[:-1] + values.shape[m:])
 
     def __repr__(self):
         return (f"CoordinateBox(lower={self.lower.tolist()}, "

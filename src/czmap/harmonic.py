@@ -259,10 +259,8 @@ def solve_harmonic_chart(chart: MetricChart, x,
     residual = float(np.abs(residual_vec).max()) / scale if sol.size else 0.0
 
     # center exactly: harmonicity is translation invariant
-    from scipy.interpolate import RegularGridInterpolator
     for a in range(m):
-        interp = RegularGridInterpolator(box.axes, fields[a])
-        fields[a] -= float(interp(x)[0])
+        fields[a] -= float(box.interpolate(fields[a], x))
 
     # Jacobian and pushed inverse metric over the padded solve domain;
     # certified masks restrict to the requested ball, whose rim stencils

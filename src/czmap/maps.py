@@ -141,15 +141,8 @@ def target_christoffel_at(map_model: MapModel, values: np.ndarray) -> np.ndarray
     target = map_model.target_chart
     if target.derivative_mode == "analytic":
         return target.christoffel_at(values)
-    from scipy.interpolate import RegularGridInterpolator
-    n = target.dimension
-    flatv = values.reshape(-1, n)
-    interp = RegularGridInterpolator(target.box.axes,
-                                     target.grid_christoffel().values,
-                                     bounds_error=False,
-                                     fill_value=None)
-    out = interp(flatv)
-    return out.reshape(values.shape[:-1] + (n, n, n))
+    return target.box.interpolate(target.grid_christoffel().values, values,
+                                  extrapolate=True)
 
 
 @dataclass

@@ -143,16 +143,13 @@ class DistanceEvaluator:
     """
 
     def __init__(self, chart: MetricChart, basepoint):
-        from scipy.interpolate import RegularGridInterpolator
         self.chart = chart
         self.basepoint = np.asarray(basepoint, dtype=float)
         if not bool(chart.box.contains(self.basepoint)):
             raise ValueError(
                 f"basepoint {self.basepoint.tolist()} is outside the "
                 f"chart box of {chart.name}")
-        field = distance_field(chart, self.basepoint).reshape(chart.box.shape)
-        self._interp = RegularGridInterpolator(chart.box.axes, field,
-                                               bounds_error=False, fill_value=np.nan)
+        self.field = distance_field(chart, self.basepoint).reshape(chart.box.shape)
 
     def __call__(self, queries: np.ndarray) -> np.ndarray:
         queries = np.asarray(queries, dtype=float)
@@ -161,7 +158,7 @@ class DistanceEvaluator:
             bad = np.argwhere(~inside)[0]
             q = queries[tuple(bad)] if queries.ndim > 1 else queries
             raise TargetEscape(q, q)
-        grid_est = self._interp(queries)
+        grid_est = self.chart.box.interpolate(self.field, queries)
         direct = segment_length(self.chart, self.basepoint[None, :]
                                 if queries.ndim > 1 else self.basepoint, queries)
         return np.minimum(np.nan_to_num(grid_est, nan=np.inf), direct)

@@ -304,6 +304,37 @@ class Scenario:
                 return issue
         return None
 
+    def radius_flags(self, resolution: str | None, r_max: str | None):
+        """``(resolution, r_max, issue)`` from the ``czmap radius`` flags,
+        None for an absent flag.  ``--resolution`` is one grid point count
+        for every axis of every manifold, under the rules of the
+        ``[manifold] resolution`` key and the grid limit; ``--r-max`` is
+        finite and > 0.  issue is None, or the issue of the first flag
+        that breaks a rule, located and worded as in :meth:`override_run`."""
+        parsed = {}
+        for flag, text, convert, invariant in (
+                ("--resolution", resolution, _grid_count, "NumberFormat"),
+                ("--r-max", r_max, _radius_bound, "HarmonicRadius")):
+            parsed[flag] = None
+            if text is None:
+                continue
+            try:
+                parsed[flag] = convert(text)
+            except (ValueError, OverflowError) as exc:
+                issue = ValidationIssue(self.path, 0, invariant, str(exc))
+            else:
+                issue = None
+                if flag == "--resolution" and any(
+                        parsed[flag] ** mdef.dimension > MAX_GRID_POINTS
+                        for mdef in self.manifolds.values()):
+                    issue = ValidationIssue(self.path, 0, "Resolution",
+                                            "a grid has more than "
+                                            f"{MAX_GRID_POINTS} points")
+            if issue:
+                issue.detail = f"{flag} {text}: {issue.detail}"
+                return None, None, issue
+        return parsed["--resolution"], parsed["--r-max"], None
+
     def build_models(self, resolution=None, parameter_values=None):
         """(source chart, target chart, MapModel) of the primary map;
         ``resolution`` overrides the source grid."""
@@ -566,6 +597,21 @@ def _ladder(text: str) -> list:
     if any(r < 3 for r in ladder):
         raise ValueError("every grid point count must be >= 3")
     return ladder
+
+
+def _grid_count(text: str) -> int:
+    """One grid point count per axis, as a ``[manifold] resolution`` entry."""
+    ladder = _ladder(text)
+    if len(ladder) != 1:
+        raise ValueError("need one grid point count")
+    return ladder[0]
+
+
+def _radius_bound(text: str) -> float:
+    values = _floats(text)
+    if len(values) != 1 or not 0.0 < values[0] < math.inf:
+        raise ValueError("r_max must be one finite number > 0")
+    return values[0]
 
 
 def _ladder_issue(run: RunConfig, manifolds: dict, maps: dict, path: str,

@@ -1,4 +1,4 @@
-"""Programmatic fixture builders shared by the test suite and examples.
+"""Programmatic chart and map builders for the test suite.
 
 Everything here is expression backed, so analytic derivative oracles come
 for free; pass ``mode="fd"`` for the finite-difference variants used in
@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .expressions import Expression
-from .geometry import CoordinateBox, MetricChart
-from .maps import MapModel
+from czmap.expressions import Expression
+from czmap.geometry import CoordinateBox, MetricChart
+from czmap.maps import MapModel
 
 
 def flat_chart(lower, upper, resolution, dim: int | None = None,
@@ -59,6 +59,26 @@ def hyperbolic_chart(x_range=(-0.8, 0.8), y_range=(0.7, 2.3), resolution=33,
     res = [resolution, resolution] if np.isscalar(resolution) else resolution
     box = CoordinateBox([x_range[0], y_range[0]], [x_range[1], y_range[1]], res)
     return MetricChart(box, comps, derivative_mode=mode, name=name)
+
+
+def tilted_chart_3d() -> MetricChart:
+    """A 3-D chart whose metric varies and couples every axis pair."""
+    v = ("x", "y", "z")
+    comps = [[Expression("1 + x^2", v), Expression("0.3*sin(y)", v),
+              Expression("0", v)],
+             [None, Expression("2 + cos(x*z)", v), Expression("0.2*x*y", v)],
+             [None, None, Expression("1 + y^2 + 0.5*z", v)]]
+    return MetricChart(CoordinateBox([-0.5] * 3, [0.5] * 3, [5] * 3), comps,
+                       name="tilted-3d")
+
+
+def constant_tilted_chart() -> MetricChart:
+    """A constant metric with an off-diagonal entry."""
+    v = ("x1", "x2")
+    comps = [[Expression("2", v), Expression("0.5", v)],
+             [None, Expression("1", v)]]
+    return MetricChart(CoordinateBox([-1, -1], [1, 1], [5, 5]), comps,
+                       name="constant-tilted")
 
 
 def euclidean_target(extent: float = 1.2, dim: int = 3,

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from czmap.fixtures import (cylinder_immersion, flat_chart, hyperbolic_chart,
-                            identity_map, sphere_chart, sphere_immersion)
+from builders import (cylinder_immersion, flat_chart, hyperbolic_chart,
+                      identity_map, sphere_chart, sphere_immersion)
 from czmap.maps import generalized_hessian
 
 EQUATOR_BAND = (math.pi / 2 - 0.6, math.pi / 2 + 0.6)

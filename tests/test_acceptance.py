@@ -15,8 +15,8 @@ from czmap.engine import (compute_r_hat,
                           EllipticOperatorSpec)
 from czmap.errors import DegenerateRadius
 from czmap.expressions import Expression
-from czmap.fixtures import (cylinder_immersion, flat_chart, graph_immersion,
-                            sphere_chart, sphere_immersion)
+from builders import (cylinder_immersion, flat_chart, graph_immersion,
+                      sphere_chart, sphere_immersion)
 from czmap.geodesics import geodesic_distance, segment_length
 from czmap.harmonic import (check_hr_conditions, estimate_harmonic_radius,
                             solve_harmonic_chart)
@@ -93,7 +93,7 @@ class TestCriterion1ImmersionOracles:
 
 class TestCriterion2TraceIdentity:
     def test_two_routes_agree_everywhere(self):
-        from czmap.fixtures import hyperbolic_log_map, flat_to_sphere_map
+        from builders import hyperbolic_log_map, flat_to_sphere_map
         fixtures = [
             sphere_immersion(resolution=33),
             sphere_immersion(FD_THETA, FD_PHI, 65, mode="fd"),

@@ -11,9 +11,9 @@ from czmap.engine import (HarmonicRadii, build_cover, compute_r_hat,
 from czmap.errors import (CertificateRequired, DegenerateRadius,
                           PreconditionFailed, ResolutionTooCoarse)
 from czmap.expressions import Expression
-from czmap.fixtures import (flat_chart, flat_to_sphere_map, graph_immersion,
-                            hyperbolic_chart, identity_map, sphere_chart,
-                            sphere_immersion)
+from builders import (flat_chart, flat_to_sphere_map, graph_immersion,
+                      hyperbolic_chart, identity_map, sphere_chart,
+                      sphere_immersion)
 from czmap.geodesics import segment_length
 from czmap.harmonic import declared_certificate
 from czmap.maps import MapModel

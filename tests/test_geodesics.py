@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from builders import constant_tilted_chart, tilted_chart_3d
 from conftest import make_flat, make_hyperbolic, make_sphere
 from czmap.expressions import Expression
 from czmap.geodesics import (_metric_is_constant, distance_field,
@@ -148,3 +151,66 @@ class TestSegmentsAndLogMap:
         ends, oks = shoot(chart, [1.4, 0.6], v0)
         assert ends.tobytes() == expected[0].tobytes()
         assert np.array_equal(oks, expected[1])
+
+
+def _einsum_segment_length(chart, a, b, n_quad):
+    """The d.g.d contraction through ``chart.metric`` and ``einsum``, with
+    a bound on how far reordering the sums can move it."""
+    d = b - a
+    m = chart.dimension
+    if _metric_is_constant(chart):
+        n_quad = 1
+    total = bound = 0.0
+    for k in range(n_quad):
+        g = chart.metric(a + ((k + 0.5) / n_quad) * d)
+        q = np.maximum(np.einsum("...i,...ij,...j->...", d, g, d), 0.0)
+        size = np.einsum("...i,...ij,...j->...", np.abs(d), np.abs(g),
+                         np.abs(d))
+        # two sums of m^2 terms of at most three factors each
+        err = 4 * m * m * np.finfo(float).eps * size
+        total = total + np.sqrt(q)
+        safe = np.where(q > 0, q, 1.0)
+        bound = bound + np.where(q > 0, err / np.sqrt(safe), np.sqrt(err))
+    return total / n_quad, bound / n_quad
+
+
+SEGMENT_CHARTS = {
+    "flat": make_flat(), "scaled-flat-3d": make_flat(dim=3, res=5, scale=2.5),
+    "constant-tilted": constant_tilted_chart(), "sphere": make_sphere(),
+    "half-plane": make_hyperbolic(), "tilted-3d": tilted_chart_3d()}
+
+
+class TestSegmentQuadraticForm:
+    @settings(max_examples=120, deadline=None)
+    @given(name=st.sampled_from(sorted(SEGMENT_CHARTS)),
+           n_quad=st.sampled_from([1, 2, 8]), data=st.data())
+    def test_matches_einsum_contraction(self, name, n_quad, data):
+        chart = SEGMENT_CHARTS[name]
+        m = chart.dimension
+        rows = data.draw(st.integers(1, 6))
+        unit = st.lists(st.floats(0.0, 1.0), min_size=2 * rows * m,
+                        max_size=2 * rows * m)
+        t = np.array(data.draw(unit)).reshape(2, rows, m)
+        a, b = chart.box.lower + t * (chart.box.upper - chart.box.lower)
+        if data.draw(st.booleans()):
+            a = a[0]                            # one start for every row
+        expected, bound = _einsum_segment_length(chart, a, b, n_quad)
+        got = segment_length(chart, a, b, n_quad)
+        assert got.shape == expected.shape == (rows,)
+        # the shared sum and division, and products that underflow
+        slack = 4 * np.finfo(float).eps * expected \
+            + np.sqrt(np.finfo(float).smallest_normal)
+        assert np.all(np.abs(got - expected) <= bound + slack)
+
+    def test_reads_the_metric_oracles_only(self, monkeypatch):
+        chart = make_sphere()
+        a = np.array([[1.0, 0.2], [1.3, 0.9], [2.0, 1.1]])
+        b = np.array([[1.2, 0.5], [1.3, 0.1], [0.8, 0.3]])
+        expected = segment_length(chart, a, b)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("segment_length formed the metric matrices")
+
+        monkeypatch.setattr(MetricChart, "metric", banned)
+        monkeypatch.setattr(np, "einsum", banned)
+        assert segment_length(chart, a, b).tobytes() == expected.tobytes()

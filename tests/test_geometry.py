@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import constant_tilted_chart, tilted_chart_3d
 from conftest import make_flat, make_hyperbolic, make_sphere
 from czmap.errors import DegenerateMetric
 from czmap.expressions import Expression
@@ -195,29 +196,11 @@ def _explicit_half_plane():
                        derivative_oracles=oracles, name="explicit")
 
 
-def _tilted_3d():
-    v = ("x", "y", "z")
-    comps = [[Expression("1 + x^2", v), Expression("0.3*sin(y)", v),
-              Expression("0", v)],
-             [None, Expression("2 + cos(x*z)", v), Expression("0.2*x*y", v)],
-             [None, None, Expression("1 + y^2 + 0.5*z", v)]]
-    return MetricChart(CoordinateBox([-0.5] * 3, [0.5] * 3, [5] * 3), comps,
-                       name="tilted-3d")
-
-
-def _constant_tilted():
-    v = ("x1", "x2")
-    comps = [[Expression("2", v), Expression("0.5", v)],
-             [None, Expression("1", v)]]
-    return MetricChart(CoordinateBox([-1, -1], [1, 1], [5, 5]), comps,
-                       name="constant-tilted")
-
-
 ACCELERATION_CHARTS = {
-    "flat": make_flat(), "constant-tilted": _constant_tilted(),
+    "flat": make_flat(), "constant-tilted": constant_tilted_chart(),
     "sphere": make_sphere(), "half-plane": make_hyperbolic(),
     "sphere-fd": make_sphere(mode="fd"), "explicit": _explicit_half_plane(),
-    "tilted-3d": _tilted_3d()}
+    "tilted-3d": tilted_chart_3d()}
 
 
 class TestGeodesicAcceleration:
@@ -249,3 +232,47 @@ class TestGeodesicAcceleration:
         # products of tiny velocities may underflow differently
         assert np.all(np.abs(got - expected)
                       <= ulp + np.finfo(float).smallest_normal)
+
+
+class TestInterpolate:
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 3), res=st.lists(st.integers(3, 6), min_size=3,
+                                             max_size=3),
+           trailing=st.lists(st.integers(1, 3), max_size=2),
+           rows=st.integers(1, 12), extrapolate=st.booleans(),
+           nan_values=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_same_bits_as_regular_grid_interpolator(
+            self, m, res, trailing, rows, extrapolate, nan_values, seed):
+        from scipy.interpolate import RegularGridInterpolator
+        # generic floats from a seeded generator: round numbers would
+        # hide a change in the order of the products
+        rng = np.random.default_rng(seed)
+        lower = rng.uniform(-5.0, 5.0, m)
+        width = rng.uniform(0.01, 10.0, m)
+        box = CoordinateBox(lower, lower + width, res[:m])
+        values = rng.normal(scale=rng.uniform(0.1, 1e3),
+                            size=tuple(res[:m]) + tuple(trailing))
+        if nan_values:
+            values[rng.random(values.shape) < 0.2] = np.nan
+        # coordinates inside, outside (up to half a box away), on grid
+        # nodes and nan
+        points = lower + rng.uniform(-0.5, 1.5, (rows, m)) * width
+        kind = rng.integers(0, 4, (rows, m))
+        for r, k in zip(*np.nonzero(kind == 0)):
+            points[r, k] = box.axes[k][rng.integers(res[k])]
+        points[kind == 1] = np.nan
+        expected = RegularGridInterpolator(
+            box.axes, values, bounds_error=False,
+            fill_value=None if extrapolate else np.nan)(points)
+        got = box.interpolate(values, points, extrapolate=extrapolate)
+        assert got.shape == expected.shape == (rows,) + tuple(trailing)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_point_shape_is_kept(self):
+        box = CoordinateBox([0.0, 0.0], [1.0, 2.0], [3, 5])
+        values = np.add.outer(box.axes[0], box.axes[1])      # x + y, exact
+        points = np.array([[[0.25, 0.5], [1.0, 2.0]], [[0.5, 1.5], [0.0, 0.0]]])
+        assert box.interpolate(values, points).shape == (2, 2)
+        assert box.interpolate(values, points[0, 0]) == 0.75
+        assert np.isnan(box.interpolate(values, [1.5, 0.0]))
+        assert box.interpolate(values, [1.5, 0.0], extrapolate=True) == 1.5

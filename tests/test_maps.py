@@ -5,8 +5,8 @@ import pytest
 
 from czmap.errors import NotImmersion, TargetEscape
 from czmap.expressions import Expression
-from czmap.fixtures import (flat_chart, graph_immersion, identity_map,
-                            sphere_immersion)
+from builders import (flat_chart, graph_immersion, identity_map,
+                      sphere_immersion)
 from czmap.maps import (MapModel, generalized_hessian, immersion_check,
                         uniform_continuity_profile)
 
@@ -73,7 +73,7 @@ class TestGeneralizedHessian:
     def test_interpolated_target_symbols_match_analytic(self):
         # fd-mode target charts fall back to multilinear interpolation of
         # the grid symbols along the image
-        from czmap.fixtures import flat_to_sphere_map, sphere_chart
+        from builders import flat_to_sphere_map, sphere_chart
         analytic = flat_to_sphere_map(resolution=17)
         fd_target = MapModel(analytic.source_chart,
                              sphere_chart((1.25, 1.9), (-0.35, 0.35), 49,

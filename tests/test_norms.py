@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_flat
 from czmap.errors import UnsupportedExponent
 from czmap.expressions import Expression
-from czmap.fixtures import flat_chart, sphere_immersion
+from builders import flat_chart, sphere_immersion
 from czmap.geometry import CoordinateBox
 from czmap.norms import (NormRequest, PairTable, _pair_indices,
                          dist_to_basepoint_field, holder_seminorm, lp_norm,
@@ -156,7 +156,7 @@ class TestHolderSeminorm:
 
 class TestDistanceField:
     def test_constant_map_gives_zero(self):
-        from czmap.fixtures import flat_chart as fc
+        from builders import flat_chart as fc
         from czmap.maps import MapModel
         v = ("x1", "x2")
         source = fc(-1.0, 1.0, 21, dim=2)
@@ -167,7 +167,7 @@ class TestDistanceField:
         assert np.abs(field).max() < 1e-12
 
     def test_identity_map_gives_euclidean_norm(self):
-        from czmap.fixtures import flat_chart as fc
+        from builders import flat_chart as fc
         from czmap.maps import MapModel
         v = ("x1", "x2")
         source = fc(-1.0, 1.0, 21, dim=2)

@@ -570,6 +570,38 @@ class TestCli:
         assert f"[{invariant}] {flag} {value}:" in issue
         assert issue.startswith(fixture_path("flat-identity") + ":0: ")
 
+    @pytest.mark.parametrize("flag, value, invariant", [
+        ("--resolution", "2", "NumberFormat"),
+        ("--resolution", "0", "NumberFormat"),
+        ("--resolution", "2.5", "NumberFormat"),
+        ("--resolution", "abc", "NumberFormat"),
+        ("--resolution", "nan", "NumberFormat"),
+        ("--resolution", "inf", "NumberFormat"),
+        ("--resolution", "29,33", "NumberFormat"),
+        ("--resolution", "46341", "Resolution"),
+        ("--r-max", "-1", "HarmonicRadius"), ("--r-max", "0", "HarmonicRadius"),
+        ("--r-max", "nan", "HarmonicRadius"),
+        ("--r-max", "inf", "HarmonicRadius"),
+        ("--r-max", "abc", "HarmonicRadius")])
+    def test_bad_radius_flag_is_one_issue(self, capsys, flag, value,
+                                          invariant):
+        # checked before any chart is built, so 46341^2 grid points are
+        # never allocated
+        assert main(["radius", "--scenario", "flat-identity", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        issue, = captured.err.strip().split("\n")
+        assert f"[{invariant}] {flag} {value}:" in issue
+        assert issue.startswith(fixture_path("flat-identity") + ":0: ")
+
+    def test_radius_flags_set_grid_and_bisection(self, capsys):
+        assert main(["radius", "--scenario", "flat-identity",
+                     "--resolution", "9", "--r-max", "0.1"]) == 0
+        out = capsys.readouterr().out
+        # a 9-point grid is too coarse for a radius of 0.1 on the source
+        assert "source at [0.0, 0.0]: r_1,1/2 undetermined" in out
+        assert out.count("(r_max 0.1, ") == 2
+
     def test_override_ladder_grid_limit(self):
         # validation alone: a run at these levels would allocate the grid
         for ladder, kind in (("46341", "Resolution"), ("29, 1e300", "Resolution"),

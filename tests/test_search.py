@@ -4,7 +4,7 @@ import pytest
 from czmap.engine import HarmonicRadii, verify_global_estimate
 from czmap.errors import EmptyFeasibleSet, PreconditionFailed
 from czmap.expressions import Expression
-from czmap.fixtures import flat_chart
+from builders import flat_chart
 from czmap.maps import MapModel
 from czmap.runner import run_scenario
 from czmap.scenario import fixture_path, load_scenario

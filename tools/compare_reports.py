@@ -5,14 +5,15 @@
 Each argument is a directory that holds the ``czmap`` package (a
 checkout's ``src``).  For each tree and each fixture in that tree's
 ``czmap/fixtures``, the script runs ``czmap run --scenario <fixture>
---out <prefix>`` and ``czmap validate --scenario <fixture>`` in a fresh
-interpreter with the tree on PYTHONPATH.  It then compares
+--out <prefix>`` and ``czmap validate --scenario <fixture>`` and ``czmap radius --scenario
+<fixture>`` in a fresh interpreter with the tree on PYTHONPATH.  It then
+compares
 
 * the JSONL records, parsed, with the wall-clock key ``timing_seconds``
   removed;
 * the TSV files, byte for byte;
-* the ``validate`` stdout, byte for byte;
-* the exit codes of both commands.
+* the ``validate`` and ``radius`` stdout, byte for byte;
+* the exit codes of all three commands.
 
 It prints every difference and exits 1 if there is one, else 0.  Only
 the standard library is used; fixtures run one at a time.
@@ -54,6 +55,7 @@ def outputs(src: str, fixture: str, workdir: str) -> dict:
     prefix = os.path.join(workdir, fixture)
     run = _czmap(src, ["run", "--scenario", fixture, "--out", prefix])
     validate = _czmap(src, ["validate", "--scenario", fixture])
+    radius = _czmap(src, ["radius", "--scenario", fixture])
     jsonl = prefix + ".jsonl"
     return {
         "run exit code": run.returncode,
@@ -62,6 +64,8 @@ def outputs(src: str, fixture: str, workdir: str) -> dict:
         "TSV bytes": _read(prefix + ".tsv"),
         "validate exit code": validate.returncode,
         "validate stdout": validate.stdout,
+        "radius exit code": radius.returncode,
+        "radius stdout": radius.stdout,
     }
 
 
