@@ -9,8 +9,8 @@ from .engine import (BallEstimateInstance, EllipticOperatorSpec,
                      verify_interior_estimate, verify_scaling_identities)
 from .expressions import Expression, parse_expression, to_string
 from .geodesics import geodesic_distance, metric_ball
-from .geometry import (ChristoffelField, CoordinateBox, MetricChart,
-                       check_ricci_lower_bound, ricci_samples)
+from .geometry import (CoordinateBox, MetricChart, check_ricci_lower_bound,
+                       ricci_samples)
 from .harmonic import (HarmonicChartCandidate, RadiusCertificate,
                        check_hr_conditions, derivative_decay_experiment,
                        estimate_harmonic_radius, solve_harmonic_chart)

@@ -117,7 +117,7 @@ def cmd_radius(args) -> int:
                 print(f"    r={rec['r']:.5g} verdict={rec['verdict']} "
                       f"hr1_margin={rec['hr1_margin']:.4g} "
                       f"hr2_value={rec['hr2_value']:.4g} "
-                      f"residual={rec['residual']:.3g}")
+                      f"residual={rec['residual']:.0e}")
     return status
 
 

@@ -375,13 +375,13 @@ def verify_ball_estimate(map_model: MapModel, x, y, r: float, R: float,
 
     vol = source.grid_sqrt_det()
     box = source.box
-    lhs = lp_norm_on(box, p, jet.norm_hess(), vol, ball_half.mask)
-    t_lap = lp_norm_on(box, p, jet.norm_laplacian(), vol, ball_2r.mask)
-    du_2p = lp_norm_on(box, 2 * p, jet.norm_du(), vol, ball_2r.mask)
+    lhs = lp_norm_on(box, p, jet.norm_hess, vol, ball_half.mask)
+    t_lap = lp_norm_on(box, p, jet.norm_laplacian, vol, ball_2r.mask)
+    du_2p = lp_norm_on(box, 2 * p, jet.norm_du, vol, ball_2r.mask)
     inv_R = 0.0 if np.isinf(R) else 1.0 / R
     t_du_sq = inv_R * du_2p ** 2
     t_dist = r ** (-2) * lp_norm_on(box, p, dist_to_y, vol, ball_2r.mask)
-    t_du = r ** (-1) * lp_norm_on(box, p, jet.norm_du(), vol, ball_2r.mask)
+    t_du = r ** (-1) * lp_norm_on(box, p, jet.norm_du, vol, ball_2r.mask)
     terms = {"lhs_hess": lhs, "t_laplacian": t_lap, "t_du_2p_sq": t_du_sq,
              "t_dist": t_dist, "t_du": t_du}
     ratio = _ratio(lhs, t_lap + t_du_sq + t_dist + t_du)
@@ -597,10 +597,10 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
 
     values = map_model.values_on_grid()
     wflat = (quadrature_weights(box) * source.grid_sqrt_det()).reshape(-1)
-    du = jet.norm_du().reshape(-1)
+    du = jet.norm_du.reshape(-1)
     dist_o = omega.dist_to_o.reshape(-1)
-    hess_p = np.abs(jet.norm_hess().reshape(-1)) ** p * wflat
-    lap_p = np.abs(jet.norm_laplacian().reshape(-1)) ** p * wflat
+    hess_p = np.abs(jet.norm_hess.reshape(-1)) ** p * wflat
+    lap_p = np.abs(jet.norm_laplacian.reshape(-1)) ** p * wflat
     du_p = np.abs(du) ** p * wflat
     du_2p = np.abs(du) ** (2 * p) * wflat
     dist_p = np.abs(dist_o) ** p * wflat
@@ -674,7 +674,8 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
 def verify_euclidean_corollaries(map_model: MapModel, p: float,
                                  mode: str = "intro",
                                  basepoint=None,
-                                 radii: HarmonicRadii | None = None) -> dict:
+                                 radii: HarmonicRadii | None = None,
+                                 jet: JetField | None = None) -> dict:
     """Immersion inequalities: second-fundamental-form norm against mean
     curvature plus lower-order data.
 
@@ -686,18 +687,18 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
     """
     if mode not in ("intro", "corollaryA"):
         raise ValueError(f"unknown mode {mode!r}")
-    imm = immersion_check(map_model)
+    imm = immersion_check(map_model, jet)
     jet = imm.jet
     source = map_model.source_chart
     box = source.box
     vol = source.grid_sqrt_det()
-    norm_ii = lp_norm_on(box, p, jet.norm_hess(), vol)
-    norm_h = lp_norm_on(box, p, jet.norm_laplacian(), vol)
+    norm_ii = lp_norm_on(box, p, jet.norm_hess, vol)
+    norm_h = lp_norm_on(box, p, jet.norm_laplacian, vol)
     m = source.dimension
-    du_sq = jet.norm_du() ** 2
+    du_sq = jet.norm_du ** 2
     isometric_defect = float(np.abs(du_sq - m).max())
     volume = float((quadrature_weights(box) * vol).sum())
-    du_2p = lp_norm_on(box, 2 * p, jet.norm_du(), vol)
+    du_2p = lp_norm_on(box, 2 * p, jet.norm_du, vol)
     record = {
         "mode": mode, "p": p,
         "norm_ii": norm_ii, "norm_h": norm_h,

@@ -274,7 +274,7 @@ def log_map(chart: MetricChart, x, targets):
     return v, converged
 
 
-def geodesic_distance(chart: MetricChart, x, y, refine: bool = True) -> float:
+def geodesic_distance(chart: MetricChart, x, y) -> float:
     """Geodesic distance between two chart points.
 
     Graph estimate refined by one Newton shooting pass; the graph value is
@@ -293,8 +293,6 @@ def geodesic_distance(chart: MetricChart, x, y, refine: bool = True) -> float:
     node_y = box.ravel_index(box.nearest_index(y))
     hop = segment_length(chart, box.points()[node_y], y)
     graph_est = float(min(field_x[node_y] + hop, segment_length(chart, x, y)))
-    if not refine:
-        return graph_est
     v, converged = log_map(chart, x, y[None, :])
     if converged[0]:
         G = chart.metric(x)

@@ -164,19 +164,18 @@ class MetricChart:
     derivative_mode "analytic" uses the components' ``partial(axis)``
     method (expressions provide it) or explicit entries in
     ``derivative_oracles[(i, j, k)]``; "fd" uses central differences with
-    per-axis step ``fd_step`` (default: the grid step).
+    per-axis step ``fd_step`` (the grid step unless reassigned).
     """
 
     def __init__(self, box: CoordinateBox, components, derivative_mode="analytic",
-                 fd_step=None, derivative_oracles=None, name="chart"):
+                 derivative_oracles=None, name="chart"):
         self.box = box
         m = box.dimension
         self.components = _symmetrize(components, m)
         if derivative_mode not in ("analytic", "fd"):
             raise ValueError(f"unknown derivative_mode {derivative_mode!r}")
         self.derivative_mode = derivative_mode
-        self.fd_step = np.asarray(fd_step, dtype=float) if fd_step is not None \
-            else box.steps.copy()
+        self.fd_step = box.steps.copy()
         self.derivative_oracles = dict(derivative_oracles or {})
         self.name = name
         self._cache: dict = {}
@@ -308,22 +307,6 @@ class MetricChart:
             acc[..., r] = s / g[r][r]
         return acc
 
-    def metric_at(self, x):
-        """Metric data at one point.
-
-        Returns ``(G, Ginv, vol_density, (lam_min, lam_max))`` where the
-        eigenvalue pair is the ellipticity sandwich of G.  Raises
-        DegenerateMetric when G is not positive definite.
-        """
-        x = np.asarray(x, dtype=float)
-        G = self.metric(x)
-        eig = np.linalg.eigvalsh(G)
-        if eig[0] <= SPD_EIGENVALUE_FLOOR:
-            raise DegenerateMetric(x, eig[0])
-        Ginv = np.linalg.inv(G)
-        vol = float(np.sqrt(np.linalg.det(G)))
-        return G, Ginv, vol, (float(eig[0]), float(eig[-1]))
-
     # -- grid samples ----------------------------------------------------------
 
     def _grid(self, key, builder):
@@ -351,12 +334,10 @@ class MetricChart:
         return self._grid("sqrt_det",
                           lambda: np.sqrt(np.linalg.det(self.grid_metric())))
 
-    def grid_christoffel(self) -> "ChristoffelField":
-        def build():
-            pts = self.box.points()
-            gam = self.christoffel_at(pts).reshape(self.box.shape + (self.dimension,) * 3)
-            return ChristoffelField(values=gam)
-        return self._grid("christoffel", build)
+    def grid_christoffel(self) -> np.ndarray:
+        """Christoffel symbols on the grid, ``(*grid, l, i, j)``."""
+        return self._grid("christoffel", lambda: self.christoffel_at(
+            self.box.points()).reshape(self.box.shape + (self.dimension,) * 3))
 
     def ellipticity_range(self):
         """(min, max) metric eigenvalue over the grid."""
@@ -365,13 +346,6 @@ class MetricChart:
 
     def __repr__(self):
         return f"MetricChart({self.name!r}, box={self.box!r}, mode={self.derivative_mode!r})"
-
-
-@dataclass
-class ChristoffelField:
-    """Grid-sampled Christoffel symbols, ``values[..., l, i, j]``."""
-
-    values: np.ndarray
 
 
 @dataclass
@@ -395,7 +369,7 @@ def ricci_samples(chart: MetricChart) -> RicciSamples:
     relative to g (the pairing that enters lower Ricci bounds).
     """
     m = chart.dimension
-    gam = chart.grid_christoffel().values        # (*grid, l, i, j)
+    gam = chart.grid_christoffel()               # (*grid, l, i, j)
     steps = chart.box.steps
     dgam = [fd.diff1(gam, axis=a, h=steps[a]) for a in range(m)]
     # dgam[a][..., l, i, j] = d_a Gamma^l_ij

@@ -414,7 +414,9 @@ def estimate_harmonic_radius(chart: MetricChart, x,
     if top.holds:
         return RadiusEstimate(value=r_max, at_least=True, certificates=tested)
     lo, hi = 0.0, r_max
-    min_gap = float(chart.box.steps.min())
+    # the grid step in metric units at x, as hi and lo are metric radii
+    min_gap = float(chart.box.steps.min()
+                    * np.sqrt(np.linalg.eigvalsh(chart.metric(x))[0]))
     for _ in range(bisection_steps):
         if hi - lo < min_gap:
             break

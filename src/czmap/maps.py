@@ -7,12 +7,12 @@ has coordinate components
     Hess(u)^a_ij = d_i d_j u^a - sGamma^l_ij d_l u^a
                    + tGamma^a_bc(u) d_i u^b d_j u^c,
 
-its trace against g^{ij} is the generalized Laplacian (tension field), and
-the nonlinear term T^a_ij = tGamma^a_bc(u) d_i u^b d_j u^c is kept
-separately.  Pointwise norms use the full tensor contractions
+and its trace against g^{ij} is the generalized Laplacian (tension
+field).  Pointwise norms use the full tensor contractions
 
     |du|^2      = g^{ij} h_ab(u) d_i u^a d_j u^b,
-    |Hess(u)|^2 = Hess^a_ij Hess^b_lk g^{ik} g^{jl} h_ab(u).
+    |Hess(u)|^2 = Hess^a_ij Hess^b_lk g^{ik} g^{jl} h_ab(u),
+    |Lap(u)|^2  = h_ab(u) Lap^a Lap^b.
 
 For isometric immersions these are the second fundamental form and mean
 curvature data.
@@ -20,7 +20,7 @@ curvature data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,15 +123,6 @@ def field_jet(u, values: np.ndarray, points: np.ndarray, steps,
     return grad, hess
 
 
-def target_metric_at(map_model: MapModel, values: np.ndarray) -> np.ndarray:
-    """h_ab evaluated along the image, shape ``(..., n, n)``."""
-    inside = map_model.target_chart.box.contains(values)
-    if not np.all(inside):
-        bad = np.argwhere(~inside)
-        raise TargetEscape(bad[0], values[tuple(bad[0])] if values.ndim > 1 else values)
-    return map_model.target_chart.metric(values)
-
-
 def target_christoffel_at(map_model: MapModel, values: np.ndarray) -> np.ndarray:
     """tGamma^a_bc along the image, shape ``(..., n, n, n)``.
 
@@ -141,111 +132,71 @@ def target_christoffel_at(map_model: MapModel, values: np.ndarray) -> np.ndarray
     target = map_model.target_chart
     if target.derivative_mode == "analytic":
         return target.christoffel_at(values)
-    return target.box.interpolate(target.grid_christoffel().values, values,
+    return target.box.interpolate(target.grid_christoffel(), values,
                                   extrapolate=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class JetField:
-    """Sampled first/second order data of a map, with derived norms.
+    """Sampled first and second order data of a map and its pointwise norms.
 
-    ``hess`` already contains the nonlinear term; ``nonlinear_term`` keeps
-    that term on its own and ``scalar_hess`` is the source-covariant part
-    (d_i d_j u^a - sGamma^l_ij d_l u^a).
+    Every array is read-only: the norms are formed once from the others.
     """
 
-    map_model: MapModel
     du: np.ndarray                 # (*grid, n, m)
-    scalar_hess: np.ndarray        # (*grid, n, m, m)
-    nonlinear_term: np.ndarray     # (*grid, n, m, m)
     hess: np.ndarray               # (*grid, n, m, m)
-    laplacian: np.ndarray          # (*grid, n) trace route
-    laplacian_split: np.ndarray    # (*grid, n) scalar-Laplacian route
+    laplacian: np.ndarray          # (*grid, n)
     target_metric: np.ndarray      # (*grid, n, n) h at u(x)
+    norm_du: np.ndarray            # (*grid,)
+    norm_hess: np.ndarray          # (*grid,)
+    norm_laplacian: np.ndarray     # (*grid,)
 
-    @property
-    def source_chart(self) -> MetricChart:
-        return self.map_model.source_chart
-
-    def trace_identity_defect(self) -> float:
-        """max |g^{ij} Hess^a_ij - Laplacian^a| over grid and components."""
-        ginv = self.source_chart.grid_inverse()
-        trace = np.einsum("...ij,...aij->...a", ginv, self.hess)
-        return float(np.abs(trace - self.laplacian).max())
-
-    def route_agreement(self) -> float:
-        """max difference between the two Laplacian computation routes."""
-        return float(np.abs(self.laplacian - self.laplacian_split).max())
-
-    def norm_du(self) -> np.ndarray:
-        ginv = self.source_chart.grid_inverse()
-        sq = np.einsum("...ij,...ab,...ai,...bj->...",
-                       ginv, self.target_metric, self.du, self.du)
-        return np.sqrt(np.maximum(sq, 0.0))
-
-    def norm_hess(self) -> np.ndarray:
-        ginv = self.source_chart.grid_inverse()
-        sq = np.einsum("...aij,...blk,...ik,...jl,...ab->...",
-                       self.hess, self.hess, ginv, ginv, self.target_metric)
-        return np.sqrt(np.maximum(sq, 0.0))
-
-    def norm_laplacian(self) -> np.ndarray:
-        sq = np.einsum("...ab,...a,...b->...",
-                       self.target_metric, self.laplacian, self.laplacian)
-        return np.sqrt(np.maximum(sq, 0.0))
-
-    def hs_chain_terms(self) -> np.ndarray:
-        """sum_a (|G^-1 Hess(u^a)|_HS + |G^-1 T^a|_HS) per grid point."""
-        ginv = self.source_chart.grid_inverse()
-        gh = np.einsum("...ik,...akj->...aij", ginv, self.scalar_hess)
-        gt = np.einsum("...ik,...akj->...aij", ginv, self.nonlinear_term)
-        return (np.sqrt(np.sum(gh ** 2, axis=(-2, -1)))
-                + np.sqrt(np.sum(gt ** 2, axis=(-2, -1)))).sum(axis=-1)
-
-    def hessian_chain_bound(self) -> float:
-        """Smallest pointwise b with |Hess(u)| <= b * HS chain sum."""
-        lhs = self.norm_hess()
-        rhs = self.hs_chain_terms()
-        active = rhs > 1e-14 * max(1.0, float(lhs.max()))
-        if not np.any(active):
-            return 0.0
-        return float(np.max(lhs[active] / rhs[active]))
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
 
 
-def generalized_hessian(map_model: MapModel) -> JetField:
-    """Full second-order jet of a map; see the module formula."""
+def _norm(sq: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def component_derivatives(map_model: MapModel) -> tuple:
+    """(u^a, d_i u^a, d_i d_j u^a) on the source grid, shapes
+    ``(*grid, n)``, ``(*grid, n, m)`` and ``(*grid, n, m, m)``."""
     source = map_model.source_chart
     box = source.box
     m, n = source.dimension, map_model.target_dimension
     values = map_model.values_on_grid().reshape(box.shape + (n,))
-    du = np.empty(box.shape + (n, m))            # d_i u^a
-    ddu = np.empty(box.shape + (n, m, m))        # d_i d_j u^a
+    du = np.empty(box.shape + (n, m))
+    ddu = np.empty(box.shape + (n, m, m))
     for a, comp in enumerate(map_model.components):
         grad, hess = field_jet(comp, values[..., a], box.points(), box.steps,
                                source.derivative_mode)
         du[..., a, :] = np.moveaxis(grad, 0, -1)
         ddu[..., a, :, :] = np.moveaxis(hess, (0, 1), (-2, -1))
-    sgam = source.grid_christoffel().values
+    return values, du, ddu
+
+
+def generalized_hessian(map_model: MapModel) -> JetField:
+    """Full second-order jet of a map; see the module formula."""
+    source = map_model.source_chart
+    values, du, ddu = component_derivatives(map_model)
+    sgam = source.grid_christoffel()
     tgam_at_u = target_christoffel_at(map_model, values)
-    h_at_u = target_metric_at(map_model, values)
+    h_at_u = map_model.target_chart.metric(values)
 
-    scalar_hess = ddu - np.einsum("...lij,...al->...aij", sgam, du)
-    nonlinear = np.einsum("...abc,...bi,...cj->...aij", tgam_at_u, du, du)
-    hess = scalar_hess + nonlinear
-
+    hess = (ddu - np.einsum("...lij,...al->...aij", sgam, du)
+            + np.einsum("...abc,...bi,...cj->...aij", tgam_at_u, du, du))
     ginv = source.grid_inverse()
     laplacian = np.einsum("...ij,...aij->...a", ginv, hess)
-    # split route: scalar Laplace-Beltrami of the components plus the
-    # nonlinear trace, matching the trace of the assembled Hessian
-    scalar_lap = (np.einsum("...ij,...aij->...a", ginv, ddu)
-                  - np.einsum("...ij,...lij,...al->...a", ginv, sgam, du))
-    nonlinear_trace = np.einsum("...abc,...ij,...bi,...cj->...a",
-                                tgam_at_u, ginv, du, du)
-    laplacian_split = scalar_lap + nonlinear_trace
-
-    return JetField(map_model=map_model, du=du, scalar_hess=scalar_hess,
-                    nonlinear_term=nonlinear, hess=hess, laplacian=laplacian,
-                    laplacian_split=laplacian_split, target_metric=h_at_u)
+    return JetField(
+        du=du, hess=hess, laplacian=laplacian, target_metric=h_at_u,
+        norm_du=_norm(np.einsum("...ij,...ab,...ai,...bj->...",
+                                ginv, h_at_u, du, du)),
+        norm_hess=_norm(np.einsum("...aij,...blk,...ik,...jl,...ab->...",
+                                  hess, hess, ginv, ginv, h_at_u)),
+        norm_laplacian=_norm(np.einsum("...ab,...a,...b->...",
+                                       h_at_u, laplacian, laplacian)))
 
 
 @dataclass
@@ -253,19 +204,17 @@ class ImmersionData:
     """Immersion specialization of a jet.
 
     The second fundamental form is ``jet.hess`` and the mean curvature its
-    trace ``jet.laplacian``; defects quantify how isometric and how normal
-    the data is.
+    trace ``jet.laplacian``; the defects measure how isometric (pullback
+    metric against g) and how normal (h(Hess_ij, d_k u)) the data is.
     """
 
     jet: JetField
-    pullback_metric: np.ndarray       # (*grid, m, m)
     isometry_defect: float
-    normality: np.ndarray             # (*grid, m, m, m): h(Hess_ij, d_k u)
     normality_defect: float
 
 
 def immersion_check(map_model: MapModel, jet: JetField | None = None) -> ImmersionData:
-    """Pullback metric, isometry defect and Gauss-formula normality.
+    """Isometry defect and Gauss-formula normality of a jet.
 
     Raises NotImmersion when the differential drops rank (smallest singular
     value below the FD noise floor) at some grid point.
@@ -281,11 +230,9 @@ def immersion_check(map_model: MapModel, jet: JetField | None = None) -> Immersi
     h = jet.target_metric
     pullback = np.einsum("...ab,...ai,...bj->...ij", h, du, du)
     g = map_model.source_chart.grid_metric()
-    isometry_defect = float(np.abs(pullback - g).max())
     normality = np.einsum("...ab,...aij,...bk->...ijk", h, jet.hess, du)
-    return ImmersionData(jet=jet, pullback_metric=pullback,
-                         isometry_defect=isometry_defect,
-                         normality=normality,
+    return ImmersionData(jet=jet,
+                         isometry_defect=float(np.abs(pullback - g).max()),
                          normality_defect=float(np.abs(normality).max()))
 
 

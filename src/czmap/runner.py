@@ -182,7 +182,7 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
                              if scenario.run.basepoint is not None else None)
                 rec = verify_euclidean_corollaries(
                     map_model, p, mode=mode, basepoint=basepoint,
-                    radii=radii if mode == "corollaryA" else None)
+                    radii=radii if mode == "corollaryA" else None, jet=jet)
                 rep = report(
                     p=p, terms={k: v for k, v in rec.items()
                                 if isinstance(v, (int, float))},

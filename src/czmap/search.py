@@ -70,8 +70,6 @@ class MapFamily:
 
 def extremal_ratio_search(family: MapFamily, seed: int = SEARCH_SEED,
                           restarts: int = RESTARTS,
-                          initial_step_fraction: float = INITIAL_STEP_FRACTION,
-                          contraction: float = CONTRACTION,
                           max_contractions: int = MAX_CONTRACTIONS) -> SearchResult:
     """Maximize the family's ratio by restarted pattern search.
 
@@ -104,7 +102,7 @@ def extremal_ratio_search(family: MapFamily, seed: int = SEARCH_SEED,
     for start in starts:
         params = np.asarray(start, dtype=float)
         value = evaluate(params, "restart")
-        step = initial_step_fraction * span
+        step = INITIAL_STEP_FRACTION * span
         contractions = 0
         while True:
             phase = "final-poll" if contractions >= max_contractions else "poll"
@@ -126,7 +124,7 @@ def extremal_ratio_search(family: MapFamily, seed: int = SEARCH_SEED,
                 continue
             if contractions >= max_contractions:
                 break
-            step = step * contraction
+            step = step * CONTRACTION
             contractions += 1
         if value is not None and value > best_value:
             best_value, best_params = value, params

@@ -2,7 +2,9 @@
 
 Everything here is expression backed, so analytic derivative oracles come
 for free; pass ``mode="fd"`` for the finite-difference variants used in
-convergence studies.
+convergence studies.  The jet references at the end recompute parts of a
+map's generalized Hessian by a second route from the map's own
+primitives, so tests can check ``maps.generalized_hessian`` against them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import numpy as np
 
 from czmap.expressions import Expression
 from czmap.geometry import CoordinateBox, MetricChart
-from czmap.maps import MapModel
+from czmap.maps import (MapModel, component_derivatives,
+                        target_christoffel_at)
 
 
 def flat_chart(lower, upper, resolution, dim: int | None = None,
@@ -159,3 +162,48 @@ def flat_to_sphere_map(resolution: int = 65, scale: float = 0.5) -> MapModel:
              Expression(f"{scale:.17g}*x2", v)]
     return MapModel(source, target, comps, lipschitz_bound=scale,
                     name="flat-to-sphere")
+
+
+# ---------------------------------------------------------------------------
+# jet references
+# ---------------------------------------------------------------------------
+
+def hessian_parts(map_model: MapModel) -> tuple:
+    """The two parts of the generalized Hessian: the source-covariant
+    d_i d_j u^a - sGamma^l_ij d_l u^a and the nonlinear term
+    tGamma^a_bc(u) d_i u^b d_j u^c."""
+    values, du, ddu = component_derivatives(map_model)
+    sgam = map_model.source_chart.grid_christoffel()
+    tgam = target_christoffel_at(map_model, values)
+    return (ddu - np.einsum("...lij,...al->...aij", sgam, du),
+            np.einsum("...abc,...bi,...cj->...aij", tgam, du, du))
+
+
+def split_laplacian(map_model: MapModel) -> np.ndarray:
+    """Tension field ``(*grid, n)`` by the split route: the scalar
+    Laplace-Beltrami operator of each component plus the trace of the
+    nonlinear term."""
+    values, du, ddu = component_derivatives(map_model)
+    source = map_model.source_chart
+    ginv = source.grid_inverse()
+    sgam = source.grid_christoffel()
+    tgam = target_christoffel_at(map_model, values)
+    scalar_lap = (np.einsum("...ij,...aij->...a", ginv, ddu)
+                  - np.einsum("...ij,...lij,...al->...a", ginv, sgam, du))
+    return scalar_lap + np.einsum("...abc,...ij,...bi,...cj->...a",
+                                  tgam, ginv, du, du)
+
+
+def hessian_chain_bound(map_model: MapModel, jet) -> float:
+    """Smallest pointwise b with |Hess(u)| <= b * sum_a (|G^-1 H^a|_HS +
+    |G^-1 T^a|_HS), H and T the two ``hessian_parts``."""
+    ginv = map_model.source_chart.grid_inverse()
+    gh, gt = (np.einsum("...ik,...akj->...aij", ginv, part)
+              for part in hessian_parts(map_model))
+    rhs = (np.sqrt(np.sum(gh ** 2, axis=(-2, -1)))
+           + np.sqrt(np.sum(gt ** 2, axis=(-2, -1)))).sum(axis=-1)
+    lhs = jet.norm_hess
+    active = rhs > 1e-14 * max(1.0, float(lhs.max()))
+    if not np.any(active):
+        return 0.0
+    return float(np.max(lhs[active] / rhs[active]))

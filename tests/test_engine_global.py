@@ -312,6 +312,35 @@ class TestEuclideanCorollaries:
         assert rec["r"] == pytest.approx(0.3)
         assert np.isfinite(rec["ratio"]) and rec["ratio"] > 0
 
+    @pytest.mark.parametrize("mode", ["intro", "corollaryA"])
+    def test_run_builds_one_jet_per_level(self, mode, monkeypatch, tmp_path):
+        import czmap.engine as engine
+        import czmap.maps as maps
+        import czmap.runner as runner
+        from czmap.scenario import fixture_path, load_scenario
+        calls = []
+        original = maps.generalized_hessian
+
+        def counting_generalized_hessian(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (maps, engine, runner):
+            monkeypatch.setattr(module, "generalized_hessian",
+                                counting_generalized_hessian)
+        with open(fixture_path("sphere-immersion"), encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / f"sphere-{mode}.scn"
+        path.write_text(text.replace("mode = intro", f"mode = {mode}"),
+                        encoding="utf-8")
+        scenario = load_scenario(str(path))
+        assert scenario.run.mode == mode
+        assert scenario.override_run("1.5, 2, 4", "17, 33") is None
+        reports = runner.run_scenario(scenario)
+        assert len(reports) == 6
+        assert all(rep.error is None for rep in reports)
+        assert len(calls) == 2
+
     def test_corollary_mode_requires_radii(self):
         psi = sphere_immersion(resolution=17)
         with pytest.raises(CertificateRequired):

@@ -15,30 +15,33 @@ from czmap.geometry import (CoordinateBox, MetricChart, RicciBoundWarning,
 
 
 class TestMetricAt:
+    """Metric values at points and the grid's inverse, volume density and
+    eigenvalue sandwich."""
+
     def test_flat_identity(self):
         chart = make_flat()
-        G, Ginv, vol, (lo, hi) = chart.metric_at([0.3, -0.7])
-        assert np.allclose(G, np.eye(2))
-        assert np.allclose(Ginv, np.eye(2))
-        assert vol == pytest.approx(1.0)
-        assert (lo, hi) == pytest.approx((1.0, 1.0))
+        assert np.allclose(chart.metric([0.3, -0.7]), np.eye(2))
+        assert np.allclose(chart.grid_inverse(), np.eye(2))
+        assert np.allclose(chart.grid_sqrt_det(), 1.0)
+        assert chart.ellipticity_range() == pytest.approx((1.0, 1.0))
 
     def test_constant_conformal_scaling(self):
         chart = make_flat(scale=4.0)
-        G, Ginv, vol, _ = chart.metric_at([0.1, 0.2])
-        assert np.allclose(G, 4.0 * np.eye(2))
-        assert np.allclose(Ginv, 0.25 * np.eye(2))
-        assert vol == pytest.approx(4.0)   # sqrt(det) = sqrt(16)
+        assert np.allclose(chart.metric([0.1, 0.2]), 4.0 * np.eye(2))
+        assert np.allclose(chart.grid_inverse(), 0.25 * np.eye(2))
+        assert np.allclose(chart.grid_sqrt_det(), 4.0)   # sqrt(det) = sqrt(16)
 
     def test_sphere_equator(self):
         chart = make_sphere()
-        G, Ginv, vol, _ = chart.metric_at([math.pi / 2, 0.3])
-        assert np.allclose(G, np.eye(2))
-        assert vol == pytest.approx(1.0)
+        assert np.allclose(chart.metric([math.pi / 2, 0.3]), np.eye(2))
+        # volume density sin(th), 1 on the equator (the middle grid row)
+        th = chart.box.axes[0]
+        assert th[16] == pytest.approx(math.pi / 2)
+        assert np.allclose(chart.grid_sqrt_det(), np.sin(th)[:, None])
 
     def test_inverse_is_exact(self):
         chart = make_sphere()
-        G, Ginv, _, _ = chart.metric_at([1.1, 0.5])
+        G, Ginv = chart.grid_metric(), chart.grid_inverse()
         assert np.abs(Ginv @ G - np.eye(2)).max() < 1e-12
 
     def test_degenerate_metric_names_point(self):
@@ -47,18 +50,20 @@ class TestMetricAt:
                  [Expression("0", v), Expression("1", v)]]
         chart = MetricChart(CoordinateBox([-1, -1], [1, 1], [5, 5]), comps)
         with pytest.raises(DegenerateMetric) as err:
-            chart.metric_at([-0.5, 0.0])
-        assert err.value.point == (-0.5, 0.0)
+            chart.grid_metric()
+        # the first grid point of the smallest eigenvalue, g_11 = x1 = -1
+        assert err.value.point == (-1.0, -1.0)
+        assert err.value.min_eigenvalue == -1.0
 
 
 class TestChristoffel:
     def test_flat_vanishes(self):
-        field = make_flat().grid_christoffel()
-        assert np.abs(field.values).max() == 0.0
+        gam = make_flat().grid_christoffel()
+        assert np.abs(gam).max() == 0.0
 
     def test_constant_metric_vanishes(self):
-        field = make_flat(scale=4.0).grid_christoffel()
-        assert np.abs(field.values).max() == 0.0
+        gam = make_flat(scale=4.0).grid_christoffel()
+        assert np.abs(gam).max() == 0.0
 
     def test_sphere_closed_form(self):
         # closed forms: Gamma^th_phph = -sin th cos th, Gamma^ph_thph = cot th
@@ -68,8 +73,8 @@ class TestChristoffel:
         assert gam[1, 0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_everywhere(self):
-        field = make_sphere().grid_christoffel()
-        assert np.array_equal(field.values, np.swapaxes(field.values, -1, -2))
+        gam = make_sphere().grid_christoffel()
+        assert np.array_equal(gam, np.swapaxes(gam, -1, -2))
 
     def test_fd_mode_cross_check(self):
         # default step ~0.054 puts the central-difference error near 2e-3
@@ -170,12 +175,12 @@ class TestManifoldModel:
 
 class TestScalingLaws:
     def test_christoffel_invariant_under_constant_scaling(self):
-        base = make_sphere().grid_christoffel().values
+        base = make_sphere().grid_christoffel()
         v = ("th", "ph")
         comps = [[Expression("4", v), Expression("0", v)],
                  [Expression("0", v), Expression("4*sin(th)^2", v)]]
         box = make_sphere().box
-        scaled = MetricChart(box, comps).grid_christoffel().values
+        scaled = MetricChart(box, comps).grid_christoffel()
         assert np.abs(base - scaled).max() < 1e-6
 
     def test_volume_density_scales_by_lambda_m(self):

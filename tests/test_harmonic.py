@@ -127,6 +127,20 @@ class TestRadiusEstimate:
         if held and failed:
             assert max(held) < min(failed) + 1e-12
 
+    def test_estimate_scales_with_the_metric(self):
+        # on the rho-sphere the bisection stops at the same r/rho for every
+        # rho: its gap is the grid step in metric units at the base point
+        runs = []
+        for rho in (0.5, 1.0, 2.0, 4.0):
+            chart = make_sphere(res=49, rho=rho)
+            est = estimate_harmonic_radius(chart, [math.pi / 2, 0.7],
+                                           r_max=2.0 * rho)
+            verdicts = [c.verdict for c in est.certificates]
+            runs.append((est.value / rho, verdicts))
+        assert runs[0][0] == 0.4375
+        assert all(run == runs[0] for run in runs)
+        assert len(runs[0][1]) == 8
+
     def test_alpha_dependence_of_seminorm(self):
         # the unweighted seminorm grows with alpha whenever sampled pair
         # distances stay below one; the radius-weighted certificate value

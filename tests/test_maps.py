@@ -5,8 +5,9 @@ import pytest
 
 from czmap.errors import NotImmersion, TargetEscape
 from czmap.expressions import Expression
-from builders import (flat_chart, graph_immersion, identity_map,
-                      sphere_immersion)
+from builders import (flat_chart, graph_immersion, hessian_chain_bound,
+                      hessian_parts, identity_map, sphere_immersion,
+                      split_laplacian)
 from czmap.maps import (MapModel, generalized_hessian, immersion_check,
                         uniform_continuity_profile)
 
@@ -27,16 +28,16 @@ class TestDifferential:
         jet = generalized_hessian(flat_map(["x1", "x2"], 1.0))
         assert np.allclose(jet.du[..., 0, 0], 1.0)
         assert np.allclose(jet.du[..., 0, 1], 0.0)
-        assert np.allclose(jet.norm_du(), math.sqrt(2.0))
+        assert np.allclose(jet.norm_du, math.sqrt(2.0))
 
     def test_constant_map(self):
         jet = generalized_hessian(flat_map(["0.5", "-0.25"], 0.0))
         assert np.abs(jet.du).max() == 0.0
-        assert np.abs(jet.norm_du()).max() == 0.0
+        assert np.abs(jet.norm_du).max() == 0.0
 
     def test_anisotropic_stretch(self):
         jet = generalized_hessian(flat_map(["2*x1", "x2"], 2.0))
-        assert np.allclose(jet.norm_du() ** 2, 5.0)
+        assert np.allclose(jet.norm_du ** 2, 5.0)
 
     def test_target_escape_names_point(self):
         bad = flat_map(["10*x1", "x2"], target_extent=3.0)
@@ -48,23 +49,25 @@ class TestGeneralizedHessian:
     def test_affine_map_is_flat(self):
         jet = generalized_hessian(flat_map(["0.5*x1 - x2", "x1 + 1"], 2.0))
         assert np.abs(jet.hess).max() == 0.0
-        assert np.abs(jet.norm_hess()).max() == 0.0
+        assert np.abs(jet.norm_hess).max() == 0.0
 
     def test_pure_second_partial(self):
         jet = generalized_hessian(flat_map(["x1^2"], target_extent=2.0))
         assert np.allclose(jet.hess[..., 0, 0, 0], 2.0)
         assert np.allclose(jet.hess[..., 0, 0, 1], 0.0)
-        assert np.allclose(jet.norm_hess(), 2.0)
+        assert np.allclose(jet.norm_hess, 2.0)
 
     def test_sphere_second_fundamental_form(self, sphere_jet):
         psi, jet = sphere_jet
-        assert np.allclose(jet.norm_hess(), math.sqrt(2.0), atol=1e-12)
+        assert np.allclose(jet.norm_hess, math.sqrt(2.0), atol=1e-12)
 
     def test_flat_target_reduction_is_exact(self):
         # with vanishing target symbols the jet equals the scalar Hessians
-        jet = generalized_hessian(flat_map(["sin(x1)*x2", "x1 - x2"], 3.0))
-        assert np.abs(jet.nonlinear_term).max() == 0.0
-        assert np.array_equal(jet.hess, jet.scalar_hess)
+        model = flat_map(["sin(x1)*x2", "x1 - x2"], 3.0)
+        jet = generalized_hessian(model)
+        scalar_hess, nonlinear_term = hessian_parts(model)
+        assert np.abs(nonlinear_term).max() == 0.0
+        assert np.array_equal(jet.hess, scalar_hess)
 
     def test_hessian_symmetry(self, sphere_jet):
         _, jet = sphere_jet
@@ -82,38 +85,44 @@ class TestGeneralizedHessian:
         jet_a = generalized_hessian(analytic)
         jet_f = generalized_hessian(fd_target)
         scale = max(1.0, float(np.abs(jet_f.laplacian).max()))
-        assert jet_f.trace_identity_defect() <= 1e-10 * scale
-        assert jet_f.route_agreement() <= 1e-10 * scale
+        route_gap = np.abs(jet_f.laplacian - split_laplacian(fd_target)).max()
+        assert route_gap <= 1e-10 * scale
         assert np.abs(jet_a.hess - jet_f.hess).max() <= 5e-3
 
 
 class TestGeneralizedLaplacian:
     def test_quadratic_bowl(self):
-        jet = generalized_hessian(flat_map(["x1^2 + x2^2"], target_extent=3.0))
+        model = flat_map(["x1^2 + x2^2"], target_extent=3.0)
+        jet = generalized_hessian(model)
         assert np.allclose(jet.laplacian[..., 0], 4.0)
-        assert jet.route_agreement() <= 1e-10 * 4.0
+        route_gap = np.abs(jet.laplacian - split_laplacian(model)).max()
+        assert route_gap <= 1e-10 * 4.0
 
     def test_harmonic_component_vanishes(self):
-        jet = generalized_hessian(flat_map(["x1*x2"], target_extent=2.0))
+        model = flat_map(["x1*x2"], target_extent=2.0)
+        jet = generalized_hessian(model)
         assert np.abs(jet.laplacian).max() < 1e-13
-        assert jet.route_agreement() <= 1e-10
+        route_gap = np.abs(jet.laplacian - split_laplacian(model)).max()
+        assert route_gap <= 1e-10
 
     def test_sphere_mean_curvature(self, sphere_jet):
         _, jet = sphere_jet
-        assert np.allclose(jet.norm_laplacian(), 2.0, atol=1e-12)
+        assert np.allclose(jet.norm_laplacian, 2.0, atol=1e-12)
 
     def test_trace_identity_on_all_fixtures(self, sphere_jet, cylinder_jet,
                                             sphere_fd_jets):
-        for _, jet in (sphere_jet, cylinder_jet, sphere_fd_jets[33]):
+        # g^{ij} Hess^a_ij against the scalar Laplace-Beltrami operator of
+        # each component plus the trace of the nonlinear term
+        for psi, jet in (sphere_jet, cylinder_jet, sphere_fd_jets[33]):
             scale = max(1.0, float(np.abs(jet.laplacian).max()))
-            assert jet.trace_identity_defect() <= 1e-10 * scale
-            assert jet.route_agreement() <= 1e-10 * scale
+            route_gap = np.abs(jet.laplacian - split_laplacian(psi)).max()
+            assert route_gap <= 1e-10 * scale
 
 
 class TestPointwiseNorms:
     def test_affine_map_all_zero_second_order(self):
         jet = generalized_hessian(flat_map(["x1 + x2", "x1"], 3.0))
-        assert np.abs(jet.norm_hess()).max() == 0.0
+        assert np.abs(jet.norm_hess).max() == 0.0
 
     def test_scaled_source_contraction(self):
         # g = 4 delta, u = x1^2: |Hess|^2 = g^11 g^11 (2)^2 = 1/4
@@ -121,15 +130,33 @@ class TestPointwiseNorms:
         target = flat_chart(-3.0, 3.0, 5, dim=1, names=("u",))
         jet = generalized_hessian(MapModel(source, target,
                                            [Expression("x1^2", V2)]))
-        assert np.allclose(jet.norm_hess(), 0.5)
+        assert np.allclose(jet.norm_hess, 0.5)
+
+    def test_norms_are_read_only_einsum_contractions(self, sphere_jet):
+        psi, jet = sphere_jet
+        ginv = psi.source_chart.grid_inverse()
+        h = jet.target_metric
+        expected = {
+            "norm_du": np.einsum("...ij,...ab,...ai,...bj->...",
+                                 ginv, h, jet.du, jet.du),
+            "norm_hess": np.einsum("...aij,...blk,...ik,...jl,...ab->...",
+                                   jet.hess, jet.hess, ginv, ginv, h),
+            "norm_laplacian": np.einsum("...ab,...a,...b->...",
+                                        h, jet.laplacian, jet.laplacian),
+        }
+        for name, sq in expected.items():
+            norm = getattr(jet, name)
+            assert np.array_equal(norm, np.sqrt(np.maximum(sq, 0.0)))
+            assert not norm.flags.writeable
+            with pytest.raises(ValueError):
+                norm[(0,) * norm.ndim] = 0.0
 
     def test_chain_bound_finite_and_stable(self):
         bounds = []
         for res in (33, 65):
             psi = sphere_immersion((math.pi / 2 - 0.5, math.pi / 2 + 0.5),
                                    (0.0, 1.0), res)
-            jet = generalized_hessian(psi)
-            b = jet.hessian_chain_bound()
+            b = hessian_chain_bound(psi, generalized_hessian(psi))
             assert np.isfinite(b) and b > 0
             bounds.append(b)
         assert abs(bounds[1] - bounds[0]) <= 0.1 * bounds[0]
@@ -146,14 +173,14 @@ class TestImmersionCheck:
         psi, jet = sphere_jet
         data = immersion_check(psi, jet)
         assert data.isometry_defect <= 1e-8
-        assert np.allclose(data.jet.norm_laplacian(), 2.0, atol=1e-10)
+        assert np.allclose(data.jet.norm_laplacian, 2.0, atol=1e-10)
         assert data.normality_defect <= 1e-6
 
     def test_cylinder_principal_curvatures(self, cylinder_jet):
         psi, jet = cylinder_jet
         data = immersion_check(psi, jet)
-        assert np.allclose(data.jet.norm_laplacian(), 1.0, atol=1e-12)
-        assert np.allclose(data.jet.norm_hess(), 1.0, atol=1e-12)
+        assert np.allclose(data.jet.norm_laplacian, 1.0, atol=1e-12)
+        assert np.allclose(data.jet.norm_hess, 1.0, atol=1e-12)
         assert data.isometry_defect <= 1e-12
 
     def test_rank_deficiency_names_point(self):
@@ -162,7 +189,7 @@ class TestImmersionCheck:
             immersion_check(collapsed)
 
     def test_second_order_convergence_of_mean_curvature(self, sphere_fd_jets):
-        errs = [np.abs(sphere_fd_jets[res][1].norm_laplacian() - 2.0).max()
+        errs = [np.abs(sphere_fd_jets[res][1].norm_laplacian - 2.0).max()
                 for res in (33, 65)]
         factor = errs[0] / errs[1]
         assert 3.5 <= factor <= 4.5
