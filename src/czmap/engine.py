@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,13 +33,10 @@ from .errors import (CertificateRequired, DegenerateRadius, HypothesisFailed,
 from .geodesics import metric_ball, distance_field, offset_slices, segment_length
 from .geometry import CoordinateBox, MetricChart
 from .harmonic import RadiusCertificate
-from .maps import (JetField, MapModel, field_jet, generalized_hessian,
-                   immersion_check)
+from .maps import (ImmersionData, JetField, MapModel, field_jet,
+                   generalized_hessian, immersion_check)
 from .norms import (PairTable, dist_to_basepoint_field, lp_norm_on,
                     quadrature_weights)
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_array
 
 COMPLETENESS_CAVEAT = ("chart model is a bounded box; estimates are verified "
                       "on interior balls only")
@@ -420,21 +416,23 @@ def omega_decomposition(map_model: MapModel, o, r1N: float) -> OmegaDecompositio
 class Cover:
     """Greedy r_hat/8-separated centers and their ring table.
 
-    ``table`` is a (C, N) CSR matrix of int8 ring codes: entry (c, x) is 3
-    when grid point x lies within r_hat/8 of center c, 2 within r_hat and 1
+    Row c of the CSR table lists center c's grid points in increasing
+    order, ``indices[indptr[c]:indptr[c + 1]]``, with int8 ring codes in
+    ``codes``: 3 within r_hat/8 of the center, 2 within r_hat and 1
     within 2 r_hat; farther points are not stored.
     """
 
     chart: MetricChart
     r_hat: float
     center_indices: np.ndarray    # (C,), flat grid indices
-    table: csr_array
+    indptr: np.ndarray            # (C + 1,) int32
+    indices: np.ndarray           # int32 flat grid indices
+    codes: np.ndarray             # int8 ring codes
 
     def __post_init__(self):
-        n = self.table.shape[1]
-        cols, codes = self.table.indices, self.table.data
-        self.count_eighth = np.bincount(cols[codes == 3], minlength=n)
-        self.count_full = np.bincount(cols[codes >= 2], minlength=n)
+        cols, n = self.indices, self.chart.box.num_points
+        self.count_eighth = np.bincount(cols[self.codes == 3], minlength=n)
+        self.count_full = np.bincount(cols[self.codes >= 2], minlength=n)
         self.multiplicity = int(self.count_full.max())
 
     @property
@@ -466,7 +464,6 @@ def build_cover(chart: MetricChart, r_hat: float) -> Cover:
     coordinate window ``COVER_WINDOW_MARGIN * 2 r_hat / sqrt(lambda_min)``
     are measured, lambda_min the smallest metric eigenvalue on the grid.
     """
-    from scipy.sparse import csr_array
     box = chart.box
     lam_min, lam_max = chart.ellipticity_range()
     step_len = float(box.steps.max()) * float(np.sqrt(lam_max))
@@ -490,8 +487,8 @@ def build_cover(chart: MetricChart, r_hat: float) -> Cover:
         ring[src] = ((d <= 2.0 * r_hat).astype(np.int8) + (d <= r_hat)
                      + (d <= r_hat / 8.0))
 
-    # scatter into a preallocated (N, N) CSR table; lexicographic offsets
-    # keep each row's columns sorted, int32 indices keep scipy from copying
+    # scatter into a preallocated N-row CSR table; lexicographic offsets
+    # keep each row's columns sorted
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum((rings > 0).sum(axis=0), out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
@@ -504,16 +501,20 @@ def build_cover(chart: MetricChart, r_hat: float) -> Cover:
         fill[src] += 1
 
     covered = np.zeros(n, dtype=bool)
-    centers = []
+    is_center = np.zeros(n, dtype=bool)
     for c in range(n):
         if not covered[c]:
-            centers.append(c)
+            is_center[c] = True
             row = slice(indptr[c], indptr[c + 1])
             covered[indices[row][codes[row] == 3]] = True
-    table = csr_array((codes, indices, indptr), shape=(n, n))
-    return Cover(chart=chart, r_hat=float(r_hat),
-                 center_indices=np.array(centers, dtype=int),
-                 table=table if len(centers) == n else table[centers])
+    centers = np.flatnonzero(is_center)
+    if len(centers) < n:            # keep the centers' rows only
+        lengths = np.diff(indptr)
+        kept = np.repeat(is_center, lengths)
+        indptr = np.cumsum(np.r_[0, lengths[centers]], dtype=np.int32)
+        indices, codes = indices[kept], codes[kept]
+    return Cover(chart=chart, r_hat=float(r_hat), center_indices=centers,
+                 indptr=indptr, indices=indices, codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +612,11 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
     finite = bool(np.isfinite(r1N))
     center_idx = cover.center_indices
     in_omega = omega.mask.reshape(-1)[center_idx]
-    indptr, cols_all = cover.table.indptr, cover.table.indices
     dichotomy_ok = True
     for b0 in range(0, cover.size, CHECK_BLOCK):
         b1 = min(b0 + CHECK_BLOCK, cover.size)
-        rows = np.repeat(np.arange(b0, b1), np.diff(indptr[b0:b1 + 1]))
-        cols = cols_all[indptr[b0]:indptr[b1]]
+        rows = np.repeat(np.arange(b0, b1), np.diff(cover.indptr[b0:b1 + 1]))
+        cols = cover.indices[cover.indptr[b0]:cover.indptr[b1]]
         img_d = segment_length(map_model.target_chart,
                                values[center_idx[rows]], values[cols])
         d_o = dist_o[cols]
@@ -675,7 +675,7 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
                                  mode: str = "intro",
                                  basepoint=None,
                                  radii: HarmonicRadii | None = None,
-                                 jet: JetField | None = None) -> dict:
+                                 immersion: ImmersionData | None = None) -> dict:
     """Immersion inequalities: second-fundamental-form norm against mean
     curvature plus lower-order data.
 
@@ -683,11 +683,12 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
     ||dist(u, 0)||_p).  mode "corollaryA": the right side is ||H||_p +
     vol^{1/p} (r^-1 + r1N^-1 + r^-2 diam(u(M))) with
     r = min(r1M, r1N, 1); the diameter is a max over sampled image pairs
-    (a lower bound, flagged as such).
+    (a lower bound, flagged as such).  ``immersion`` is the map's
+    :func:`immersion_check`, made here when not passed.
     """
     if mode not in ("intro", "corollaryA"):
         raise ValueError(f"unknown mode {mode!r}")
-    imm = immersion_check(map_model, jet)
+    imm = immersion or immersion_check(map_model)
     jet = imm.jet
     source = map_model.source_chart
     box = source.box

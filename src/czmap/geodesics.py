@@ -2,10 +2,10 @@
 
 Two estimators cooperate:
 
-* a graph estimate: Dijkstra over the grid with full ``3^m - 1`` neighbor
-  stencils and Riemannian segment weights, improved by taking the minimum
-  with the direct straight-segment length (both are path lengths, hence
-  upper bounds; for constant metrics the straight segment is exact);
+* a graph estimate: shortest paths (Dijkstra's, bit for bit) over the grid
+  with full ``3^m - 1`` neighbor stencils and Riemannian segment weights,
+  improved by the minimum with the direct straight-segment length (both
+  are path lengths, hence upper bounds; exact for constant metrics);
 * a shooting refinement for point pairs: Newton iteration on the initial
   velocity of the geodesic ODE until the endpoint hits the target.  Each
   Newton step makes one batched RK4 shot of the base velocities and the m
@@ -83,57 +83,50 @@ def offset_slices(offset, shape) -> tuple:
 def _neighbor_offsets(m: int):
     offs = [np.array(o) for o in itertools.product((-1, 0, 1), repeat=m)
             if any(v != 0 for v in o)]
-    # keep one of each +/- pair; the graph is symmetrized on assembly
+    # keep one of each +/- pair; the graph relaxes each edge both ways
     return [o for o in offs if tuple(o) > tuple(-o)]
 
 
 class GridGraph:
-    """Sparse neighbor graph of a chart grid with metric edge weights."""
+    """Undirected neighbor graph of a chart grid: per neighbor offset, the
+    slices pairing grid points and their grid-shaped metric lengths."""
 
     def __init__(self, chart: MetricChart):
-        from scipy.sparse import coo_matrix
-        self.chart = chart
         box = chart.box
-        pts = box.points()
-        n = box.num_points
-        shape = box.shape
-        idx = np.arange(n).reshape(shape)
-        rows, cols, weights = [], [], []
-        for off in _neighbor_offsets(box.dimension):
-            src_slices, dst_slices = offset_slices(off, shape)
-            src = idx[src_slices].reshape(-1)
-            dst = idx[dst_slices].reshape(-1)
-            w = segment_length(chart, pts[src], pts[dst], n_quad=2)
-            rows.append(src)
-            cols.append(dst)
-            weights.append(w)
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        weights = np.concatenate(weights)
-        self.matrix = coo_matrix((weights, (rows, cols)), shape=(n, n)).tocsr()
+        self.shape = box.shape
+        pts = box.points().reshape(box.shape + (box.dimension,))
+        self.edges = [(a, b, segment_length(chart, pts[a], pts[b], n_quad=2))
+                      for a, b in (offset_slices(off, box.shape)
+                                   for off in _neighbor_offsets(box.dimension))]
 
     def dijkstra_from(self, node: int) -> np.ndarray:
-        from scipy.sparse.csgraph import dijkstra
-        return dijkstra(self.matrix, directed=False, indices=node)
-
-
-def _graph(chart: MetricChart) -> GridGraph:
-    if "grid_graph" not in chart._cache:
-        chart._cache["grid_graph"] = GridGraph(chart)
-    return chart._cache["grid_graph"]
+        """Graph distances from ``node``, flat in grid C order.  Every edge
+        relaxes both ways until a sweep changes nothing; each value is a
+        path's left-to-right float sum and fl(a + w) is monotone in a, so
+        this least fixed point is Dijkstra's result, bit for bit."""
+        dist = np.full(self.shape, np.inf)
+        dist.flat[node] = 0.0
+        before = None
+        while not np.array_equal(dist, before):
+            before = dist.copy()
+            for a, b, w in self.edges:
+                np.minimum(dist[b], dist[a] + w, out=dist[b])
+                np.minimum(dist[a], dist[b] + w, out=dist[a])
+        return dist.reshape(-1)
 
 
 def distance_field(chart: MetricChart, source) -> np.ndarray:
     """Upper-bound distance field from ``source`` to all grid points.
 
-    min(straight segment, segment-to-nearest-node + Dijkstra).  Flat
+    min(straight segment, segment-to-nearest-node + graph distance).  Flat
     result shape ``(num_points,)`` in grid C order.
     """
     source = np.asarray(source, dtype=float)
     box = chart.box
     node = box.ravel_index(box.nearest_index(source))
-    graph = _graph(chart)
-    dij = graph.dijkstra_from(node)
+    if "grid_graph" not in chart._cache:
+        chart._cache["grid_graph"] = GridGraph(chart)
+    dij = chart._cache["grid_graph"].dijkstra_from(node)
     if np.any(np.isinf(dij)):
         raise Unreachable(f"grid is disconnected from {source.tolist()}")
     hop = segment_length(chart, source, box.points()[node])

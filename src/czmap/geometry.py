@@ -84,9 +84,9 @@ class CoordinateBox:
         ``(..., m)``; the result has shape ``points.shape[:-1] + trailing``.
         A point outside the box gives nan unless ``extrapolate`` (then the
         edge cell's multilinear form is continued); a nan coordinate gives
-        nan.  The arithmetic is that of scipy's
-        ``RegularGridInterpolator(method="linear")``, term for term, so
-        the results are the same bits: a 2-D scalar field sums the four
+        nan.  The arithmetic is that of the usual compiled linear
+        regular-grid interpolator, term for term, so the results are the
+        same bits as its: a 2-D scalar field sums the four
         corners as its compiled path does, any other field adds
         ``v * (1.0 * w_0 * w_1 ...)`` over the corners in
         ``itertools.product`` order.

@@ -138,7 +138,7 @@ def holder_seminorm(points: np.ndarray, values: np.ndarray, alpha: float,
 class DistanceEvaluator:
     """Distance-to-basepoint evaluator on a target chart.
 
-    Grid distance field (Dijkstra + segment minimum) interpolated at query
+    Grid distance field (graph distances + segment minimum) interpolated at query
     points, again min-ed with the direct segment; exact for flat metrics.
     """
 
@@ -165,7 +165,10 @@ class DistanceEvaluator:
 
 
 def dist_to_basepoint_field(map_model, o) -> np.ndarray:
-    """dist_N(u(x), o) sampled on the source grid of a map."""
-    evaluator = DistanceEvaluator(map_model.target_chart, o)
+    """dist_N(u(x), o) on a map's source grid; one evaluator per o and chart."""
+    chart = map_model.target_chart
+    key = ("distance_to", np.asarray(o, dtype=float).tobytes())
+    if key not in chart._cache:
+        chart._cache[key] = DistanceEvaluator(chart, o)
     values = map_model.values_on_grid()
-    return evaluator(values).reshape(map_model.source_chart.box.shape)
+    return chart._cache[key](values).reshape(map_model.source_chart.box.shape)

@@ -24,7 +24,7 @@ from .expressions import Expression
 from .geometry import MetricChart
 from .harmonic import (RadiusCertificate, declared_certificate, default_r_max,
                        estimate_harmonic_radius)
-from .maps import generalized_hessian
+from .maps import generalized_hessian, immersion_check
 from .report import InequalityReport, write_reports
 from .scenario import Scenario
 from .search import MapFamily, extremal_ratio_search
@@ -163,6 +163,7 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
                        error=f"{type(exc).__name__}: {exc}",
                        timing_seconds=time.perf_counter() - t0)]
     radii = ctx.radii
+    immersion = None
 
     for p in scenario.run.p_list:
         t1 = time.perf_counter()
@@ -180,9 +181,11 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
             elif mode in ("intro", "corollaryA"):
                 basepoint = (np.asarray(scenario.run.basepoint, dtype=float)
                              if scenario.run.basepoint is not None else None)
+                immersion = immersion or immersion_check(map_model, jet)
                 rec = verify_euclidean_corollaries(
                     map_model, p, mode=mode, basepoint=basepoint,
-                    radii=radii if mode == "corollaryA" else None, jet=jet)
+                    radii=radii if mode == "corollaryA" else None,
+                    immersion=immersion)
                 rep = report(
                     p=p, terms={k: v for k, v in rec.items()
                                 if isinstance(v, (int, float))},

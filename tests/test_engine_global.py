@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,39 @@ from czmap.harmonic import declared_certificate
 from czmap.maps import MapModel
 
 V2 = ("x1", "x2")
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of ``module.name``, made through every czmap module
+    that holds the function under any name; returns the growing list of
+    their positional arguments."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "czmap" or key.startswith("czmap."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def immersion_scenario(mode: str, tmp_path):
+    """``sphere-immersion`` in ``mode`` at p = 1.5, 2, 4 on two levels."""
+    from czmap.scenario import fixture_path, load_scenario
+    with open(fixture_path("sphere-immersion"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / f"sphere-{mode}.scn"
+    path.write_text(text.replace("mode = intro", f"mode = {mode}"),
+                    encoding="utf-8")
+    scenario = load_scenario(str(path))
+    assert scenario.run.mode == mode
+    assert scenario.override_run("1.5, 2, 4", "17, 33") is None
+    return scenario
 
 
 class TestRHat:
@@ -146,7 +180,15 @@ class TestCover:
         codes = sum((rows <= t).astype(int)
                     for t in (2.0 * r_hat, r_hat, r_hat / 8.0))
         assert np.array_equal(cover.center_indices, centers)
-        assert np.array_equal(cover.table.toarray(), codes)
+        assert cover.indptr.shape == (cover.size + 1,)
+        assert cover.indptr[-1] == cover.indices.size == cover.codes.size
+        table = np.zeros((cover.size, len(pts)), dtype=int)
+        for c in range(cover.size):
+            row = slice(cover.indptr[c], cover.indptr[c + 1])
+            assert np.all(np.diff(cover.indices[row]) > 0)
+            table[c, cover.indices[row]] = cover.codes[row]
+        assert np.array_equal(table, codes)
+        assert np.all(cover.codes > 0)
         assert np.array_equal(cover.count_eighth, (codes == 3).sum(axis=0))
         assert np.array_equal(cover.count_full, (codes >= 2).sum(axis=0))
         assert cover.multiplicity == (codes >= 2).sum(axis=0).max()
@@ -314,29 +356,21 @@ class TestEuclideanCorollaries:
 
     @pytest.mark.parametrize("mode", ["intro", "corollaryA"])
     def test_run_builds_one_jet_per_level(self, mode, monkeypatch, tmp_path):
-        import czmap.engine as engine
         import czmap.maps as maps
         import czmap.runner as runner
-        from czmap.scenario import fixture_path, load_scenario
-        calls = []
-        original = maps.generalized_hessian
+        calls = count_calls(monkeypatch, maps, "generalized_hessian")
+        reports = runner.run_scenario(immersion_scenario(mode, tmp_path))
+        assert len(reports) == 6
+        assert all(rep.error is None for rep in reports)
+        assert len(calls) == 2
 
-        def counting_generalized_hessian(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for module in (maps, engine, runner):
-            monkeypatch.setattr(module, "generalized_hessian",
-                                counting_generalized_hessian)
-        with open(fixture_path("sphere-immersion"), encoding="utf-8") as fh:
-            text = fh.read()
-        path = tmp_path / f"sphere-{mode}.scn"
-        path.write_text(text.replace("mode = intro", f"mode = {mode}"),
-                        encoding="utf-8")
-        scenario = load_scenario(str(path))
-        assert scenario.run.mode == mode
-        assert scenario.override_run("1.5, 2, 4", "17, 33") is None
-        reports = runner.run_scenario(scenario)
+    @pytest.mark.parametrize("mode", ["intro", "corollaryA"])
+    def test_run_checks_the_immersion_once_per_level(self, mode, monkeypatch,
+                                                     tmp_path):
+        import czmap.maps as maps
+        import czmap.runner as runner
+        calls = count_calls(monkeypatch, maps, "immersion_check")
+        reports = runner.run_scenario(immersion_scenario(mode, tmp_path))
         assert len(reports) == 6
         assert all(rep.error is None for rep in reports)
         assert len(calls) == 2
@@ -345,3 +379,21 @@ class TestEuclideanCorollaries:
         psi = sphere_immersion(resolution=17)
         with pytest.raises(CertificateRequired):
             verify_euclidean_corollaries(psi, 2.0, mode="corollaryA")
+
+
+class TestDistanceFieldReuse:
+    @pytest.mark.parametrize("name, p, fields", [
+        ("sphere-global", None, 2),         # two levels, one basepoint
+        ("saddle-search", None, 1),         # 38 maps, one basepoint
+        ("sphere-immersion", "1.5, 2, 4", 1)])
+    def test_one_distance_field_per_basepoint_and_level(self, name, p, fields,
+                                                        monkeypatch):
+        import czmap.geodesics as geodesics
+        import czmap.runner as runner
+        from czmap.scenario import fixture_path, load_scenario
+        calls = count_calls(monkeypatch, geodesics, "distance_field")
+        scenario = load_scenario(fixture_path(name))
+        assert scenario.override_run(p, None) is None
+        reports = runner.run_scenario(scenario)
+        assert all(rep.error is None for rep in reports)
+        assert len(calls) == fields

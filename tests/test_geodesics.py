@@ -1,17 +1,24 @@
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import constant_tilted_chart, tilted_chart_3d
+from builders import (constant_tilted_chart, flat_chart, hyperbolic_chart,
+                      sphere_chart, tilted_chart_3d)
 from conftest import make_flat, make_hyperbolic, make_sphere
 from czmap.expressions import Expression
-from czmap.geodesics import (_metric_is_constant, distance_field,
-                             geodesic_distance, log_map, metric_ball,
-                             segment_length, shoot)
+from czmap.geodesics import (GridGraph, _metric_is_constant, _neighbor_offsets,
+                             distance_field, geodesic_distance, log_map,
+                             metric_ball, offset_slices, segment_length, shoot)
 from czmap.geometry import CoordinateBox, MetricChart
+from czmap.scenario import fixture_dir, fixture_path, load_scenario
+
+FIXTURES = sorted(os.path.basename(path)[:-len(".scn")]
+                  for path in glob.glob(os.path.join(fixture_dir(), "*.scn")))
 
 
 class TestGeodesicDistance:
@@ -214,3 +221,58 @@ class TestSegmentQuadraticForm:
         monkeypatch.setattr(MetricChart, "metric", banned)
         monkeypatch.setattr(np, "einsum", banned)
         assert segment_length(chart, a, b).tobytes() == expected.tobytes()
+
+
+def scipy_graph_distances(chart, node):
+    """Reference: scipy's Dijkstra on the grid graph assembled as a COO
+    matrix, one entry per (point, neighbor offset) edge, made undirected by
+    ``directed=False``."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+    box = chart.box
+    pts = box.points()
+    idx = np.arange(box.num_points).reshape(box.shape)
+    rows, cols, weights = [], [], []
+    for off in _neighbor_offsets(box.dimension):
+        a, b = offset_slices(off, box.shape)
+        src, dst = idx[a].reshape(-1), idx[b].reshape(-1)
+        rows.append(src)
+        cols.append(dst)
+        weights.append(segment_length(chart, pts[src], pts[dst], n_quad=2))
+    matrix = coo_matrix((np.concatenate(weights),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(box.num_points,) * 2).tocsr()
+    return dijkstra(matrix, directed=False, indices=node)
+
+
+class TestGridGraph:
+    """The relaxation returns scipy's Dijkstra distances bit for bit."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_matches_scipy_dijkstra_on_fixture_charts(self, name):
+        scenario = load_scenario(fixture_path(name))
+        rng = np.random.default_rng(20859)
+        for mdef in scenario.manifolds.values():
+            chart = mdef.build_chart()
+            graph = GridGraph(chart)
+            n = chart.box.num_points
+            for node in rng.choice(n, size=min(5, n), replace=False):
+                assert np.array_equal(graph.dijkstra_from(int(node)),
+                                      scipy_graph_distances(chart, int(node)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["flat", "scaled", "sphere", "hyperbolic"]),
+           resolution=st.tuples(st.integers(3, 40), st.integers(3, 40)),
+           data=st.data())
+    def test_matches_scipy_dijkstra_on_builder_charts(self, kind, resolution,
+                                                      data):
+        chart = {
+            "flat": lambda: flat_chart([0.0, 0.0], [1.0, 0.7], resolution),
+            "scaled": lambda: flat_chart([0.0, 0.0], [1.0, 0.7], resolution,
+                                         scale=2.5),
+            "sphere": lambda: sphere_chart((0.7, 2.4), (0.0, 1.4), resolution),
+            "hyperbolic": lambda: hyperbolic_chart(resolution=resolution),
+        }[kind]()
+        node = data.draw(st.integers(0, chart.box.num_points - 1))
+        assert np.array_equal(GridGraph(chart).dijkstra_from(node),
+                              scipy_graph_distances(chart, node))

@@ -1,12 +1,14 @@
-"""scipy is imported inside the functions that use it, so `import czmap`
-and the lemma battery, which needs none of it, never load scipy, and no
-run loads `scipy.interpolate`: grid interpolation is
-`CoordinateBox.interpolate`.
+"""scipy is imported only by the Laplace assembly and the solve of a
+harmonic chart, so `import czmap`, the lemma battery and every run mode
+with declared radii never load it; only `czmap radius` and radii given
+as `estimate` do.  No run loads `scipy.interpolate`: grid interpolation
+is `CoordinateBox.interpolate`.
 
 Each check runs in a fresh interpreter: the test process itself has
 long since imported scipy through other tests.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,11 +29,12 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 COMMAND_RUN = """
+import json
 import sys
 from czmap import cli
 status = cli.main(sys.argv[1:])
-print(status, sorted(name for name in sys.modules
-                     if name.startswith("scipy.interpolate")))
+print(json.dumps([status, sorted(name for name in sys.modules
+                                 if name.split(".")[0] == "scipy")]))
 """
 
 
@@ -43,6 +46,15 @@ def _run(script, *args):
                           capture_output=True, text=True, timeout=300)
 
 
+def _scipy_modules(*argv) -> list:
+    """The scipy modules a `czmap` command loaded; it must exit 0."""
+    out = _run(COMMAND_RUN, *argv)
+    assert out.returncode == 0, out.stderr
+    status, modules = json.loads(out.stdout.strip().splitlines()[-1])
+    assert status == 0
+    return modules
+
+
 def test_lemma_battery_loads_no_scipy(tmp_path):
     out = _run(LEMMA_RUN, str(tmp_path / "lemma"))
     assert out.returncode == 0, out.stderr
@@ -50,10 +62,19 @@ def test_lemma_battery_loads_no_scipy(tmp_path):
     assert (tmp_path / "lemma.jsonl").exists()
 
 
+@pytest.mark.parametrize("command, fixture", [
+    ("run", "sphere-global"), ("run", "ball-estimate"),
+    ("run", "sphere-immersion"), ("search", "saddle-search")])
+def test_runs_with_declared_radii_load_no_scipy(command, fixture, tmp_path):
+    argv = [command, "--scenario", fixture]
+    if command == "run":
+        argv += ["--out", str(tmp_path / fixture)]
+    assert _scipy_modules(*argv) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--scenario", "saddle-search"],
     ["radius", "--scenario", "hyperbolic-map"]])
 def test_runs_load_no_scipy_interpolate(argv):
-    out = _run(COMMAND_RUN, *argv)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    assert not [name for name in _scipy_modules(*argv)
+                if name.startswith("scipy.interpolate")]
