@@ -13,7 +13,23 @@ Two estimators cooperate:
   independent, so the batch gives each row the bits of a separate shot.
   The RK4 right-hand side is (v, -Γ(v, v)) from
   :meth:`MetricChart.geodesic_acceleration`, which solves g a = -w on the
-  metric oracles and never forms the Christoffel tensor.
+  metric oracles (each distinct oracle evaluated once per call) and never
+  forms the Christoffel tensor.
+
+A shot keeps its state as one array y = (x, v) with slope (v, a), stored
+one contiguous row per coordinate, shape ``(2m, batch)``: every RK4 stage
+combination and update is one elementwise operation over both halves (the
+same operation on each element as two separate arrays would take), and
+the box clip and the slope assembly work on whole rows.  While every
+trajectory of the batch is still in the box, the right-hand side hands
+all of them (positions clipped to the box) to the acceleration at once;
+once one has left, only those still in the box are gathered, and the
+others get acceleration 0.  Both routes give each trajectory the same
+bits, because its acceleration depends on its own position and velocity
+alone.  On both routes the positions reach the acceleration as a
+C-ordered ``(batch, m)`` array, so the oracles read their coordinate
+columns with the same strides; the velocities enter only +, -, * and /,
+which round the same way in any memory layout.
 
 Pair distances evaluate the arguments in a canonical order so symmetry
 holds exactly as computed.
@@ -27,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Unreachable
-from .geometry import MetricChart, _at, _is_zero
+from .geometry import MetricChart, _evaluator, _is_zero
 
 SEGMENT_QUADRATURE = 8
 SHOOTING_STEPS = 64           # RK4 steps per shot
@@ -66,8 +82,8 @@ def segment_length(chart: MetricChart, a, b, n_quad: int = SEGMENT_QUADRATURE):
             terms.append((dd if i == j else 2.0 * dd, g))
     total = np.zeros(d.shape[:-1])
     for k in range(n_quad):
-        mid = None if constant else a + ((k + 0.5) / n_quad) * d
-        quad = sum(dd * _at(g, mid) for dd, g in terms)
+        at = _evaluator(None if constant else a + ((k + 0.5) / n_quad) * d)
+        quad = sum(dd * at(g) for dd, g in terms)
         total = total + np.sqrt(np.maximum(quad, 0.0))
     return total / n_quad
 
@@ -119,9 +135,14 @@ def distance_field(chart: MetricChart, source) -> np.ndarray:
     """Upper-bound distance field from ``source`` to all grid points.
 
     min(straight segment, segment-to-nearest-node + graph distance).  Flat
-    result shape ``(num_points,)`` in grid C order.
+    result shape ``(num_points,)`` in grid C order, read-only: the chart
+    keeps one field per source (keyed by its bytes, so -0.0 and 0.0
+    differ) and returns it on every later call.
     """
     source = np.asarray(source, dtype=float)
+    key = ("distance_field", source.tobytes())
+    if key in chart._cache:
+        return chart._cache[key]
     box = chart.box
     node = box.ravel_index(box.nearest_index(source))
     if "grid_graph" not in chart._cache:
@@ -131,7 +152,10 @@ def distance_field(chart: MetricChart, source) -> np.ndarray:
         raise Unreachable(f"grid is disconnected from {source.tolist()}")
     hop = segment_length(chart, source, box.points()[node])
     direct = segment_length(chart, source[None, :], box.points())
-    return np.minimum(direct, dij + hop)
+    dist = np.minimum(direct, dij + hop)
+    dist.flags.writeable = False
+    chart._cache[key] = dist
+    return dist
 
 
 @dataclass
@@ -189,36 +213,49 @@ def shoot(chart: MetricChart, x, v0: np.ndarray):
 
     ``v0`` has shape ``(batch, m)``; SHOOTING_STEPS RK4 steps on t in
     [0, 1] for x' = v, v' = -Γ^l_ij v^i v^j, the acceleration read straight
-    from the metric oracles (:meth:`MetricChart.geodesic_acceleration`).  Rows
-    still in the box are evaluated at their position clipped to it.
-    Returns endpoints ``(batch, m)`` and a validity mask (False where the
-    trajectory left the chart box, where the metric oracle is undefined).
+    from the metric oracles (:meth:`MetricChart.geodesic_acceleration`).
+    The state is one array y = (x, v) with slope (v, acceleration), one
+    contiguous row per coordinate: shape ``(2m, batch)``.  Trajectories
+    still in the box are evaluated at their position clipped to it; those
+    that left it move on with acceleration 0.  Returns endpoints
+    ``(batch, m)`` and a validity mask (False where the trajectory left the
+    chart box, where the metric oracle is undefined).
     """
     x = np.asarray(x, dtype=float)
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-    batch = v0.shape[0]
-    pos = np.broadcast_to(x, v0.shape).copy()
-    vel = v0.copy()
+    batch, m = v0.shape
+    y = np.concatenate([np.broadcast_to(x, v0.shape).T, v0.T])
     ok = np.ones(batch, dtype=bool)
-    box = chart.box
+    lower, upper = chart.box.lower, chart.box.upper
+    # the bounds of box.contains(pos, margin=-1e-9), formed once
+    above = lower + -1e-9 - 1e-12
+    below = upper - -1e-9 + 1e-12
     h = 1.0 / SHOOTING_STEPS
 
-    def rhs(p, v, valid):
-        acc = np.zeros_like(v)
+    def slope(y, valid):
+        if valid is None:               # every row in the box
+            # np.clip(pos, lower, upper) into C-ordered (batch, m) points
+            pos = np.empty((batch, m))
+            np.clip(y[:m], lower[:, None], upper[:, None], out=pos.T)
+            acc = chart.geodesic_acceleration(pos, y[m:].T)
+            return np.concatenate([y[m:], acc.T])
+        k = np.zeros_like(y)
+        k[:m] = y[m:]
         if valid.any():
-            safe = np.clip(p[valid], box.lower, box.upper)
-            acc[valid] = chart.geodesic_acceleration(safe, v[valid])
-        return v, acc
+            pos = np.clip(np.ascontiguousarray(y[:m, valid].T), lower, upper)
+            k[m:, valid] = chart.geodesic_acceleration(pos, y[m:, valid].T).T
+        return k
 
     for _ in range(SHOOTING_STEPS):
-        k1p, k1v = rhs(pos, vel, ok)
-        k2p, k2v = rhs(pos + 0.5 * h * k1p, vel + 0.5 * h * k1v, ok)
-        k3p, k3v = rhs(pos + 0.5 * h * k2p, vel + 0.5 * h * k2v, ok)
-        k4p, k4v = rhs(pos + h * k3p, vel + h * k3v, ok)
-        pos = pos + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        ok &= box.contains(pos, margin=-1e-9)
-    return pos, ok
+        valid = None if ok.all() else ok
+        k1 = slope(y, valid)
+        k2 = slope(y + 0.5 * h * k1, valid)
+        k3 = slope(y + 0.5 * h * k2, valid)
+        k4 = slope(y + h * k3, valid)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        for i in range(m):
+            ok &= (y[i] >= above[i]) & (y[i] <= below[i])
+    return y[:m].T.copy(), ok
 
 
 def log_map(chart: MetricChart, x, targets):

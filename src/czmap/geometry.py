@@ -149,8 +149,19 @@ def _constant_or_oracle(oracle):
     return oracle
 
 
-def _at(oracle, points):
-    return oracle if isinstance(oracle, float) else oracle(points)
+def _evaluator(points):
+    """``at(oracle)``: a float oracle itself, else the oracle's values at
+    ``points``, each distinct oracle object evaluated once."""
+    values = {}
+
+    def at(oracle):
+        if isinstance(oracle, float):
+            return oracle
+        key = id(oracle)
+        if key not in values:
+            values[key] = oracle(points)
+        return values[key]
+    return at
 
 
 def _is_zero(value) -> bool:
@@ -192,23 +203,32 @@ class MetricChart:
         An expression without a variable is stored as its float.  A
         partial is an explicit derivative oracle, else the component's
         ``partial(k)`` ("analytic") or a central difference that reads
-        ``fd_step`` when called ("fd").
+        ``fd_step`` when called ("fd").  Expressions with equal text and
+        variables become one object, so equal entries share their oracle
+        and their analytic partials, and an evaluator calls each once;
+        other callables are shared only where they are the same object.
         """
         if "oracles" not in self._cache:
             m = self.dimension
+            shared, comps = {}, {}
+            for i in range(m):
+                for j in range(i, m):
+                    comp = self.components[i][j]
+                    if isinstance(comp, Expression):
+                        comp = shared.setdefault((comp.text, comp.variables), comp)
+                    comps[i, j] = comp
             self._cache["oracles"] = [
-                (i, j, _constant_or_oracle(self.components[i][j]),
-                 [_constant_or_oracle(self._partial_oracle(i, j, k))
+                (i, j, _constant_or_oracle(comp),
+                 [_constant_or_oracle(self._partial_oracle(comp, i, j, k))
                   for k in range(m)])
-                for i in range(m) for j in range(i, m)]
+                for (i, j), comp in comps.items()]
         return self._cache["oracles"]
 
-    def _partial_oracle(self, i: int, j: int, k: int):
+    def _partial_oracle(self, comp, i: int, j: int, k: int):
         oracle = self.derivative_oracles.get((i, j, k)) \
             or self.derivative_oracles.get((j, i, k))
         if oracle is not None:
             return oracle
-        comp = self.components[i][j]
         if self.derivative_mode == "fd":
             return lambda points: fd.point_diff1(
                 comp, points, k, float(self.fd_step[k]),
@@ -226,9 +246,10 @@ class MetricChart:
         """Metric matrices ``(..., m, m)`` at arbitrary points."""
         points = np.asarray(points, dtype=float)
         m = self.dimension
+        at = _evaluator(points)
         out = np.empty(points.shape[:-1] + (m, m), dtype=float)
         for i, j, g, _ in self.oracles():
-            val = _at(g, points)
+            val = at(g)
             out[..., i, j] = val
             out[..., j, i] = val
         return out
@@ -237,10 +258,11 @@ class MetricChart:
         """Partials of the metric, shape ``(..., m, m, m)``, last index k."""
         points = np.asarray(points, dtype=float)
         m = self.dimension
+        at = _evaluator(points)
         out = np.empty(points.shape[:-1] + (m, m, m), dtype=float)
         for i, j, _, partials in self.oracles():
             for k, dg in enumerate(partials):
-                val = _at(dg, points)
+                val = at(dg)
                 out[..., i, j, k] = val
                 out[..., j, i, k] = val
         return out
@@ -262,20 +284,22 @@ class MetricChart:
         """``-Gamma^l_ij v^i v^j`` at ``points``, shape ``(..., m)``.
 
         Gamma is never formed: g a = -w with
-        w_k = sum_ij (d_i g_jk - 1/2 d_k g_ij) v^i v^j, each oracle read
-        once and float-0.0 oracles skipped.  g is SPD, so Gaussian elimination
-        without pivoting is safe; it is unrolled over the components, and
-        every row of the batch is computed on its own.
+        w_k = sum_ij (d_i g_jk - 1/2 d_k g_ij) v^i v^j, each distinct
+        oracle object evaluated once and float-0.0 oracles skipped.  g is
+        SPD, so Gaussian elimination without pivoting is safe; it is
+        unrolled over the components, and every row of the batch is
+        computed on its own.
         """
         points = np.asarray(points, dtype=float)
         v = np.asarray(v, dtype=float)
         m = self.dimension
+        at = _evaluator(points)
         vs = [v[..., i] for i in range(m)]
         g = [[0.0] * m for _ in range(m)]
         w = [0.0] * m
         for i, j, gij, partials in self.oracles():
-            g[i][j] = g[j][i] = _at(gij, points)
-            dgs = [(k, _at(dg, points)) for k, dg in enumerate(partials)
+            g[i][j] = g[j][i] = at(gij)
+            dgs = [(k, at(dg)) for k, dg in enumerate(partials)
                    if not _is_zero(dg)]
             if not dgs:
                 continue
@@ -298,7 +322,8 @@ class MetricChart:
                 for k in range(c + 1, m):
                     g[r][k] = g[r][k] - f * g[c][k]
                 rhs[r] = rhs[r] - f * rhs[c]
-        acc = np.empty(np.broadcast_shapes(points.shape, v.shape))
+        acc = np.empty(points.shape if points.shape == v.shape
+                       else np.broadcast_shapes(points.shape, v.shape))
         for r in reversed(range(m)):       # back substitution
             s = rhs[r]
             for k in range(r + 1, m):

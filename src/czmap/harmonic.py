@@ -196,9 +196,10 @@ def solve_harmonic_chart(chart: MetricChart, x,
     box = chart.box
     m = box.dimension
     dist = distance_field(chart, x)
+    G = chart.metric(x)
     # the pad must clear the stencil erosion even on coarse grids so the
     # certified masks always cover every grid point of B_r
-    lam_max = float(np.linalg.eigvalsh(chart.metric(x))[-1])
+    lam_max = float(np.linalg.eigvalsh(G)[-1])
     step_len = float(box.steps.max()) * np.sqrt(lam_max)
     pad_eff = max(SOLVE_PAD, 4.0 * step_len / r)
     outer = metric_ball(chart, x, (1.0 + pad_eff) * r, distances=dist)
@@ -223,11 +224,9 @@ def solve_harmonic_chart(chart: MetricChart, x,
         # straight-line direction rescaled to the measured distance
         bdist = outer.distances[boundary]
         straight = bpts - x
-        G = chart.metric(x)
         slen = np.sqrt(np.einsum("bi,ij,bj->b", straight, G, straight))
         scale = np.where(slen > 0, bdist / np.maximum(slen, 1e-300), 0.0)
         v = np.where(converged[:, None], v, straight * scale[:, None])
-    G = chart.metric(x)
     Lfac = np.linalg.cholesky(G)
     phi_boundary = v @ Lfac  # phi = L^T v
 

@@ -5,6 +5,8 @@ for free; pass ``mode="fd"`` for the finite-difference variants used in
 convergence studies.  The jet references at the end recompute parts of a
 map's generalized Hessian by a second route from the map's own
 primitives, so tests can check ``maps.generalized_hessian`` against them.
+The shot reference keeps the two-array RK4 shot that
+``geodesics.shoot`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from czmap.expressions import Expression
+from czmap.geodesics import SHOOTING_STEPS
 from czmap.geometry import CoordinateBox, MetricChart
 from czmap.maps import (MapModel, component_derivatives,
                         target_christoffel_at)
@@ -207,3 +210,38 @@ def hessian_chain_bound(map_model: MapModel, jet) -> float:
     if not np.any(active):
         return 0.0
     return float(np.max(lhs[active] / rhs[active]))
+
+
+# ---------------------------------------------------------------------------
+# shot reference
+# ---------------------------------------------------------------------------
+
+def reference_shoot(chart: MetricChart, x, v0: np.ndarray):
+    """The geodesic shot on separate position and velocity arrays, each
+    right-hand side gathering the rows still in the box and scattering
+    their accelerations back: ``geodesics.shoot`` must return its bits."""
+    x = np.asarray(x, dtype=float)
+    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
+    batch = v0.shape[0]
+    pos = np.broadcast_to(x, v0.shape).copy()
+    vel = v0.copy()
+    ok = np.ones(batch, dtype=bool)
+    box = chart.box
+    h = 1.0 / SHOOTING_STEPS
+
+    def rhs(p, v, valid):
+        acc = np.zeros_like(v)
+        if valid.any():
+            safe = np.clip(p[valid], box.lower, box.upper)
+            acc[valid] = chart.geodesic_acceleration(safe, v[valid])
+        return v, acc
+
+    for _ in range(SHOOTING_STEPS):
+        k1p, k1v = rhs(pos, vel, ok)
+        k2p, k2v = rhs(pos + 0.5 * h * k1p, vel + 0.5 * h * k1v, ok)
+        k3p, k3v = rhs(pos + 0.5 * h * k2p, vel + 0.5 * h * k2v, ok)
+        k4p, k4v = rhs(pos + h * k3p, vel + h * k3v, ok)
+        pos = pos + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        ok &= box.contains(pos, margin=-1e-9)
+    return pos, ok

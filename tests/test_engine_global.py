@@ -397,3 +397,23 @@ class TestDistanceFieldReuse:
         reports = runner.run_scenario(scenario)
         assert all(rep.error is None for rep in reports)
         assert len(calls) == fields
+
+    def test_one_source_field_for_every_exponent(self, monkeypatch):
+        import czmap.runner as runner
+        from czmap.geodesics import GridGraph
+        from czmap.scenario import fixture_path, load_scenario
+        shapes = []
+        original = GridGraph.dijkstra_from
+
+        def counting(self, node):
+            shapes.append(self.shape)
+            return original(self, node)
+
+        monkeypatch.setattr(GridGraph, "dijkstra_from", counting)
+        scenario = load_scenario(fixture_path("ball-estimate"))
+        assert scenario.override_run("1.5, 2, 4", None) is None
+        reports = runner.run_scenario(scenario)
+        assert len(reports) == 3
+        assert all(rep.error is None for rep in reports)
+        # one field around the ball center, one around the target center
+        assert sorted(shapes) == [(5, 5, 5), (49, 49)]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import (constant_tilted_chart, flat_chart, hyperbolic_chart,
-                      sphere_chart, tilted_chart_3d)
+                      reference_shoot, sphere_chart, tilted_chart_3d)
 from conftest import make_flat, make_hyperbolic, make_sphere
 from czmap.expressions import Expression
 from czmap.geodesics import (GridGraph, _metric_is_constant, _neighbor_offsets,
@@ -158,6 +158,88 @@ class TestSegmentsAndLogMap:
         ends, oks = shoot(chart, [1.4, 0.6], v0)
         assert ends.tobytes() == expected[0].tobytes()
         assert np.array_equal(oks, expected[1])
+
+
+def _explicit_half_plane() -> MetricChart:
+    """The half-plane with explicit derivative oracles, one a plain
+    callable; equal texts in separate objects."""
+    v = ("x", "y")
+    comps = [[Expression("1/(y*y)", v), Expression("0", v)],
+             [Expression("0", v), Expression("1/(y*y)", v)]]
+    dy = Expression("-2/(y*y*y)", v)
+    oracles = {(0, 0, 0): Expression("0", v), (0, 0, 1): dy,
+               (1, 1, 0): Expression("0", v),
+               (1, 1, 1): lambda p: Expression("-2/(y*y*y)", v)(p)}
+    return MetricChart(CoordinateBox([-0.8, 0.7], [0.8, 2.3], [9, 9]), comps,
+                       derivative_oracles=oracles, name="explicit")
+
+
+def _tilted_chart_2d() -> MetricChart:
+    """A varying metric with an off-diagonal entry (the elimination step)."""
+    v = ("x", "y")
+    comps = [[Expression("1 + x^2", v), Expression("0.3*sin(y)", v)],
+             [None, Expression("2 + cos(x*y)", v)]]
+    return MetricChart(CoordinateBox([-1, -1], [1, 1], [9, 9]), comps,
+                       name="tilted-2d")
+
+
+SHOT_CHARTS = {
+    "sphere": sphere_chart(), "half-plane": hyperbolic_chart(),
+    "tilted-2d": _tilted_chart_2d(), "tilted-3d": tilted_chart_3d(),
+    "half-plane-fd": hyperbolic_chart(mode="fd"),
+    "explicit": _explicit_half_plane(),
+    "constant-tilted": constant_tilted_chart()}
+
+
+def _assert_shot_matches_reference(chart, x, v0):
+    ends, oks = shoot(chart, x, v0)
+    ref_ends, ref_oks = reference_shoot(chart, x, v0)
+    assert ends.shape == ref_ends.shape == v0.shape
+    assert ends.tobytes() == ref_ends.tobytes()
+    assert oks.tobytes() == ref_oks.tobytes()
+    return oks
+
+
+class TestShotKernel:
+    """The stacked shot returns the bits of the two-array reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(SHOT_CHARTS)),
+           batch=st.integers(1, 24), reach=st.sampled_from([0.3, 1.0, 3.0]),
+           seed=st.integers(0, 2 ** 32 - 1), on_face=st.booleans(),
+           zero_column=st.booleans())
+    def test_matches_reference_shot(self, name, batch, reach, seed, on_face,
+                                    zero_column):
+        chart = SHOT_CHARTS[name]
+        box = chart.box
+        m = chart.dimension
+        width = box.upper - box.lower
+        rng = np.random.default_rng(seed)
+        x = box.lower + rng.uniform(0.2, 0.8, m) * width
+        if on_face:
+            x[-1] = box.lower[-1]       # e.g. the sphere's ph = 0.0 face
+        # per-row reach in box widths: none, some or all rows leave the box
+        v0 = rng.uniform(0.0, reach, (batch, 1)) * rng.uniform(-1, 1, (batch, m)) * width
+        if zero_column:
+            v0[:, 0] = -0.0
+        _assert_shot_matches_reference(chart, x, v0)
+
+    @pytest.mark.parametrize("name", sorted(SHOT_CHARTS))
+    @pytest.mark.parametrize("reach, escaped", [
+        ([0.3], "none"), ([0.3, 0.8], "some"), ([0.8, 3.0], "all")])
+    def test_rows_leaving_mid_shot(self, name, reach, escaped):
+        chart = SHOT_CHARTS[name]
+        box = chart.box
+        m = chart.dimension
+        direction = np.random.default_rng(7).standard_normal((12, m))
+        direction /= np.abs(direction).max(axis=1, keepdims=True)
+        scale = np.resize(reach, 12)[:, None]
+        oks = _assert_shot_matches_reference(
+            chart, 0.5 * (box.lower + box.upper),
+            scale * direction * (box.upper - box.lower))
+        left = int((~oks).sum())
+        assert {"none": left == 0, "some": 0 < left < 12,
+                "all": left == 12}[escaped]
 
 
 def _einsum_segment_length(chart, a, b, n_quad):

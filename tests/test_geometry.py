@@ -239,6 +239,62 @@ class TestGeodesicAcceleration:
                       <= ulp + np.finfo(float).smallest_normal)
 
 
+HALF_PLANE_SCENARIO = """\
+[manifold halfplane]
+coordinates = x, y
+lower = -0.4, 1.3
+upper = 0.4, 1.7
+resolution = 9, 9
+metric.1.1 = {g11}
+metric.1.2 = 0
+metric.2.2 = 1/(y*y)
+
+[run]
+mode = global
+"""
+
+
+class TestSharedOracles:
+    def _chart(self, tmp_path, g11):
+        from czmap.scenario import load_scenario
+        path = tmp_path / "halfplane.scn"
+        path.write_text(HALF_PLANE_SCENARIO.format(g11=g11), encoding="utf-8")
+        return load_scenario(str(path)).manifolds["halfplane"].build_chart()
+
+    def test_each_distinct_oracle_is_evaluated_once(self, tmp_path,
+                                                    monkeypatch):
+        shared = self._chart(tmp_path, "1/(y*y)")
+        # same expression, other text: two oracles, evaluated on their own
+        apart = self._chart(tmp_path, "1/(y * y)")
+        oracles = [o for _, _, g, partials in shared.oracles()
+                   for o in [g] + partials if not isinstance(o, float)]
+        assert len({id(o) for o in oracles}) == 2   # 1/(y*y) and d_y
+        pts = np.array([[0.1, 1.4], [-0.3, 1.65], [0.0, 1.5]])
+        v = np.array([[0.2, -0.1], [1.0, 0.5], [-0.0, 0.3]])
+        expected = {name: getattr(apart, name)(*args) for name, args in (
+            ("geodesic_acceleration", (pts, v)), ("metric", (pts,)),
+            ("metric_derivative", (pts,)))}
+        called = []
+        original = Expression.__call__
+
+        def counting(self, points):
+            called.append(id(self))
+            return original(self, points)
+
+        monkeypatch.setattr(Expression, "__call__", counting)
+        got = shared.geodesic_acceleration(pts, v)
+        assert sorted(called) == sorted({id(o) for o in oracles})
+        assert got.tobytes() == expected["geodesic_acceleration"].tobytes()
+        for name in ("metric", "metric_derivative"):
+            called.clear()
+            got = getattr(shared, name)(pts)
+            assert len(called) == 1
+            assert got.tobytes() == expected[name].tobytes()
+        called.clear()
+        apart.geodesic_acceleration(pts, v)
+        assert len(called) == 4
+
+
 class TestInterpolate:
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 3), res=st.lists(st.integers(3, 6), min_size=3,

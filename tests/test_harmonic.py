@@ -127,6 +127,26 @@ class TestRadiusEstimate:
         if held and failed:
             assert max(held) < min(failed) + 1e-12
 
+    def test_one_distance_field_per_base_point(self, monkeypatch):
+        from czmap.geodesics import GridGraph
+        sources = []
+        original = GridGraph.dijkstra_from
+
+        def counting(self, node):
+            sources.append(node)
+            return original(self, node)
+
+        monkeypatch.setattr(GridGraph, "dijkstra_from", counting)
+        chart = make_sphere(res=33, theta=(0.9, math.pi - 0.9),
+                            phi=(-0.65, 0.65))
+        solves = []
+        for x in ([math.pi / 2, 0.0], [math.pi / 2, 0.1]):
+            est = estimate_harmonic_radius(chart, x, r_max=0.6,
+                                           bisection_steps=2)
+            solves.append(len(est.certificates))
+        assert solves == [3, 3]         # r_max and two bisection radii
+        assert len(sources) == 2
+
     def test_estimate_scales_with_the_metric(self):
         # on the rho-sphere the bisection stops at the same r/rho for every
         # rho: its gap is the grid step in metric units at the base point
