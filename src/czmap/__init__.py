@@ -12,8 +12,8 @@ from .geodesics import geodesic_distance, metric_ball
 from .geometry import (CoordinateBox, MetricChart, check_ricci_lower_bound,
                        ricci_samples)
 from .harmonic import (HarmonicChartCandidate, RadiusCertificate,
-                       check_hr_conditions, derivative_decay_experiment,
-                       estimate_harmonic_radius, solve_harmonic_chart)
+                       check_hr_conditions, estimate_harmonic_radius,
+                       solve_harmonic_chart)
 from .maps import (ImmersionData, JetField, MapModel, generalized_hessian,
                    immersion_check, uniform_continuity_profile)
 from .norms import NormRequest, dist_to_basepoint_field, holder_seminorm, lp_norm

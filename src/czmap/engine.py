@@ -607,22 +607,26 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
     dist_p = np.abs(dist_o) ** p * wflat
 
     # regime checks on each center's double ball, straight-segment
-    # estimator on the target, CHECK_BLOCK centers per call
+    # estimator on the target, CHECK_BLOCK centers per call.  r1N > 0 is
+    # not nan here (compute_r_hat and the uniform-continuity test reject
+    # it).  At r1N = +inf every center is in Omega and the near and
+    # Lipschitz conditions hold trivially, so the far test is never read
+    # and the dichotomy holds without a single target distance.
     r1N = radii.r1N
-    finite = bool(np.isfinite(r1N))
     center_idx = cover.center_indices
     in_omega = omega.mask.reshape(-1)[center_idx]
     dichotomy_ok = True
-    for b0 in range(0, cover.size, CHECK_BLOCK):
+    blocks = range(0, cover.size, CHECK_BLOCK) if np.isfinite(r1N) else ()
+    for b0 in blocks:
         b1 = min(b0 + CHECK_BLOCK, cover.size)
         rows = np.repeat(np.arange(b0, b1), np.diff(cover.indptr[b0:b1 + 1]))
         cols = cover.indices[cover.indptr[b0]:cover.indptr[b1]]
         img_d = segment_length(map_model.target_chart,
                                values[center_idx[rows]], values[cols])
         d_o = dist_o[cols]
-        near = d_o < r1N / 2.0 if finite else True
+        near = d_o < r1N / 2.0
         far = img_d <= d_o + omega_slack * (1.0 + d_o)
-        lip = img_d < r1N / 8.0 if finite else True
+        lip = img_d < r1N / 8.0
         dichotomy_ok &= bool(np.all(np.where(in_omega[rows], near, far))
                              and np.all(lip))
 

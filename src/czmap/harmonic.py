@@ -428,23 +428,3 @@ def estimate_harmonic_radius(chart: MetricChart, x,
     return RadiusEstimate(value=lo, at_least=False, undetermined=undetermined,
                           certificates=tested)
 
-
-def derivative_decay_experiment(chart: MetricChart, x, radii) -> list:
-    """(r, sup |d g~^{ab}| * r over the inner half-ball, verdict) rows.
-
-    Whenever the certificate holds the reported product stays <= 1, the
-    grid realization of the derivative-decay bound behind the flatness
-    characterization of infinite-radius points.
-    """
-    rows = []
-    for r in radii:
-        cand = solve_harmonic_chart(chart, x, float(r))
-        cert = check_hr_conditions(cand)
-        dz, dmask = _pushed_derivatives(cand)
-        half = dmask & (cand.ball.distances <= 0.5 * r)
-        if half.sum() == 0:
-            half = dmask
-        sup = float(np.nanmax(np.abs(dz[half]))) if half.any() else np.nan
-        rows.append({"r": float(r), "sup_dginv": sup, "product": sup * float(r),
-                     "verdict": cert.verdict, "hr2_value": cert.hr2_value})
-    return rows

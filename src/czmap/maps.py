@@ -16,6 +16,16 @@ field).  Pointwise norms use the full tensor contractions
 
 For isometric immersions these are the second fundamental form and mean
 curvature data.
+
+A chart is flat when every metric partial in ``chart.oracles()`` is the
+float 0.0 (constant expression components in analytic mode).  Its
+Christoffel symbols are then +-0 exactly, so each Gamma term above is +-0
+wherever du is finite, and adding it changes no value, only perhaps the
+sign of a zero, which no norm and no report reads.  The jet skips a flat
+chart's symbols and their contraction unless du is not finite at some
+grid point: then it keeps both, so that 0 * inf = nan still reaches the
+norms.  fd-mode charts and explicit derivative oracles give callable
+partials and always contract.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import numpy as np
 from . import fd
 from .errors import LipschitzViolation, NotImmersion, TargetEscape
 from .geodesics import metric_ball, segment_length
-from .geometry import MetricChart
+from .geometry import MetricChart, _is_zero
 from .norms import DistanceEvaluator
 
 RANK_THRESHOLD = 1e-8
@@ -177,16 +187,28 @@ def component_derivatives(map_model: MapModel) -> tuple:
     return values, du, ddu
 
 
+def _is_flat(chart: MetricChart) -> bool:
+    """Every metric partial is the float 0.0, so Gamma is +-0 exactly."""
+    return all(_is_zero(dg) for *_, partials in chart.oracles()
+               for dg in partials)
+
+
 def generalized_hessian(map_model: MapModel) -> JetField:
     """Full second-order jet of a map; see the module formula."""
     source = map_model.source_chart
     values, du, ddu = component_derivatives(map_model)
-    sgam = source.grid_christoffel()
-    tgam_at_u = target_christoffel_at(map_model, values)
     h_at_u = map_model.target_chart.metric(values)
 
-    hess = (ddu - np.einsum("...lij,...al->...aij", sgam, du)
-            + np.einsum("...abc,...bi,...cj->...aij", tgam_at_u, du, du))
+    # a flat chart's Gamma term is +-0 if du is finite (module docstring)
+    finite = bool(np.isfinite(du).all())
+    hess = ddu
+    if not (finite and _is_flat(source)):
+        hess = hess - np.einsum("...lij,...al->...aij",
+                                source.grid_christoffel(), du)
+    if not (finite and _is_flat(map_model.target_chart)):
+        hess = hess + np.einsum("...abc,...bi,...cj->...aij",
+                                target_christoffel_at(map_model, values),
+                                du, du)
     ginv = source.grid_inverse()
     laplacian = np.einsum("...ij,...aij->...a", ginv, hess)
     return JetField(

@@ -4,9 +4,11 @@ Everything here is expression backed, so analytic derivative oracles come
 for free; pass ``mode="fd"`` for the finite-difference variants used in
 convergence studies.  The jet references at the end recompute parts of a
 map's generalized Hessian by a second route from the map's own
-primitives, so tests can check ``maps.generalized_hessian`` against them.
-The shot reference keeps the two-array RK4 shot that
-``geodesics.shoot`` must match bit for bit.
+primitives, so tests can check ``maps.generalized_hessian`` against them;
+``reference_jet`` keeps the jet's full einsum route, Christoffel terms on
+every chart.  The shot reference keeps the two-array RK4 shot that
+``geodesics.shoot`` must match bit for bit, and the derivative-decay
+experiment samples the harmonic solver at a ladder of radii.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import numpy as np
 from czmap.expressions import Expression
 from czmap.geodesics import SHOOTING_STEPS
 from czmap.geometry import CoordinateBox, MetricChart
-from czmap.maps import (MapModel, component_derivatives,
+from czmap.harmonic import (_pushed_derivatives, check_hr_conditions,
+                            solve_harmonic_chart)
+from czmap.maps import (JetField, MapModel, component_derivatives,
                         target_christoffel_at)
 
 
@@ -182,6 +186,29 @@ def hessian_parts(map_model: MapModel) -> tuple:
             np.einsum("...abc,...bi,...cj->...aij", tgam, du, du))
 
 
+def reference_jet(map_model: MapModel) -> JetField:
+    """The jet by the einsum route on every chart: the sum of the two
+    ``hessian_parts``, then the trace and the norms by the contractions
+    of ``maps.generalized_hessian``."""
+    scalar_hess, nonlinear = hessian_parts(map_model)
+    hess = scalar_hess + nonlinear
+    values, du, _ = component_derivatives(map_model)
+    h = map_model.target_chart.metric(values)
+    ginv = map_model.source_chart.grid_inverse()
+    laplacian = np.einsum("...ij,...aij->...a", ginv, hess)
+
+    def norm(sq):
+        return np.sqrt(np.maximum(sq, 0.0))
+    return JetField(
+        du=du, hess=hess, laplacian=laplacian, target_metric=h,
+        norm_du=norm(np.einsum("...ij,...ab,...ai,...bj->...",
+                               ginv, h, du, du)),
+        norm_hess=norm(np.einsum("...aij,...blk,...ik,...jl,...ab->...",
+                                 hess, hess, ginv, ginv, h)),
+        norm_laplacian=norm(np.einsum("...ab,...a,...b->...",
+                                      h, laplacian, laplacian)))
+
+
 def split_laplacian(map_model: MapModel) -> np.ndarray:
     """Tension field ``(*grid, n)`` by the split route: the scalar
     Laplace-Beltrami operator of each component plus the trace of the
@@ -245,3 +272,28 @@ def reference_shoot(chart: MetricChart, x, v0: np.ndarray):
         vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         ok &= box.contains(pos, margin=-1e-9)
     return pos, ok
+
+
+# ---------------------------------------------------------------------------
+# harmonic derivative decay
+# ---------------------------------------------------------------------------
+
+def derivative_decay_experiment(chart: MetricChart, x, radii) -> list:
+    """(r, sup |d g~^{ab}| * r over the inner half-ball, verdict) rows.
+
+    Whenever the certificate holds the reported product stays <= 1, the
+    grid realization of the derivative-decay bound behind the flatness
+    characterization of infinite-radius points.
+    """
+    rows = []
+    for r in radii:
+        cand = solve_harmonic_chart(chart, x, float(r))
+        cert = check_hr_conditions(cand)
+        dz, dmask = _pushed_derivatives(cand)
+        half = dmask & (cand.ball.distances <= 0.5 * r)
+        if half.sum() == 0:
+            half = dmask
+        sup = float(np.nanmax(np.abs(dz[half]))) if half.any() else np.nan
+        rows.append({"r": float(r), "sup_dginv": sup, "product": sup * float(r),
+                     "verdict": cert.verdict, "hr2_value": cert.hr2_value})
+    return rows

@@ -243,12 +243,25 @@ class TestBallEstimate:
         assert abs(ratios[1] - ratios[0]) <= 0.10 * ratios[0]
 
 
+SPLIT_BASEPOINT = [1.6208, 0.05]
+
+
 @pytest.fixture(scope="module")
-def split_regime_instance():
-    psi = flat_to_sphere_map(resolution=65)
+def split_regime_map():
+    return flat_to_sphere_map(resolution=65)
+
+
+@pytest.fixture(scope="module")
+def split_regime_instance(split_regime_map):
     radii = HarmonicRadii(r1M=np.inf, r1N=0.3)
-    return verify_global_estimate(psi, [1.6208, 0.05], 2.0, radii,
-                                  name="flat-to-sphere")
+    return verify_global_estimate(split_regime_map, SPLIT_BASEPOINT, 2.0,
+                                  radii, name="flat-to-sphere")
+
+
+def target_calls(calls, model) -> list:
+    """The ``segment_length`` calls on the target chart, as (a, b) shapes."""
+    return [(np.shape(args[1]), np.shape(args[2])) for args in calls
+            if args[0] is model.target_chart]
 
 
 class TestGlobalEstimate:
@@ -270,6 +283,60 @@ class TestGlobalEstimate:
         assert inst.in_omega.shape == (inst.cover.size,)
         assert inst.in_omega.any() and not inst.in_omega.all()
         assert inst.checks["regime_dichotomy"]
+
+    def test_regime_dichotomy_can_fail(self, split_regime_map,
+                                       split_regime_instance):
+        # a negative slack makes the far test fail for every point, and
+        # some centers lie outside Omega
+        inst = split_regime_instance
+        broken = verify_global_estimate(split_regime_map, SPLIT_BASEPOINT,
+                                        2.0, inst.radii, cover=inst.cover,
+                                        omega_slack=-1.0)
+        assert broken.cover is inst.cover
+        assert not broken.checks["regime_dichotomy"]
+        assert broken.ratio == inst.ratio
+
+    def test_infinite_target_radius_measures_no_image_pairs(self,
+                                                            monkeypatch):
+        import czmap.geodesics as geodesics
+        from czmap.norms import dist_to_basepoint_field
+        psi = flat_to_sphere_map(resolution=17)
+        o = SPLIT_BASEPOINT
+        dist_to_basepoint_field(psi, o)        # builds the target's field
+        calls = count_calls(monkeypatch, geodesics, "segment_length")
+        inst = verify_global_estimate(psi, o, 2.0,
+                                      HarmonicRadii(np.inf, np.inf))
+        # Omega's distances from o are the only target lengths measured
+        assert target_calls(calls, psi) == [((1, 2), (17 * 17, 2))]
+        assert inst.in_omega.all()
+        assert inst.checks["regime_dichotomy"]
+        # a finite radius as large checks the same cover pair by pair
+        del calls[:]
+        finite = verify_global_estimate(psi, o, 2.0,
+                                        HarmonicRadii(np.inf, 1e6),
+                                        cover=inst.cover)
+        assert len(target_calls(calls, psi)) == 1 + math.ceil(
+            inst.cover.size / 32)
+        assert finite.checks["regime_dichotomy"]
+
+    def test_nan_target_radius_rejected_before_the_regime_check(
+            self, monkeypatch, flat_identity):
+        import czmap.geodesics as geodesics
+        from czmap.maps import uniform_continuity_profile
+        o = [0.0, 0.0]
+        uniform_continuity_profile(flat_identity, 0.2)  # builds its fields
+        calls = count_calls(monkeypatch, geodesics, "segment_length")
+        with pytest.raises(ValueError, match="r1N"):
+            verify_global_estimate(flat_identity, o, 2.0,
+                                   HarmonicRadii(np.inf, np.nan))
+        assert calls == []
+        with pytest.raises(PreconditionFailed, match="r1N/16=nan"):
+            verify_global_estimate(flat_identity, o, 2.0,
+                                   HarmonicRadii(10.0, np.nan),
+                                   uniform_radius=0.2)
+        # the profile measures from one image point at a time
+        shapes = target_calls(calls, flat_identity)
+        assert shapes and all(a[:-1] in ((), (1,)) for a, _ in shapes)
 
     def test_curvature_term_active_for_finite_target_radius(
             self, split_regime_instance):

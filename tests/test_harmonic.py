@@ -5,9 +5,9 @@ import pytest
 
 from conftest import make_flat, make_sphere
 from czmap.errors import PreconditionFailed
+from builders import derivative_decay_experiment
 from czmap.harmonic import (HarmonicChartCandidate,
                             check_hr_conditions, declared_certificate,
-                            derivative_decay_experiment,
                             estimate_harmonic_radius, solve_harmonic_chart)
 
 

@@ -1,15 +1,20 @@
 import math
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from czmap.errors import NotImmersion, TargetEscape
 from czmap.expressions import Expression
 from builders import (flat_chart, graph_immersion, hessian_chain_bound,
-                      hessian_parts, identity_map, sphere_immersion,
-                      split_laplacian)
-from czmap.maps import (MapModel, generalized_hessian, immersion_check,
-                        uniform_continuity_profile)
+                      hessian_parts, identity_map, reference_jet,
+                      sphere_immersion, split_laplacian)
+from czmap.geometry import CoordinateBox, MetricChart
+from czmap.maps import (JetField, MapModel, generalized_hessian,
+                        immersion_check, uniform_continuity_profile)
 
 V2 = ("x1", "x2")
 
@@ -88,6 +93,135 @@ class TestGeneralizedHessian:
         route_gap = np.abs(jet_f.laplacian - split_laplacian(fd_target)).max()
         assert route_gap <= 1e-10 * scale
         assert np.abs(jet_a.hess - jet_f.hess).max() <= 5e-3
+
+
+def kind_chart(kind: str, dim: int, extent: float, prefix: str) -> MetricChart:
+    """A chart on [-extent, extent]^dim with 5 points per axis.
+
+    ``flat``: the identity metric; ``constant``: 2 on the diagonal and 0.3
+    off it; ``curved``: 1 + 0.2 x_i^2 on the diagonal and
+    0.1 sin(x_i x_j) off it; ``fd``: the identity metric in fd mode;
+    ``explicit``: the identity metric with explicit zero derivative
+    oracles (plain callables).
+    """
+    names = tuple(f"{prefix}{i + 1}" for i in range(dim))
+
+    def entry(i, j):
+        if kind == "constant":
+            return "2" if i == j else "0.3"
+        if kind == "curved":
+            return (f"1 + 0.2*{names[i]}^2" if i == j
+                    else f"0.1*sin({names[i]}*{names[j]})")
+        return "1" if i == j else "0"
+
+    comps = [[Expression(entry(i, j), names) for j in range(dim)]
+             for i in range(dim)]
+    oracles = None
+    if kind == "explicit":
+        def zero(points):
+            return np.zeros(np.shape(points)[:-1])
+        oracles = {(i, j, k): zero for i in range(dim)
+                   for j in range(i, dim) for k in range(dim)}
+    box = CoordinateBox([-extent] * dim, [extent] * dim, [5] * dim)
+    mode = "fd" if kind == "fd" else "analytic"
+    return MetricChart(box, comps, derivative_mode=mode,
+                       derivative_oracles=oracles, name=f"{kind}-{prefix}")
+
+
+def jet_and_christoffel_charts(model: MapModel) -> tuple:
+    """The jet and the charts whose ``christoffel_at`` it called."""
+    original = MetricChart.christoffel_at
+    with mock.patch.object(MetricChart, "christoffel_at", autospec=True,
+                           side_effect=original) as spy:
+        jet = generalized_hessian(model)
+    return jet, {id(call.args[0]) for call in spy.call_args_list}
+
+
+def assert_same_jet(jet: JetField, model: MapModel):
+    """Every field equals the einsum route's; a zero's sign may differ."""
+    ref = reference_jet(model)
+    for f in fields(JetField):
+        got, want = getattr(jet, f.name), getattr(ref, f.name)
+        assert got.shape == want.shape, f.name
+        assert np.array_equal(got, want, equal_nan=True), f.name
+
+
+coefficient = st.floats(-0.5, 0.5, allow_nan=False).map(lambda c: round(c, 3))
+
+
+class TestJetReference:
+    """``generalized_hessian`` skips the Christoffel terms of flat charts
+    and must still equal the einsum route on every field."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 3), n=st.integers(1, 3),
+           source_kind=st.sampled_from(["flat", "constant", "curved"]),
+           target_kind=st.sampled_from(["flat", "constant", "curved"]),
+           data=st.data())
+    def test_jet_matches_einsum_route(self, m, n, source_kind, target_kind,
+                                      data):
+        source = kind_chart(source_kind, m, 0.5, "x")
+        target = kind_chart(target_kind, n, 2.0, "y")
+        names = tuple(f"x{i + 1}" for i in range(m))
+        comps = []
+        for a in range(n):
+            c = data.draw(st.lists(coefficient, min_size=m + 2,
+                                   max_size=m + 2))
+            linear = " + ".join(f"({c[k]})*{names[k]}" for k in range(m))
+            comps.append(Expression(
+                f"({c[m]}) + {linear} + ({c[m + 1]})*{names[0]}*{names[-1]}"
+                f" + 0.1*sin({names[a % m]})", names))
+        model = MapModel(source, target, comps)
+        jet, called = jet_and_christoffel_charts(model)
+        assert (id(source) in called) == (source_kind == "curved")
+        assert (id(target) in called) == (target_kind == "curved")
+        assert_same_jet(jet, model)
+
+    @pytest.mark.parametrize("kinds", [("fd", "flat"), ("explicit", "fd"),
+                                       ("flat", "explicit"), ("fd", "fd")])
+    def test_callable_partials_keep_the_contraction(self, kinds):
+        source = kind_chart(kinds[0], 2, 0.5, "x")
+        target = kind_chart(kinds[1], 3, 2.0, "y")
+        comps = [Expression(e, V2) for e in ("x1 + x2^2", "sin(x2)",
+                                             "x1*x2")]
+        model = MapModel(source, target, comps)
+        jet, called = jet_and_christoffel_charts(model)
+        assert (id(source) in called) == (kinds[0] != "flat")
+        assert (id(target) in called) == (kinds[1] != "flat")
+        assert_same_jet(jet, model)
+
+    @pytest.mark.parametrize("kinds", [("flat", "flat"), ("flat", "curved"),
+                                       ("curved", "flat")])
+    def test_infinite_derivative_reaches_the_norms(self, kinds):
+        # sqrt(s), s = x1 + x2 + 1, vanishes at the corner (-0.5, -0.5)
+        # alone, so du is inf there (expressions refuse non-finite values,
+        # so the component is a plain callable with its partials)
+        class Component:
+            def __init__(self, f, partials=None):
+                self.f, self.partials = f, partials
+
+            def __call__(self, points):
+                s = points[..., 0] + points[..., 1] + 1.0
+                with np.errstate(divide="ignore"):
+                    return self.f(s)
+
+            def partial(self, axis):
+                return self.partials
+
+        hess = Component(lambda s: -0.25 * s ** -1.5)
+        grad = Component(lambda s: 0.5 / np.sqrt(s), hess)
+        source = kind_chart(kinds[0], 2, 0.5, "x")
+        target = kind_chart(kinds[1], 3, 2.0, "y")
+        comps = [Expression("x1", V2), Expression("x2", V2),
+                 Component(np.sqrt, grad)]
+        model = MapModel(source, target, comps)
+        with np.errstate(invalid="ignore"):      # inf - inf on curved charts
+            jet, _ = jet_and_christoffel_charts(model)
+            assert_same_jet(jet, model)
+        bad = ~np.isfinite(jet.du).all(axis=(-2, -1))
+        assert bad[0, 0] and bad.sum() == 1
+        assert np.isnan(jet.norm_hess[0, 0])
+        assert np.isfinite(jet.norm_hess[~bad]).all()
 
 
 class TestGeneralizedLaplacian:
