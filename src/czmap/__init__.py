@@ -8,7 +8,7 @@ from .engine import (BallEstimateInstance, EllipticOperatorSpec,
                      verify_euclidean_corollaries, verify_global_estimate,
                      verify_interior_estimate, verify_scaling_identities)
 from .expressions import Expression, parse_expression, to_string
-from .geodesics import geodesic_distance, metric_ball
+from .geodesics import metric_ball
 from .geometry import (CoordinateBox, MetricChart, check_ricci_lower_bound,
                        ricci_samples)
 from .harmonic import (HarmonicChartCandidate, RadiusCertificate,

@@ -500,14 +500,19 @@ def build_cover(chart: MetricChart, r_hat: float) -> Cover:
         codes[fill[src]] = ring[src]
         fill[src] += 1
 
-    covered = np.zeros(n, dtype=bool)
-    is_center = np.zeros(n, dtype=bool)
-    for c in range(n):
-        if not covered[c]:
-            is_center[c] = True
-            row = slice(indptr[c], indptr[c + 1])
-            covered[indices[row][codes[row] == 3]] = True
-    centers = np.flatnonzero(is_center)
+    # each point's zero offset has d = 0, code 3; when no other entry has
+    # code 3, no point covers another and the greedy pass picks them all
+    if np.count_nonzero(codes == 3) == n:
+        centers = np.arange(n)
+    else:
+        covered = np.zeros(n, dtype=bool)
+        is_center = np.zeros(n, dtype=bool)
+        for c in range(n):
+            if not covered[c]:
+                is_center[c] = True
+                row = slice(indptr[c], indptr[c + 1])
+                covered[indices[row][codes[row] == 3]] = True
+        centers = np.flatnonzero(is_center)
     if len(centers) < n:            # keep the centers' rows only
         lengths = np.diff(indptr)
         kept = np.repeat(is_center, lengths)

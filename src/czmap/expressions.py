@@ -12,13 +12,24 @@ Known functions: sin, cos, exp, log, sqrt, pow, abs.  ``pi`` is a built-in
 constant.  Parsing errors carry the column; evaluation either returns finite
 values on the whole input or raises a located :class:`EvalError`.
 
-An :class:`Expression` compiles its tree once, on first call, into one
-closure that runs the same numpy operations in the same order as the tree
-walk :func:`evaluate`, so its values are the same bits.  The closure runs
-with numpy's overflow, divide-by-zero and invalid flags raising, and its
-output is checked for finiteness once.  A raised flag, a non-finite input
-or a non-finite output sends the call back through :func:`evaluate`, which
-stays the single source of located :class:`EvalError` exceptions.
+One compiler, :class:`Program`, turns trees into a generated numpy
+function of straight-line code: one line per distinct subtree (equal
+subtrees are hash-consed; ``pos`` is ignored, literals count by type and
+bits), each line the numpy operation the tree walk :func:`evaluate` makes,
+so the values are the same bits.  Arithmetic on traced values
+(:class:`Symbol`, :class:`TracedArray`) writes its operations into the
+same program.
+
+* An :class:`Expression` compiles itself, on first call, as a program of
+  one tree.  It runs with numpy's overflow, divide-by-zero and invalid
+  flags raising, and its output is checked for finiteness once.  A raised
+  flag, a non-finite input or a non-finite output sends the call back
+  through :func:`evaluate`, which stays the single source of located
+  :class:`EvalError` exceptions.
+* A chart kernel (:meth:`MetricChart.geodesic_acceleration`) is a program
+  of every metric oracle of an analytic chart plus the traced acceleration
+  arithmetic, so each distinct subtree of the whole oracle table is
+  evaluated once per call.
 
 Expressions differentiate symbolically (:func:`derive`), which is what backs
 the analytic derivative oracles of charts and maps.
@@ -29,7 +40,6 @@ from __future__ import annotations
 import difflib
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 
@@ -323,8 +333,6 @@ def _power(a, b):
     return np.power(a, b)
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv}
 _UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
           "sqrt": np.sqrt, "abs": np.abs}
 
@@ -343,38 +351,141 @@ def _compilable(node: Node, variables: tuple) -> bool:
     return True
 
 
-def _kernel(node: Node):
-    """One closure ``env -> value`` with the tree walk's numpy operations."""
-    if isinstance(node, Num):
-        value = np.float64(node.value)
-        return lambda env: value
-    if isinstance(node, Var):
-        name = node.name
-        return lambda env: env[name]
-    if isinstance(node, Neg):
-        child = _kernel(node.child)
-        return lambda env: -child(env)
-    if isinstance(node, Bin):
-        left, right = _kernel(node.left), _kernel(node.right)
-        if node.op == "^":
-            return _power_kernel(left, node.right, right)
-        op = _BINARY[node.op]
-        return lambda env: op(left(env), right(env))
-    if isinstance(node, Call):
-        args = [_kernel(a) for a in node.args]
-        if node.name == "pow":
-            return _power_kernel(args[0], node.args[1], args[1])
-        fn, (arg,) = _UNARY[node.name], args
-        return lambda env: fn(arg(env))
-    raise TypeError(f"unknown node {node!r}")
+class Program:
+    """Straight-line numpy code, built into one Python function.
+
+    Each line computes one local from locals, arguments and constants.
+    Equal lines are written once: equal subtrees (keyed on operation and
+    operand names, so ``pos`` is ignored and literals count by type and
+    bits) and equal arithmetic are evaluated once.  Every line is the
+    operation that the tree walk, or the traced arithmetic, performs on
+    the same values, so the function returns the same bits.  Constants
+    are closure variables of the function; no expression text reaches
+    its source.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.locals = {}                   # right-hand side -> local name
+        self.constants = {}                # (type, repr) -> name
+        self.values = []                   # constant values, in name order
+
+    def operand(self, value) -> str:
+        """The name of a traced value or of a constant."""
+        if isinstance(value, Symbol):
+            return value.name
+        key = (type(value), repr(value))
+        if key not in self.constants:
+            self.constants[key] = f"c{len(self.values)}"
+            self.values.append(value)
+        return self.constants[key]
+
+    def emit(self, template: str, *operands) -> "Symbol":
+        """The local that holds ``template`` filled with operand names."""
+        code = template.format(*(self.operand(v) for v in operands))
+        if code not in self.locals:
+            self.locals[code] = f"t{len(self.locals)}"
+            self.lines.append(f"{self.locals[code]} = {code}")
+        return Symbol(self, self.locals[code])
+
+    def expression(self, expr: "Expression"):
+        """The value of a compilable ``expr`` at the argument ``p``, the
+        points: every variable's column is read, as
+        :meth:`Expression.__call__` reads them, then the tree, one line per
+        distinct subtree."""
+        columns = {}
+        for k, name in enumerate(expr.variables):
+            columns[name] = self.emit(f"p[..., {k}]")
+        return self._node(expr.ast, columns)
+
+    def _node(self, node: Node, columns: dict):
+        if isinstance(node, Num):
+            return np.float64(node.value)
+        if isinstance(node, Var):
+            return columns[node.name]
+        if isinstance(node, Neg):
+            return self.emit("-{}", self._node(node.child, columns))
+        if isinstance(node, Bin) and node.op in ("+", "-", "*", "/"):
+            return self.emit("{} %s {}" % node.op,
+                             self._node(node.left, columns),
+                             self._node(node.right, columns))
+        if isinstance(node, Call) and node.name in _UNARY:
+            return self.emit(node.name + "({})",
+                             self._node(node.args[0], columns))
+        if isinstance(node, Bin) and node.op == "^":
+            base, exponent = node.left, node.right
+        elif isinstance(node, Call) and node.name == "pow":
+            base, exponent = node.args
+        else:
+            raise TypeError(f"unknown node {node!r}")
+        if isinstance(exponent, Num) and exponent.value == int(exponent.value):
+            # _power's integer test, done once on the literal
+            return self.emit("power({}, {})", self._node(base, columns),
+                             int(exponent.value))
+        return self.emit("_power({}, {})", self._node(base, columns),
+                         self._node(exponent, columns))
+
+    def build(self, arguments: str, result):
+        """The function ``kernel(arguments)`` that runs the lines and
+        returns ``result``, with the constants bound in its closure."""
+        returned = self.operand(result)
+        body = "".join(f"        {line}\n" for line in self.lines)
+        source = (f"def bind({', '.join(self.constants.values())}):\n"
+                  f"    def kernel({arguments}):\n{body}"
+                  f"        return {returned}\n"
+                  f"    return kernel\n")
+        return _binder(source)(*self.values)
 
 
-def _power_kernel(base, exponent_node: Node, exponent):
-    """:func:`_power`, with the integer test of a literal exponent done once."""
-    if isinstance(exponent_node, Num) and exponent_node.value == int(exponent_node.value):
-        k = int(exponent_node.value)
-        return lambda env: np.power(base(env), k)
-    return lambda env: _power(base(env), exponent(env))
+@functools.lru_cache(maxsize=1024)
+def _binder(source: str):
+    """The function ``bind`` of a program's source, compiled once per
+    source: a search rebuilds the same expressions, with other constants,
+    many times."""
+    namespace = {"power": np.power, "_power": _power, **_UNARY}
+    exec(compile(source, "<czmap kernel>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def _traced(op: str, reflected: bool = False):
+    """The method ``self op other`` (``other op self`` if reflected) of
+    :class:`Symbol`."""
+    if reflected:
+        return lambda self, other: self.program.emit("{} %s {}" % op, other, self)
+    return lambda self, other: self.program.emit("{} %s {}" % op, self, other)
+
+
+class Symbol:
+    """A traced value, one local of a :class:`Program`.  Arithmetic with
+    symbols and Python numbers writes the operation into the program and
+    returns the symbol of its result."""
+
+    __slots__ = ("program", "name")
+
+    def __init__(self, program: Program, name: str):
+        self.program, self.name = program, name
+
+    __add__, __radd__ = _traced("+"), _traced("+", True)
+    __sub__, __rsub__ = _traced("-"), _traced("-", True)
+    __mul__, __rmul__ = _traced("*"), _traced("*", True)
+    __truediv__, __rtruediv__ = _traced("/"), _traced("/", True)
+
+    def __neg__(self):
+        return self.program.emit("-{}", self)
+
+
+class TracedArray(Symbol):
+    """An array local of a :class:`Program`, read and written as
+    ``a[..., k]``."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        return self.program.emit(f"{self.name}[..., {index[-1]}]")
+
+    def __setitem__(self, index, value):
+        self.program.lines.append(
+            f"{self.name}[..., {index[-1]}] = {self.program.operand(value)}")
 
 
 def _num(v: float) -> Num:
@@ -570,24 +681,32 @@ class Expression:
         self._dilations: dict[float, Expression] = {}
 
     @functools.cached_property
+    def compilable(self) -> bool:
+        """Whether :class:`Program` may evaluate this tree (see
+        :func:`_compilable`)."""
+        return _compilable(self.ast, self.variables)
+
+    @functools.cached_property
     def _compiled(self):
-        """The compiled tree, or None where only the tree walk is exact."""
-        if not _compilable(self.ast, self.variables):
+        """The compiled tree, a program of one expression over the points
+        ``p``, or None where only the tree walk is exact."""
+        if not self.compilable:
             return None
-        return _kernel(self.ast)
+        program = Program()
+        return program.build("p", program.expression(self))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        env = {name: points[..., k] for k, name in enumerate(self.variables)}
         out = None
         # a non-finite input can turn into a finite output without a flag
         if self._compiled is not None and np.isfinite(points).all():
             try:
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    out = self._compiled(env)
+                    out = self._compiled(points)
             except FloatingPointError:
                 pass
         if out is None or not np.isfinite(out).all():
+            env = {name: points[..., k] for k, name in enumerate(self.variables)}
             out = evaluate(self.ast, env, self.text)
         return np.broadcast_to(out, points.shape[:-1]).astype(float, copy=True) \
             if out.shape != points.shape[:-1] else out

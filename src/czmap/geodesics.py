@@ -13,7 +13,8 @@ Two estimators cooperate:
   independent, so the batch gives each row the bits of a separate shot.
   The RK4 right-hand side is (v, -Γ(v, v)) from
   :meth:`MetricChart.geodesic_acceleration`, which solves g a = -w on the
-  metric oracles (each distinct oracle evaluated once per call) and never
+  metric oracles (on an analytic chart one compiled kernel that evaluates
+  each distinct subtree of the oracle table once per call) and never
   forms the Christoffel tensor.
 
 A shot keeps its state as one array y = (x, v) with slope (v, a), stored
@@ -105,30 +106,63 @@ def _neighbor_offsets(m: int):
 
 class GridGraph:
     """Undirected neighbor graph of a chart grid: per neighbor offset, the
-    slices pairing grid points and their grid-shaped metric lengths."""
+    slices pairing grid points and their grid-shaped metric lengths.
+
+    It also keeps one distance buffer and, per axis, the plane-by-plane
+    views of it that a sweep along that axis relaxes: for each pair of
+    neighboring grid planes, every edge between them as (views of the
+    lower plane, the upper plane, the weights).
+    """
 
     def __init__(self, chart: MetricChart):
         box = chart.box
         self.shape = box.shape
         pts = box.points().reshape(box.shape + (box.dimension,))
+        offsets = _neighbor_offsets(box.dimension)
         self.edges = [(a, b, segment_length(chart, pts[a], pts[b], n_quad=2))
                       for a, b in (offset_slices(off, box.shape)
-                                   for off in _neighbor_offsets(box.dimension))]
+                                   for off in offsets)]
+        self._dist = np.empty(self.shape)
+        self._sweeps = []
+        for k in range(box.dimension):
+            across = []
+            for off, (a, b, w) in zip(offsets, self.edges):
+                if off[k] != 0:
+                    lower, upper, w = (np.moveaxis(x, k, 0) for x in
+                                       (self._dist[a], self._dist[b], w))
+                    across.append((lower, upper, w) if off[k] > 0
+                                  else (upper, lower, w))
+            self._sweeps.append([[(lower[t, ...], upper[t, ...], w[t, ...])
+                                  for lower, upper, w in across]
+                                 for t in range(self.shape[k] - 1)])
 
     def dijkstra_from(self, node: int) -> np.ndarray:
-        """Graph distances from ``node``, flat in grid C order.  Every edge
-        relaxes both ways until a sweep changes nothing; each value is a
-        path's left-to-right float sum and fl(a + w) is monotone in a, so
-        this least fixed point is Dijkstra's result, bit for bit."""
-        dist = np.full(self.shape, np.inf)
+        """Graph distances from ``node``, flat in grid C order.
+
+        Edges are relaxed plane by plane, up and then down each axis, so
+        one sweep carries a distance across the whole grid; then every
+        edge relaxes both ways at once, and the rounds repeat until that
+        changes nothing.  Each value is a path's left-to-right float sum
+        and fl(a + w) is monotone in a, so the least fixed point reached
+        is Dijkstra's result, bit for bit, in any relaxation order.
+        """
+        dist = self._dist
+        dist.fill(np.inf)
         dist.flat[node] = 0.0
-        before = None
-        while not np.array_equal(dist, before):
+        while True:
+            for planes in self._sweeps:
+                for edges in planes:
+                    for lower, upper, w in edges:
+                        np.minimum(upper, lower + w, out=upper)
+                for edges in reversed(planes):
+                    for lower, upper, w in edges:
+                        np.minimum(lower, upper + w, out=lower)
             before = dist.copy()
             for a, b, w in self.edges:
                 np.minimum(dist[b], dist[a] + w, out=dist[b])
                 np.minimum(dist[a], dist[b] + w, out=dist[a])
-        return dist.reshape(-1)
+            if np.array_equal(dist, before):
+                return before.reshape(-1)
 
 
 def distance_field(chart: MetricChart, source) -> np.ndarray:
@@ -302,32 +336,3 @@ def log_map(chart: MetricChart, x, targets):
         if not ok.any():
             break
     return v, converged
-
-
-def geodesic_distance(chart: MetricChart, x, y) -> float:
-    """Geodesic distance between two chart points.
-
-    Graph estimate refined by one Newton shooting pass; the graph value is
-    kept when shooting fails to converge (tolerance documented per run).
-    Arguments are evaluated in canonical order, so the result is exactly
-    symmetric.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if tuple(y.tolist()) < tuple(x.tolist()):
-        x, y = y, x
-    if np.array_equal(x, y):
-        return 0.0
-    field_x = distance_field(chart, x)
-    box = chart.box
-    node_y = box.ravel_index(box.nearest_index(y))
-    hop = segment_length(chart, box.points()[node_y], y)
-    graph_est = float(min(field_x[node_y] + hop, segment_length(chart, x, y)))
-    v, converged = log_map(chart, x, y[None, :])
-    if converged[0]:
-        G = chart.metric(x)
-        length = float(np.sqrt(v[0] @ G @ v[0]))
-        # a refined minimizer can't exceed a path-length upper bound
-        if length <= graph_est * 1.05 + 1e-12:
-            return length
-    return graph_est

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import fd
 from .errors import DegenerateMetric
-from .expressions import Expression, evaluate, has_variable
+from .expressions import (Expression, Program, TracedArray, evaluate,
+                          has_variable)
 
 SPD_EIGENVALUE_FLOOR = 1e-12
 
@@ -149,9 +150,10 @@ def _constant_or_oracle(oracle):
     return oracle
 
 
-def _evaluator(points):
+def _evaluator(points, evaluate=None):
     """``at(oracle)``: a float oracle itself, else the oracle's values at
-    ``points``, each distinct oracle object evaluated once."""
+    ``points`` (or ``evaluate(oracle)``), each distinct oracle object
+    evaluated once."""
     values = {}
 
     def at(oracle):
@@ -159,7 +161,7 @@ def _evaluator(points):
             return oracle
         key = id(oracle)
         if key not in values:
-            values[key] = oracle(points)
+            values[key] = oracle(points) if evaluate is None else evaluate(oracle)
         return values[key]
     return at
 
@@ -167,6 +169,60 @@ def _evaluator(points):
 def _is_zero(value) -> bool:
     """True for the float 0.0 that stands for a vanishing constant term."""
     return isinstance(value, float) and value == 0.0
+
+
+def _empty_acceleration(points, v) -> np.ndarray:
+    return np.empty(points.shape if points.shape == v.shape
+                    else np.broadcast_shapes(points.shape, v.shape))
+
+
+def _acceleration(oracles, at, vs, empty):
+    """``acc[..., l] = -Gamma^l_ij v^i v^j``, the arithmetic of
+    :meth:`MetricChart.geodesic_acceleration`, on arrays or traced values.
+
+    ``at`` gives an oracle's value, ``vs`` the velocity components and
+    ``empty()`` the output.  g a = -w with
+    w_k = sum_ij (d_i g_jk - 1/2 d_k g_ij) v^i v^j, float-0.0 oracles
+    skipped.  g is SPD, so Gaussian elimination without pivoting is safe;
+    it is unrolled over the components, and every row of the batch is
+    computed on its own.
+    """
+    m = len(vs)
+    g = [[0.0] * m for _ in range(m)]
+    w = [0.0] * m
+    for i, j, gij, partials in oracles:
+        g[i][j] = g[j][i] = at(gij)
+        dgs = [(k, at(dg)) for k, dg in enumerate(partials)
+               if not _is_zero(dg)]
+        if not dgs:
+            continue
+        # the entry stands for g_ij and g_ji in both sums of w
+        along = sum(vs[k] * dg for k, dg in dgs)   # v^a d_a g_ij
+        w[j] = w[j] + vs[i] * along
+        if i == j:
+            quad = 0.5 * vs[i] * vs[i]
+        else:
+            w[i] = w[i] + vs[j] * along
+            quad = vs[i] * vs[j]
+        for k, dg in dgs:
+            w[k] = w[k] - quad * dg
+    rhs = [-wk for wk in w]
+    for c in range(m):                 # forward elimination
+        for r in range(c + 1, m):
+            if _is_zero(g[r][c]):
+                continue
+            f = g[r][c] / g[c][c]
+            for k in range(c + 1, m):
+                g[r][k] = g[r][k] - f * g[c][k]
+            rhs[r] = rhs[r] - f * rhs[c]
+    acc = empty()
+    for r in reversed(range(m)):       # back substitution
+        s = rhs[r]
+        for k in range(r + 1, m):
+            if not _is_zero(g[r][k]):
+                s = s - g[r][k] * acc[..., k]
+        acc[..., r] = s / g[r][r]
+    return acc
 
 
 class MetricChart:
@@ -283,54 +339,50 @@ class MetricChart:
     def geodesic_acceleration(self, points, v) -> np.ndarray:
         """``-Gamma^l_ij v^i v^j`` at ``points``, shape ``(..., m)``.
 
-        Gamma is never formed: g a = -w with
-        w_k = sum_ij (d_i g_jk - 1/2 d_k g_ij) v^i v^j, each distinct
-        oracle object evaluated once and float-0.0 oracles skipped.  g is
-        SPD, so Gaussian elimination without pivoting is safe; it is
-        unrolled over the components, and every row of the batch is
-        computed on its own.
+        Gamma is never formed: :func:`_acceleration` solves g a = -w on
+        the metric oracles.  An analytic chart runs it as one compiled
+        kernel (:meth:`_acceleration_kernel`) under raising floating-point
+        flags, on finite points only; a raised flag or a non-finite result
+        sends the call down the per-oracle route, which performs the same
+        operations, so the values are the same bits and the errors the
+        same located ones.
         """
         points = np.asarray(points, dtype=float)
         v = np.asarray(v, dtype=float)
-        m = self.dimension
-        at = _evaluator(points)
-        vs = [v[..., i] for i in range(m)]
-        g = [[0.0] * m for _ in range(m)]
-        w = [0.0] * m
-        for i, j, gij, partials in self.oracles():
-            g[i][j] = g[j][i] = at(gij)
-            dgs = [(k, at(dg)) for k, dg in enumerate(partials)
-                   if not _is_zero(dg)]
-            if not dgs:
-                continue
-            # the entry stands for g_ij and g_ji in both sums of w
-            along = sum(vs[k] * dg for k, dg in dgs)   # v^a d_a g_ij
-            w[j] = w[j] + vs[i] * along
-            if i == j:
-                quad = 0.5 * vs[i] * vs[i]
-            else:
-                w[i] = w[i] + vs[j] * along
-                quad = vs[i] * vs[j]
-            for k, dg in dgs:
-                w[k] = w[k] - quad * dg
-        rhs = [-wk for wk in w]
-        for c in range(m):                 # forward elimination
-            for r in range(c + 1, m):
-                if _is_zero(g[r][c]):
-                    continue
-                f = g[r][c] / g[c][c]
-                for k in range(c + 1, m):
-                    g[r][k] = g[r][k] - f * g[c][k]
-                rhs[r] = rhs[r] - f * rhs[c]
-        acc = np.empty(points.shape if points.shape == v.shape
-                       else np.broadcast_shapes(points.shape, v.shape))
-        for r in reversed(range(m)):       # back substitution
-            s = rhs[r]
-            for k in range(r + 1, m):
-                if not _is_zero(g[r][k]):
-                    s = s - g[r][k] * acc[..., k]
-            acc[..., r] = s / g[r][r]
-        return acc
+        kernel = self._acceleration_kernel()
+        if kernel is not None and np.isfinite(points).all():
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    acc = kernel(points, v)
+                # a non-finite oracle value would reach the result (from
+                # finite points it cannot arise without a flag)
+                if np.isfinite(acc).all():
+                    return acc
+            except ArithmeticError:
+                pass
+        return _acceleration(self.oracles(), _evaluator(points),
+                             [v[..., i] for i in range(self.dimension)],
+                             lambda: _empty_acceleration(points, v))
+
+    def _acceleration_kernel(self):
+        """:func:`_acceleration` traced into one function ``(p, v) -> acc``
+        over the points ``p`` and velocities ``v``, built on first use; None
+        unless every oracle is a float or a compilable expression (fd mode
+        and plain-callable derivative oracles keep the per-oracle route)."""
+        if "acceleration_kernel" not in self._cache:
+            kernel = None
+            oracles = [o for _, _, g, partials in self.oracles()
+                       for o in [g] + partials if not isinstance(o, float)]
+            if all(isinstance(o, Expression) and o.compilable for o in oracles):
+                program = Program()
+                vs = [program.emit(f"v[..., {i}]") for i in range(self.dimension)]
+                acc = _acceleration(
+                    self.oracles(), _evaluator(None, program.expression), vs,
+                    lambda: TracedArray(program, program.emit(
+                        "{}(p, v)", _empty_acceleration).name))
+                kernel = program.build("p, v", acc)
+            self._cache["acceleration_kernel"] = kernel
+        return self._cache["acceleration_kernel"]
 
     # -- grid samples ----------------------------------------------------------
 

@@ -6,9 +6,12 @@ convergence studies.  The jet references at the end recompute parts of a
 map's generalized Hessian by a second route from the map's own
 primitives, so tests can check ``maps.generalized_hessian`` against them;
 ``reference_jet`` keeps the jet's full einsum route, Christoffel terms on
-every chart.  The shot reference keeps the two-array RK4 shot that
-``geodesics.shoot`` must match bit for bit, and the derivative-decay
-experiment samples the harmonic solver at a ladder of radii.
+every chart.  The acceleration reference keeps the per-oracle route that
+the compiled chart kernel must match bit for bit, the shot reference the
+two-array RK4 shot that ``geodesics.shoot`` must match, and
+``geodesic_distance`` refines a graph distance by one shooting pass.  The
+derivative-decay experiment samples the harmonic solver at a ladder of
+radii.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import math
 import numpy as np
 
 from czmap.expressions import Expression
-from czmap.geodesics import SHOOTING_STEPS
-from czmap.geometry import CoordinateBox, MetricChart
+from czmap.geodesics import (SHOOTING_STEPS, distance_field, log_map,
+                             segment_length)
+from czmap.geometry import CoordinateBox, MetricChart, _evaluator, _is_zero
 from czmap.harmonic import (_pushed_derivatives, check_hr_conditions,
                             solve_harmonic_chart)
 from czmap.maps import (JetField, MapModel, component_derivatives,
@@ -240,6 +244,58 @@ def hessian_chain_bound(map_model: MapModel, jet) -> float:
 
 
 # ---------------------------------------------------------------------------
+# acceleration reference
+# ---------------------------------------------------------------------------
+
+def reference_acceleration(chart: MetricChart, points, v) -> np.ndarray:
+    """The per-oracle geodesic acceleration: each distinct oracle called
+    once through ``Expression.__call__``, then the w sums, the unpivoted
+    elimination and the back substitution on its values.  The compiled
+    chart kernel of ``MetricChart.geodesic_acceleration`` must return its
+    bits and raise its errors."""
+    points = np.asarray(points, dtype=float)
+    v = np.asarray(v, dtype=float)
+    m = chart.dimension
+    at = _evaluator(points)
+    vs = [v[..., i] for i in range(m)]
+    g = [[0.0] * m for _ in range(m)]
+    w = [0.0] * m
+    for i, j, gij, partials in chart.oracles():
+        g[i][j] = g[j][i] = at(gij)
+        dgs = [(k, at(dg)) for k, dg in enumerate(partials)
+               if not _is_zero(dg)]
+        if not dgs:
+            continue
+        along = sum(vs[k] * dg for k, dg in dgs)
+        w[j] = w[j] + vs[i] * along
+        if i == j:
+            quad = 0.5 * vs[i] * vs[i]
+        else:
+            w[i] = w[i] + vs[j] * along
+            quad = vs[i] * vs[j]
+        for k, dg in dgs:
+            w[k] = w[k] - quad * dg
+    rhs = [-wk for wk in w]
+    for c in range(m):
+        for r in range(c + 1, m):
+            if _is_zero(g[r][c]):
+                continue
+            f = g[r][c] / g[c][c]
+            for k in range(c + 1, m):
+                g[r][k] = g[r][k] - f * g[c][k]
+            rhs[r] = rhs[r] - f * rhs[c]
+    acc = np.empty(points.shape if points.shape == v.shape
+                   else np.broadcast_shapes(points.shape, v.shape))
+    for r in reversed(range(m)):
+        s = rhs[r]
+        for k in range(r + 1, m):
+            if not _is_zero(g[r][k]):
+                s = s - g[r][k] * acc[..., k]
+        acc[..., r] = s / g[r][r]
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # shot reference
 # ---------------------------------------------------------------------------
 
@@ -272,6 +328,39 @@ def reference_shoot(chart: MetricChart, x, v0: np.ndarray):
         vel = vel + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         ok &= box.contains(pos, margin=-1e-9)
     return pos, ok
+
+
+# ---------------------------------------------------------------------------
+# pair distance
+# ---------------------------------------------------------------------------
+
+def geodesic_distance(chart: MetricChart, x, y) -> float:
+    """Geodesic distance between two chart points.
+
+    Graph estimate refined by one Newton shooting pass; the graph value is
+    kept when shooting fails to converge (tolerance documented per run).
+    Arguments are evaluated in canonical order, so the result is exactly
+    symmetric.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if tuple(y.tolist()) < tuple(x.tolist()):
+        x, y = y, x
+    if np.array_equal(x, y):
+        return 0.0
+    field_x = distance_field(chart, x)
+    box = chart.box
+    node_y = box.ravel_index(box.nearest_index(y))
+    hop = segment_length(chart, box.points()[node_y], y)
+    graph_est = float(min(field_x[node_y] + hop, segment_length(chart, x, y)))
+    v, converged = log_map(chart, x, y[None, :])
+    if converged[0]:
+        G = chart.metric(x)
+        length = float(np.sqrt(v[0] @ G @ v[0]))
+        # a refined minimizer can't exceed a path-length upper bound
+        if length <= graph_est * 1.05 + 1e-12:
+            return length
+    return graph_est
 
 
 # ---------------------------------------------------------------------------

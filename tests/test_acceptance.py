@@ -15,9 +15,9 @@ from czmap.engine import (compute_r_hat,
                           EllipticOperatorSpec)
 from czmap.errors import DegenerateRadius
 from czmap.expressions import Expression
-from builders import (cylinder_immersion, flat_chart, graph_immersion,
-                      sphere_chart, sphere_immersion)
-from czmap.geodesics import geodesic_distance, segment_length
+from builders import (cylinder_immersion, flat_chart, geodesic_distance,
+                      graph_immersion, sphere_chart, sphere_immersion)
+from czmap.geodesics import segment_length
 from czmap.harmonic import (check_hr_conditions, estimate_harmonic_radius,
                             solve_harmonic_chart)
 from czmap.maps import generalized_hessian, immersion_check

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import (constant_tilted_chart, flat_chart, hyperbolic_chart,
-                      reference_shoot, sphere_chart, tilted_chart_3d)
+from builders import (constant_tilted_chart, flat_chart, geodesic_distance,
+                      hyperbolic_chart, reference_shoot, sphere_chart,
+                      tilted_chart_3d)
 from conftest import make_flat, make_hyperbolic, make_sphere
 from czmap.expressions import Expression
 from czmap.geodesics import (GridGraph, _metric_is_constant, _neighbor_offsets,
-                             distance_field, geodesic_distance, log_map,
-                             metric_ball, offset_slices, segment_length, shoot)
+                             distance_field, log_map, metric_ball,
+                             offset_slices, segment_length, shoot)
 from czmap.geometry import CoordinateBox, MetricChart
 from czmap.scenario import fixture_dir, fixture_path, load_scenario
 
@@ -358,3 +359,21 @@ class TestGridGraph:
         node = data.draw(st.integers(0, chart.box.num_points - 1))
         assert np.array_equal(GridGraph(chart).dijkstra_from(node),
                               scipy_graph_distances(chart, node))
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.sampled_from([1, 3]), tilted=st.booleans(), data=st.data())
+    def test_matches_scipy_dijkstra_in_one_and_three_dimensions(
+            self, m, tilted, data):
+        # the plane sweeps run along every axis; a 1-D plane is one point
+        resolution = data.draw(st.lists(st.integers(3, 12 if m == 3 else 60),
+                                        min_size=m, max_size=m))
+        if tilted and m == 3:
+            chart = tilted_chart_3d()
+        else:
+            chart = flat_chart([0.0] * m, [1.0] * m, resolution,
+                               scale=2.5 if tilted else 1.0)
+        graph = GridGraph(chart)
+        for _ in range(2):      # the distance buffer is reused across calls
+            node = data.draw(st.integers(0, chart.box.num_points - 1))
+            assert np.array_equal(graph.dijkstra_from(node),
+                                  scipy_graph_distances(chart, node))

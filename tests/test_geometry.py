@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import constant_tilted_chart, tilted_chart_3d
+from builders import (constant_tilted_chart, reference_acceleration,
+                      tilted_chart_3d)
 from conftest import make_flat, make_hyperbolic, make_sphere
-from czmap.errors import DegenerateMetric
+from czmap.errors import DegenerateMetric, EvalError
 from czmap.expressions import Expression
 from czmap.geometry import (CoordinateBox, MetricChart, RicciBoundWarning,
                             check_ricci_lower_bound, ricci_samples)
@@ -282,6 +283,15 @@ class TestSharedOracles:
             return original(self, points)
 
         monkeypatch.setattr(Expression, "__call__", counting)
+        # the compiled chart kernel calls no oracle
+        got = shared.geodesic_acceleration(pts, v)
+        assert called == []
+        assert got.tobytes() == expected["geodesic_acceleration"].tobytes()
+        assert got.tobytes() == reference_acceleration(apart, pts, v).tobytes()
+        # the per-oracle route calls each distinct oracle once
+        for chart in (shared, apart):
+            monkeypatch.setitem(chart._cache, "acceleration_kernel", None)
+        called.clear()
         got = shared.geodesic_acceleration(pts, v)
         assert sorted(called) == sorted({id(o) for o in oracles})
         assert got.tobytes() == expected["geodesic_acceleration"].tobytes()
@@ -293,6 +303,132 @@ class TestSharedOracles:
         called.clear()
         apart.geodesic_acceleration(pts, v)
         assert len(called) == 4
+
+
+# bounded terms for random metric entries; several entries draw the same
+# term, so the chart kernel meets shared subtrees
+_KERNEL_TERMS = ("sin({a})^2", "cos({a})", "exp({a}/4)", "1/({a}*{a})",
+                 "sqrt(1 + {a}*{a})", "log(1 + {a})", "pow({a}, 1.5)",
+                 "abs({a} - 0.25)", "{a}^3/4", "-{a}")
+
+
+@st.composite
+def _kernel_charts(draw):
+    """An analytic chart in 1-3 dimensions on [0.5, 1.5]^m whose entries
+    mix shared terms, float constants and zero off-diagonal entries,
+    diagonally dominant so that g is SPD."""
+    m = draw(st.integers(1, 3))
+    names = ("x", "y", "z")[:m]
+    args = list(names) + ["(x + 0.5*%s)" % names[-1]]
+    terms = [t.format(a=draw(st.sampled_from(args)))
+             for t in draw(st.lists(st.sampled_from(_KERNEL_TERMS),
+                                    min_size=1, max_size=3))]
+    term = st.sampled_from(terms)
+    comps = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            if i == j:
+                kind = draw(st.sampled_from(["constant", "term", "terms"]))
+                text = {"constant": "2.5",
+                        "term": "4 + 0.5*%s" % draw(term),
+                        "terms": "4 + 0.5*%s - 0.25*%s" % (draw(term),
+                                                           draw(term))}[kind]
+            else:
+                text = draw(st.sampled_from(["0", "0.125", "0.0625*%s"
+                                             % draw(term)]))
+            comps[i][j] = Expression(text, names)
+    box = CoordinateBox([0.5] * m, [1.5] * m, [5] * m)
+    return MetricChart(box, comps, name="random")
+
+
+def _kernel_batch(data, chart):
+    m = chart.dimension
+    rows = data.draw(st.integers(1, 8))
+    t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows * m,
+                                    max_size=rows * m))).reshape(rows, m)
+    pts = chart.box.lower + t * (chart.box.upper - chart.box.lower)
+    speed = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
+    v = np.array(data.draw(st.lists(speed, min_size=rows * m,
+                                    max_size=rows * m))).reshape(rows, m)
+    return pts, v
+
+
+class TestAccelerationKernel:
+    """The compiled chart kernel returns the per-oracle route's bits and,
+    where it cannot, hands the call to that route."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(chart=_kernel_charts(), data=st.data())
+    def test_matches_per_oracle_route(self, chart, data):
+        pts, v = _kernel_batch(data, chart)
+        expected = reference_acceleration(chart, pts, v)
+        kernel = chart._acceleration_kernel()
+        assert kernel is not None
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            direct = kernel(pts, v)
+        assert np.array_equal(direct, expected)
+        assert direct.tobytes() == expected.tobytes()
+        got = chart.geodesic_acceleration(pts, v)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["sphere-fd", "explicit"])
+    def test_fd_and_explicit_oracles_keep_the_per_oracle_route(
+            self, name, monkeypatch):
+        chart = ACCELERATION_CHARTS[name]
+        pts = np.array([[1.0, 1.2], [1.3, 0.9], [0.8, 1.1]])
+        v = np.array([[0.5, -0.25], [1.0, 2.0], [-0.0, 0.75]])
+        assert chart._acceleration_kernel() is None
+        expected = reference_acceleration(chart, pts, v)
+        called = []
+        original = Expression.__call__
+
+        def counting(self, points):
+            called.append(id(self))
+            return original(self, points)
+
+        monkeypatch.setattr(Expression, "__call__", counting)
+        got = chart.geodesic_acceleration(pts, v)
+        assert called
+        assert got.tobytes() == expected.tobytes()
+
+    def test_plain_callable_component_keeps_the_per_oracle_route(self):
+        v = ("x", "y")
+        g11 = Expression("1 + x*x", v)
+        comps = [[lambda p: g11(p), Expression("0", v)],
+                 [Expression("0", v), Expression("2 + y", v)]]
+        chart = MetricChart(CoordinateBox([0.0, 0.0], [1.0, 1.0], [5, 5]),
+                            comps, derivative_oracles={
+                                (0, 0, 0): g11.partial(0),
+                                (0, 0, 1): g11.partial(1)})
+        pts = np.array([[0.25, 0.5], [0.75, 0.125]])
+        vel = np.array([[1.0, -2.0], [0.5, 0.25]])
+        assert chart._acceleration_kernel() is None
+        assert chart.geodesic_acceleration(pts, vel).tobytes() == \
+            reference_acceleration(chart, pts, vel).tobytes()
+
+    def test_divide_by_zero_falls_back_to_the_located_error(self):
+        chart = MetricChart(CoordinateBox([-1.0], [1.0], [5]),
+                            [[Expression("2 + sin(x)/x", ("x",))]])
+        pts = np.array([[0.5], [0.0]])
+        v = np.array([[1.0], [1.0]])
+        assert chart._acceleration_kernel() is not None
+        with pytest.raises(EvalError) as expected:
+            reference_acceleration(chart, pts, v)
+        with pytest.raises(EvalError) as got:
+            chart.geodesic_acceleration(pts, v)
+        assert str(got.value) == str(expected.value)
+        assert got.value.position == expected.value.position
+
+    def test_overflow_falls_back_to_the_same_values(self):
+        chart = make_sphere()
+        pts = np.array([[1.0, 0.5], [1.2, 0.7]])
+        v = np.array([[1e200, 1.0], [0.5, -1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = reference_acceleration(chart, pts, v)
+            got = chart.geodesic_acceleration(pts, v)
+        assert not np.isfinite(expected).all()
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestInterpolate:

@@ -653,3 +653,48 @@ lipschitz = 1
         assert main(["radius", "--scenario", str(path)]) == 0
         out = capsys.readouterr().out
         assert ">=" in out
+
+    def test_radius_mirrored_base_points_agree(self, tmp_path, capsys):
+        # each chart is homogeneous along one axis and mirror-symmetric
+        # across its middle (ph -> 1.2 - ph, x -> -x); each pair of base
+        # points sits 4 grid steps either side of that line, so the two
+        # estimates and every certificate's hr2_value must agree
+        path = tmp_path / "mirrored.scn"
+        path.write_text("""
+[manifold sphere]
+coordinates = th, ph
+lower = 1.2708, 0.0
+upper = 1.8708, 1.2
+resolution = 17, 33
+metric.1.1 = 1
+metric.1.2 = 0
+metric.2.2 = sin(th)^2
+base_points = 1.5708, 0.45, 1.5708, 0.75
+
+[manifold halfplane]
+coordinates = x, y
+lower = -0.4, 1.3
+upper = 0.4, 1.7
+resolution = 33, 17
+metric.1.1 = 1/(y*y)
+metric.1.2 = 0
+metric.2.2 = 1/(y*y)
+base_points = -0.1, 1.5, 0.1, 1.5
+
+[run]
+mode = global
+""", encoding="utf-8")
+        assert main(["radius", "--scenario", str(path)]) == 0
+        estimates = {}
+        for line in capsys.readouterr().out.splitlines():
+            if not line.startswith(" "):
+                point = line[line.index("["):line.index("]") + 1]
+                key = (line.split(" at ")[0], tuple(json.loads(point)))
+                estimates[key] = [line.split(": ", 1)[1].split(" (")[0]]
+            else:
+                estimates[key].append(line.split("hr2_value=")[1].split()[0])
+        assert len(estimates) == 4
+        for name, a, b in (("sphere", (1.5708, 0.45), (1.5708, 0.75)),
+                           ("halfplane", (-0.1, 1.5), (0.1, 1.5))):
+            assert len(estimates[name, a]) > 1
+            assert estimates[name, a] == estimates[name, b]
