@@ -34,7 +34,8 @@ from .geodesics import metric_ball, distance_field, offset_slices, segment_lengt
 from .geometry import CoordinateBox, MetricChart
 from .harmonic import RadiusCertificate
 from .maps import (ImmersionData, JetField, MapModel, field_jet,
-                   generalized_hessian, immersion_check)
+                   generalized_hessian, immersion_check,
+                   uniform_continuity_profile)
 from .norms import (PairTable, dist_to_basepoint_field, lp_norm_on,
                     quadrature_weights)
 
@@ -42,7 +43,7 @@ COMPLETENESS_CAVEAT = ("chart model is a bounded box; estimates are verified "
                       "on interior balls only")
 COVER_WINDOW_MARGIN = 1.05     # coordinate window slack, see build_cover
 CHECK_BLOCK = 32               # cover centers per target-side regime check
-OMEGA_SLACK = 1e-9
+OMEGA_SLACK = 1e-9             # relative slack of the far-regime comparison
 DIAMETER_SAMPLES = 1500        # image points sampled for diam(u(M))
 DIAMETER_SEED = 20859
 
@@ -577,7 +578,6 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
     L = map_model.lipschitz_bound
     extrapolated = False
     if uniform_radius is not None:
-        from .maps import uniform_continuity_profile
         r_uc = float(uniform_radius)
         R_uc = uniform_continuity_profile(map_model, r_uc)
         if not (R_uc < radii.r1N / 16.0):
@@ -597,7 +597,7 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
     jet = jet or generalized_hessian(map_model)
     omega = omega_decomposition(map_model, o, radii.r1N)
     if (cover is None or cover.chart is not source
-            or abs(cover.r_hat - r_hat) > 1e-15):
+            or cover.r_hat != r_hat):
         cover = build_cover(source, r_hat)
     cover_checks = cover.verify()
 

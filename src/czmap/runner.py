@@ -29,6 +29,8 @@ from .report import InequalityReport, write_reports
 from .scenario import Scenario
 from .search import MapFamily, extremal_ratio_search
 
+DRIFT_TOLERANCE = 0.10    # relative ratio drift allowed between grid levels
+
 
 def _resolve_r1(mdef, chart) -> RadiusCertificate:
     """Certificate of one manifold's r_{1,1/2}: the declaration, or the
@@ -109,8 +111,7 @@ class RunContext:
                                            map_model.lipschitz_bound))
         return verify_global_estimate(
             map_model, o, p, self.radii, jet=jet, cover=self.cover,
-            uniform_radius=run.uc_radius, omega_slack=run.omega_slack,
-            name=self.scenario.name)
+            uniform_radius=run.uc_radius, name=self.scenario.name)
 
 
 def _resolutions(scenario: Scenario):
@@ -131,7 +132,7 @@ def run_scenario(scenario: Scenario) -> list:
     reports = []
     for resolution in _resolutions(scenario):
         reports.extend(_run_at_resolution(scenario, resolution))
-    _attach_drift_checks(reports, scenario.run.drift_tolerance)
+    _attach_drift_checks(reports)
     return reports
 
 
@@ -163,6 +164,7 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
                        error=f"{type(exc).__name__}: {exc}",
                        timing_seconds=time.perf_counter() - t0)]
     radii = ctx.radii
+    certificates = [c.as_record() for c in radii.certificates]
     immersion = None
 
     for p in scenario.run.p_list:
@@ -172,7 +174,7 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
                 inst = ctx.verify_global(map_model, jet, p)
                 rep = report(
                     p=p, terms=inst.terms, ratio=inst.ratio, checks=inst.checks,
-                    certificates=[c.as_record() for c in radii.certificates],
+                    certificates=certificates,
                     cover_stats={"centers": inst.cover.size,
                                  "multiplicity": inst.cover.multiplicity,
                                  "separation": inst.cover.separation},
@@ -191,9 +193,11 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
                                 if isinstance(v, (int, float))},
                     ratio=rec["ratio"],
                     checks={"ratio_finite": bool(np.isfinite(rec["ratio"]))},
+                    certificates=certificates if mode == "corollaryA" else [],
                     caveats=rec.get("caveats", []))
             elif mode == "ball":
-                rep = _run_ball(scenario, map_model, radii, jet, p, res_label)
+                rep = _run_ball(scenario, map_model, radii, jet, p,
+                                partial(report, certificates=certificates))
             else:
                 raise CzmapError(f"mode {mode} not runnable here")
         except CzmapError as exc:
@@ -204,7 +208,7 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
     return reports
 
 
-def _run_ball(scenario, map_model, radii, jet, p, res_label) -> InequalityReport:
+def _run_ball(scenario, map_model, radii, jet, p, report) -> InequalityReport:
     ball = scenario.run.ball
     if "center" not in ball or "r" not in ball or "R" not in ball:
         raise CzmapError("ball mode needs ball_center, ball_r, ball_R")
@@ -215,11 +219,9 @@ def _run_ball(scenario, map_model, radii, jet, p, res_label) -> InequalityReport
         map_model, x, y, float(ball["r"][0]), float(ball["R"][0]), p,
         source_certificate=radii.certificates[0],
         target_certificate=radii.certificates[1], jet=jet)
-    return InequalityReport(
-        scenario=scenario.name, mode="ball", p=p, resolution=res_label,
-        terms=inst.terms, ratio=inst.ratio,
-        checks={"ratio_finite": bool(np.isfinite(inst.ratio))},
-        warnings=inst.warnings, caveats=list(inst.caveats))
+    return report(p=p, terms=inst.terms, ratio=inst.ratio,
+                  checks={"ratio_finite": bool(np.isfinite(inst.ratio))},
+                  warnings=inst.warnings, caveats=list(inst.caveats))
 
 
 def _res_label(scenario, resolution) -> str:
@@ -229,7 +231,7 @@ def _res_label(scenario, resolution) -> str:
     return "x".join(str(r) for r in resolution)
 
 
-def _attach_drift_checks(reports, tolerance: float):
+def _attach_drift_checks(reports):
     """Mark ratio drift between consecutive grid levels at equal p."""
     by_p = {}
     for rep in reports:
@@ -243,7 +245,7 @@ def _attach_drift_checks(reports, tolerance: float):
                 drift = np.inf
             else:
                 drift = abs(cur.ratio - prev.ratio) / abs(prev.ratio)
-            cur.checks["ratio_drift_ok"] = bool(drift <= tolerance)
+            cur.checks["ratio_drift_ok"] = bool(drift <= DRIFT_TOLERANCE)
             cur.terms["ratio_drift"] = float(drift)
 
 

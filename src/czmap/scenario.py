@@ -55,11 +55,11 @@ MAX_GRID_POINTS = np.iinfo(np.int32).max
 SECTION_KEYS = {
     "manifold": ("coordinates", "lower", "upper", "resolution",
                  "derivative_mode", "ricci_lower_bound", "base_point",
-                 "base_points", "r1_half", "metric.", "metric_derivative."),
+                 "base_points", "r1_half", "metric."),
     "map": ("source", "target", "lipschitz", "component."),
     "run": ("mode", "p", "basepoint", "resolution_ladder", "seed", "out",
             "ball_center", "ball_target_center", "ball_r", "ball_R",
-            "uc_radius", "drift_tolerance", "omega_slack"),
+            "uc_radius"),
     "search": ("parameters", "lower", "upper"),
 }
 
@@ -180,7 +180,6 @@ class ManifoldDef:
     base_points: list
     r1_half: object               # float | inf | "estimate"
     line: int
-    derivative_exprs: dict = field(default_factory=dict)  # (i, j, k) -> text
 
     @property
     def dimension(self) -> int:
@@ -195,10 +194,8 @@ class ManifoldDef:
         comps = [[None] * m for _ in range(m)]
         for (i, j), text in self.metric_exprs.items():
             comps[i][j] = Expression(text, self.coordinates)
-        oracles = {key: Expression(text, self.coordinates)
-                   for key, text in self.derivative_exprs.items()}
         chart = MetricChart(box, comps, derivative_mode=self.derivative_mode,
-                            derivative_oracles=oracles, name=self.name)
+                            name=self.name)
         chart.grid_metric()
         return chart
 
@@ -242,8 +239,6 @@ class RunConfig:
     out: str | None = None
     ball: dict = field(default_factory=dict)
     uc_radius: float | None = None
-    drift_tolerance: float = 0.10
-    omega_slack: float = 1e-9
 
     def validate_issue(self, path: str, line: int, p_line: int):
         if self.mode not in MODES:
@@ -405,31 +400,10 @@ def _parse_manifold(section: _Section, path: str, issues: list) -> ManifoldDef |
                                       f"grid has more than {MAX_GRID_POINTS} points"))
         ok = False
 
-    derivative_exprs = {}
-    for key, entry in e.items():
-        if not key.startswith("metric_derivative."):
-            continue
-        parts = key.split(".")
-        try:
-            i, j, k = (int(p) - 1 for p in parts[1:4])
-        except (IndexError, ValueError):
-            issues.append(ValidationIssue(path, entry.line, "MetricKey",
-                                          f"bad metric derivative key '{key}'"))
-            ok = False
-            continue
-        try:
-            parse_expression(entry.value, coordinates)
-        except ExpressionSyntaxError as exc:
-            issues.append(ValidationIssue(path, entry.line, "Expression",
-                                          str(exc)))
-            ok = False
-            continue
-        derivative_exprs[(i, j, k)] = entry.value
-
     metric_exprs = {}
     seen_pairs = {}
     for key, entry in e.items():
-        if not key.startswith("metric.") or key.startswith("metric_derivative."):
+        if not key.startswith("metric."):
             continue
         parts = key.split(".")
         try:
@@ -522,8 +496,7 @@ def _parse_manifold(section: _Section, path: str, issues: list) -> ManifoldDef |
                        resolution=[int(r) for r in vals["resolution"]],
                        metric_exprs=metric_exprs, derivative_mode=mode,
                        ricci_lower_bound=A, base_points=base_points,
-                       r1_half=r1_half, line=section.line,
-                       derivative_exprs=derivative_exprs)
+                       r1_half=r1_half, line=section.line)
 
 
 def _parse_map(section: _Section, path: str, issues: list,
@@ -650,8 +623,6 @@ def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
                              else number(bkey, None))
     cfg.uc_radius = number("uc_radius", cfg.uc_radius,
                            lambda text: _floats(text)[0])
-    cfg.drift_tolerance = number("drift_tolerance", cfg.drift_tolerance, float)
-    cfg.omega_slack = number("omega_slack", cfg.omega_slack, float)
     issue = cfg.validate_issue(path, section.line,
                                e["p"].line if "p" in e else section.line)
     if issue:

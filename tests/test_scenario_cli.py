@@ -12,7 +12,8 @@ from czmap.cli import _apply_overrides, build_parser, main
 from czmap.errors import ScenarioError
 from czmap.report import read_reports
 from czmap.runner import run_scenario
-from czmap.scenario import fixture_path, load_scenario
+from czmap.scenario import (MODES, SECTION_KEYS, _parse_sections,
+                            fixture_path, load_scenario)
 
 BAD_SYMMETRY = """
 [manifold twisted]
@@ -85,8 +86,6 @@ p = 2
 basepoint = 0, 0
 resolution_ladder = 9, 17
 seed = 20859
-drift_tolerance = 0.1
-omega_slack = 1e-9
 uc_radius = 0.01
 ball_r = 0.1
 """
@@ -152,7 +151,8 @@ REPORT_VALUES = st.recursive(
 FIXTURE_NAMES = ("flat-identity", "sphere-immersion", "sphere-global",
                  "cylinder-immersion", "graph-immersion", "hyperbolic-map",
                  "flat-to-sphere", "sine-search", "saddle-search",
-                 "lemma-battery", "ball-estimate")
+                 "lemma-battery", "ball-estimate", "sphere-global-fd",
+                 "sheared-continuous", "halfplane-corollary")
 
 
 class TestLoader:
@@ -161,53 +161,22 @@ class TestLoader:
             scenario = load_scenario(fixture_path(name))
             assert scenario.name == name
 
-    def test_explicit_metric_derivative_oracles(self, tmp_path):
-        text = """
-[manifold curved]
-coordinates = x, y
-lower = -1, 0.5
-upper = 1, 2
-resolution = 9, 9
-metric.1.1 = 1/(y*y)
-metric.1.2 = 0
-metric.2.2 = 1/(y*y)
-metric_derivative.1.1.1 = 0
-metric_derivative.1.1.2 = -2/(y*y*y)
-metric_derivative.2.2.1 = 0
-metric_derivative.2.2.2 = -2/(y*y*y)
-r1_half = 0.2
-
-[manifold flat]
-coordinates = u, v
-lower = -2, -2
-upper = 2, 2
-resolution = 5, 5
-metric.1.1 = 1
-metric.1.2 = 0
-metric.2.2 = 1
-r1_half = inf
-
-[map f]
-source = curved
-target = flat
-component.1 = x
-component.2 = log(y)
-lipschitz = 2
-
-[run]
-mode = global
-p = 2
-basepoint = 0, 0
-"""
-        path = tmp_path / "deriv.scn"
-        path.write_text(text)
-        scenario = load_scenario(str(path))
-        chart = scenario.manifolds["curved"].build_chart()
-        import numpy as np
-        pt = np.array([0.3, 1.25])
-        dg = chart.metric_derivative(pt)
-        assert dg[0, 0, 1] == pytest.approx(-2.0 / 1.25 ** 3)
-        assert (0, 0, 1) in chart.derivative_oracles
+    @pytest.mark.parametrize("header, line", [
+        ("[manifold source]", "metric_derivative.1.1.1 = 0"),
+        ("[run]", "drift_tolerance = 0.1"),
+        ("[run]", "omega_slack = 1e-9")])
+    def test_removed_key_is_one_unknown_key(self, tmp_path, header, line):
+        with open(fixture_path("flat-identity"), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        index = lines.index(header) + 1
+        lines.insert(index, line)
+        path = tmp_path / "removed.scn"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        issue, = err.value.issues
+        assert (issue.invariant, issue.line) == ("UnknownKey", index + 1)
+        assert line.split(" =")[0] in issue.detail
 
     def test_fixture_env_var_overrides_directory(self, tmp_path, monkeypatch):
         from czmap.scenario import fixture_dir
@@ -242,8 +211,8 @@ basepoint = 0, 0
                    for i in err.value.issues)
 
     @pytest.mark.parametrize("key,bad", [
-        ("seed", "abc"), ("drift_tolerance", "abc"), ("omega_slack", "x"),
-        ("uc_radius", "q"), ("ball_r", "z"), ("ricci_lower_bound", "abc"),
+        ("seed", "abc"), ("uc_radius", "q"), ("ball_r", "z"),
+        ("ricci_lower_bound", "abc"),
         ("lower", "nan"), ("resolution_ladder", "2.5"), ("lipschitz", "nan"),
         ("basepoint", "0"), ("p", "nan"), ("p", "inf"), ("resolution", "1e300"),
         ("resolution_ladder", "9, 1e300")])
@@ -275,6 +244,40 @@ basepoint = 0, 0
         assert "component.1 = x1 +* 2" in BAD_SYMMETRY.replace(
             "component.1 = x1", "component.1 = x1 +* 2")
         assert issue.line > 0
+
+
+class TestFixtureFeatures:
+    """Every feature the scenario format keeps is run by a shipped fixture."""
+
+    def test_fixture_names_are_the_shipped_set(self):
+        folder = os.path.dirname(fixture_path("flat-identity"))
+        shipped = sorted(name[:-len(".scn")] for name in os.listdir(folder)
+                         if name.endswith(".scn"))
+        assert sorted(FIXTURE_NAMES) == shipped
+
+    def test_every_key_family_is_set_by_a_fixture(self):
+        issues, seen = [], set()
+        for name in FIXTURE_NAMES:
+            for sec in _parse_sections(fixture_path(name), issues):
+                # metric.1.2 sets the family metric.
+                seen.update((sec.kind, key.split(".")[0] + "." if "." in key
+                             else key) for key in sec.entries)
+        assert not issues
+        declared = {(kind, family) for kind, families in SECTION_KEYS.items()
+                    for family in families}
+        # out is where reports go: a deployment path, not a feature
+        assert declared - seen <= {("run", "out")}
+
+    def test_every_mode_and_hypothesis_form_is_shipped(self):
+        scenarios = [load_scenario(fixture_path(n)) for n in FIXTURE_NAMES]
+        assert {s.run.mode for s in scenarios} == set(MODES)
+        manifolds = [m for s in scenarios for m in s.manifolds.values()]
+        r1_half = [m.r1_half for m in manifolds]
+        assert "estimate" in r1_half and math.inf in r1_half
+        assert any(isinstance(r, float) and math.isfinite(r) for r in r1_half)
+        assert "fd" in {m.derivative_mode for m in manifolds}
+        assert math.inf in {m.lipschitz for s in scenarios
+                            for m in s.maps.values()}
 
 
 # replacement values and lines; a grid they declare is small or over the limit
@@ -435,6 +438,41 @@ class TestRunner:
         assert target_cert["r"] == pytest.approx(1.4)
         assert math.isfinite(target_cert["hr1_margin"])
 
+    def test_fd_twin_matches_analytic_fixture(self):
+        # central differences of the source metric move each term by a
+        # relative 5e-5 at most (9e-6 on the ratio at 33^2)
+        analytic = run_scenario(load_scenario(fixture_path("sphere-global")))
+        twin = run_scenario(load_scenario(fixture_path("sphere-global-fd")))
+        assert len(twin) == len(analytic) == 6
+        for a, b in zip(analytic, twin):
+            assert b.passed and (b.p, b.resolution) == (a.p, a.resolution)
+            assert b.checks == a.checks
+            assert b.ratio == pytest.approx(a.ratio, rel=1e-4)
+            for key in ("lhs_hess", "t_laplacian", "t_du", "t_du_2p_sq",
+                        "t_dist"):
+                assert b.terms[key] == pytest.approx(a.terms[key], rel=1e-4)
+
+    def test_estimated_source_certificate_in_corollary_records(self, tmp_path):
+        from czmap.runner import run_and_report
+        scenario = load_scenario(fixture_path("halfplane-corollary"))
+        reports, jsonl, _ = run_and_report(scenario, str(tmp_path / "cor"))
+        records = read_reports(jsonl)
+        assert records and all(r["passed"] for r in records)
+        for record in records:
+            source_cert, target_cert = record["certificates"]
+            assert source_cert["source"] == "solver"
+            assert source_cert["verdict"] == "holds"
+            assert record["terms"]["r"] == source_cert["r"]
+            assert target_cert["source"] == "declared"
+            assert record["warnings"] == []
+
+    def test_records_state_the_radii_they_read(self):
+        # ball records carry both certificates; intro reads no radius
+        ball, = run_scenario(load_scenario(fixture_path("ball-estimate")))
+        assert [c["source"] for c in ball.certificates] == ["declared"] * 2
+        intro = run_scenario(load_scenario(fixture_path("sphere-immersion")))
+        assert all(rep.certificates == [] for rep in intro)
+
     def test_lemma_battery_scenario(self):
         scenario = load_scenario(fixture_path("lemma-battery"))
         reports = run_scenario(scenario)
@@ -445,16 +483,14 @@ class TestRunner:
             assert np.isfinite(rep.terms["c_emp"]) and rep.terms["c_emp"] > 0
 
     def test_uniform_continuity_key_flags_extrapolation(self, tmp_path):
-        text = open(fixture_path("flat-identity")).read().replace(
-            "r1_half = inf", "r1_half = 10").replace(
-            "resolution_ladder = 29, 57", "resolution_ladder = 29")
-        path = tmp_path / "uc.scn"
-        path.write_text(text + "\n")
-        scenario = load_scenario(str(path))
-        scenario.run.uc_radius = 0.2
-        reports = run_scenario(scenario)
-        assert reports[0].passed
-        assert reports[0].extra["extrapolated"] is True
+        from czmap.runner import run_and_report
+        scenario = load_scenario(fixture_path("sheared-continuous"))
+        assert math.isinf(scenario.primary_map().lipschitz)
+        assert scenario.run.uc_radius == 0.08
+        reports, jsonl, _ = run_and_report(scenario, str(tmp_path / "uc"))
+        records = read_reports(jsonl)
+        assert records and all(r["passed"] for r in records)
+        assert all(r["extrapolated"] is True for r in records)
 
     def test_sphere_intro_values(self):
         import math
