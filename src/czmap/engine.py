@@ -33,8 +33,7 @@ from .errors import (CertificateRequired, DegenerateRadius, HypothesisFailed,
 from .geodesics import metric_ball, distance_field, offset_slices, segment_length
 from .geometry import CoordinateBox, MetricChart
 from .harmonic import RadiusCertificate
-from .maps import (ImmersionData, JetField, MapModel, field_jet,
-                   generalized_hessian, immersion_check,
+from .maps import (MapModel, field_jet, immersion_check,
                    uniform_continuity_profile)
 from .norms import (PairTable, dist_to_basepoint_field, lp_norm_on,
                     quadrature_weights)
@@ -312,7 +311,6 @@ class BallEstimateInstance:
     p: float
     terms: dict
     ratio: float
-    grid_resolution: tuple
     warnings: list = field(default_factory=list)
     caveats: tuple = (COMPLETENESS_CAVEAT,)
 
@@ -328,8 +326,8 @@ def _ratio(lhs: float, denom: float) -> float:
 def verify_ball_estimate(map_model: MapModel, x, y, r: float, R: float,
                          p: float,
                          source_certificate: RadiusCertificate | None = None,
-                         target_certificate: RadiusCertificate | None = None,
-                         jet: JetField | None = None) -> BallEstimateInstance:
+                         target_certificate: RadiusCertificate | None = None
+                         ) -> BallEstimateInstance:
     """Evaluate the local estimate on B_r(x) -> B_R(y).
 
     Certificates (solver or declared) must cover 2r at the source and R at
@@ -355,7 +353,7 @@ def verify_ball_estimate(map_model: MapModel, x, y, r: float, R: float,
     source = map_model.source_chart
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    jet = jet or generalized_hessian(map_model)
+    jet = map_model.jet()
     dist = distance_field(source, x)
     ball_half = metric_ball(source, x, r / 2.0, distances=dist)
     ball_r = metric_ball(source, x, r, distances=dist)
@@ -384,7 +382,6 @@ def verify_ball_estimate(map_model: MapModel, x, y, r: float, R: float,
     ratio = _ratio(lhs, t_lap + t_du_sq + t_dist + t_du)
     return BallEstimateInstance(x=x, y=y, r=float(r), R=float(R), p=float(p),
                                 terms=terms, ratio=float(ratio),
-                                grid_resolution=box.resolution,
                                 warnings=warnings)
 
 
@@ -536,14 +533,11 @@ class GlobalEstimateInstance:
     r_hat: float
     r: float
     radii: HarmonicRadii
-    lipschitz: float
-    omega: OmegaDecomposition
     cover: Cover
     terms: dict
     ratio: float
     checks: dict
     in_omega: np.ndarray          # (C,) bool, per cover center
-    grid_resolution: tuple
     warnings: list = field(default_factory=list)
     extrapolated: bool = False
     caveats: tuple = (COMPLETENESS_CAVEAT,)
@@ -555,8 +549,6 @@ def _inv(x: float) -> float:
 
 def verify_global_estimate(map_model: MapModel, o, p: float,
                            radii: HarmonicRadii,
-                           jet: JetField | None = None,
-                           cover: Cover | None = None,
                            uniform_radius: float | None = None,
                            omega_slack: float = OMEGA_SLACK,
                            name: str = "global") -> GlobalEstimateInstance:
@@ -570,16 +562,16 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
 
     With ``uniform_radius`` set, the Lipschitz hypothesis is replaced by a
     measured uniform-continuity profile (r_uc, R_uc); the run is flagged
-    extrapolated.  A passed ``cover`` is reused only when it was built on
-    this map's source chart at this r_hat; otherwise a new one is built.
+    extrapolated.  Nothing here but the regime checks and the sums depends
+    on p: the map keeps its jet and its profile per radius, the source
+    chart its cover per r_hat, for every exponent and every map on it.
     """
     source = map_model.source_chart
     box = source.box
-    L = map_model.lipschitz_bound
-    extrapolated = False
     if uniform_radius is not None:
         r_uc = float(uniform_radius)
-        R_uc = uniform_continuity_profile(map_model, r_uc)
+        R_uc = map_model.memo(("uc_profile", r_uc), lambda: (
+            uniform_continuity_profile(map_model, r_uc)))
         if not (R_uc < radii.r1N / 16.0):
             raise PreconditionFailed(
                 f"uniform-continuity profile R={R_uc:.4g} is not below "
@@ -589,16 +581,13 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
                 f"uniform-continuity radius r={r_uc:.4g} is not below "
                 f"r1M/16={radii.r1M / 16.0:.4g}")
         r_hat = min(r_uc / 2.0, radii.r1M / 16.0, 1.0 / 16.0)
-        extrapolated = True
     else:
-        r_hat = compute_r_hat(radii.r1M, radii.r1N, L)
+        r_hat = compute_r_hat(radii.r1M, radii.r1N, map_model.lipschitz_bound)
     r = 16.0 * r_hat
 
-    jet = jet or generalized_hessian(map_model)
+    cover = source.memo(("cover", r_hat), lambda: build_cover(source, r_hat))
+    jet = map_model.jet()
     omega = omega_decomposition(map_model, o, radii.r1N)
-    if (cover is None or cover.chart is not source
-            or cover.r_hat != r_hat):
-        cover = build_cover(source, r_hat)
     cover_checks = cover.verify()
 
     values = map_model.values_on_grid()
@@ -670,10 +659,9 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
         warnings.append("harmonic radii taken from scenario declaration")
     return GlobalEstimateInstance(
         name=name, p=float(p), r_hat=float(r_hat), r=float(r), radii=radii,
-        lipschitz=L, omega=omega, cover=cover, terms=terms,
-        ratio=float(ratio), checks=checks, in_omega=in_omega,
-        grid_resolution=box.resolution, warnings=warnings,
-        extrapolated=extrapolated)
+        cover=cover, terms=terms, ratio=float(ratio), checks=checks,
+        in_omega=in_omega, warnings=warnings,
+        extrapolated=uniform_radius is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +671,7 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
 def verify_euclidean_corollaries(map_model: MapModel, p: float,
                                  mode: str = "intro",
                                  basepoint=None,
-                                 radii: HarmonicRadii | None = None,
-                                 immersion: ImmersionData | None = None) -> dict:
+                                 radii: HarmonicRadii | None = None) -> dict:
     """Immersion inequalities: second-fundamental-form norm against mean
     curvature plus lower-order data.
 
@@ -692,13 +679,13 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
     ||dist(u, 0)||_p).  mode "corollaryA": the right side is ||H||_p +
     vol^{1/p} (r^-1 + r1N^-1 + r^-2 diam(u(M))) with
     r = min(r1M, r1N, 1); the diameter is a max over sampled image pairs
-    (a lower bound, flagged as such).  ``immersion`` is the map's
-    :func:`immersion_check`, made here when not passed.
+    (a lower bound, flagged as such).  The map keeps its
+    :func:`immersion_check` and its image diameter for every exponent.
     """
     if mode not in ("intro", "corollaryA"):
         raise ValueError(f"unknown mode {mode!r}")
-    imm = immersion or immersion_check(map_model)
-    jet = imm.jet
+    imm = map_model.memo("immersion", lambda: immersion_check(map_model))
+    jet = map_model.jet()
     source = map_model.source_chart
     box = source.box
     vol = source.grid_sqrt_det()
@@ -731,17 +718,7 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
     if radii is None:
         raise CertificateRequired("corollaryA mode needs harmonic radii")
     r = min(radii.r1M, radii.r1N, 1.0)
-    values = map_model.values_on_grid()
-    rng = np.random.default_rng(DIAMETER_SEED)
-    count = min(DIAMETER_SAMPLES, values.shape[0])
-    sel = rng.choice(values.shape[0], size=count, replace=False)
-    sub = values[sel]
-    diam = 0.0
-    for i in range(0, count, 256):
-        chunk = sub[i:i + 256]
-        d = segment_length(map_model.target_chart, chunk[:, None, :],
-                           sub[None, :, :])
-        diam = max(diam, float(d.max()))
+    diam = map_model.memo("image_diameter", lambda: image_diameter(map_model))
     record["diameter"] = diam
     record["diameter_is_lower_bound"] = True
     record["r"] = r
@@ -750,3 +727,17 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
     record["rhs"] = rhs
     record["ratio"] = _ratio(norm_ii, rhs)
     return record
+
+
+def image_diameter(map_model: MapModel) -> float:
+    """Lower bound on diam(u(M)): max length over sampled image pairs."""
+    values = map_model.values_on_grid()
+    rng = np.random.default_rng(DIAMETER_SEED)
+    count = min(DIAMETER_SAMPLES, values.shape[0])
+    sub = values[rng.choice(values.shape[0], size=count, replace=False)]
+    diam = 0.0
+    for i in range(0, count, 256):
+        d = segment_length(map_model.target_chart, sub[i:i + 256, None, :],
+                           sub[None, :, :])
+        diam = max(diam, float(d.max()))
+    return diam

@@ -174,22 +174,20 @@ def distance_field(chart: MetricChart, source) -> np.ndarray:
     differ) and returns it on every later call.
     """
     source = np.asarray(source, dtype=float)
-    key = ("distance_field", source.tobytes())
-    if key in chart._cache:
-        return chart._cache[key]
-    box = chart.box
-    node = box.ravel_index(box.nearest_index(source))
-    if "grid_graph" not in chart._cache:
-        chart._cache["grid_graph"] = GridGraph(chart)
-    dij = chart._cache["grid_graph"].dijkstra_from(node)
-    if np.any(np.isinf(dij)):
-        raise Unreachable(f"grid is disconnected from {source.tolist()}")
-    hop = segment_length(chart, source, box.points()[node])
-    direct = segment_length(chart, source[None, :], box.points())
-    dist = np.minimum(direct, dij + hop)
-    dist.flags.writeable = False
-    chart._cache[key] = dist
-    return dist
+
+    def build():
+        box = chart.box
+        node = box.ravel_index(box.nearest_index(source))
+        graph = chart.memo("grid_graph", lambda: GridGraph(chart))
+        dij = graph.dijkstra_from(node)
+        if np.any(np.isinf(dij)):
+            raise Unreachable(f"grid is disconnected from {source.tolist()}")
+        hop = segment_length(chart, source, box.points()[node])
+        direct = segment_length(chart, source[None, :], box.points())
+        dist = np.minimum(direct, dij + hop)
+        dist.flags.writeable = False
+        return dist
+    return chart.memo(("distance_field", source.tobytes()), build)
 
 
 @dataclass

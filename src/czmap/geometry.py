@@ -251,6 +251,12 @@ class MetricChart:
     def dimension(self) -> int:
         return self.box.dimension
 
+    def memo(self, key, build):
+        """``build()`` at the first call with ``key``, then kept."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     # -- pointwise evaluation -------------------------------------------------
 
     def oracles(self) -> list:
@@ -264,7 +270,7 @@ class MetricChart:
         and their analytic partials, and an evaluator calls each once;
         other callables are shared only where they are the same object.
         """
-        if "oracles" not in self._cache:
+        def build():
             m = self.dimension
             shared, comps = {}, {}
             for i in range(m):
@@ -273,12 +279,11 @@ class MetricChart:
                     if isinstance(comp, Expression):
                         comp = shared.setdefault((comp.text, comp.variables), comp)
                     comps[i, j] = comp
-            self._cache["oracles"] = [
-                (i, j, _constant_or_oracle(comp),
-                 [_constant_or_oracle(self._partial_oracle(comp, i, j, k))
-                  for k in range(m)])
-                for (i, j), comp in comps.items()]
-        return self._cache["oracles"]
+            return [(i, j, _constant_or_oracle(comp),
+                     [_constant_or_oracle(self._partial_oracle(comp, i, j, k))
+                      for k in range(m)])
+                    for (i, j), comp in comps.items()]
+        return self.memo("oracles", build)
 
     def _partial_oracle(self, comp, i: int, j: int, k: int):
         oracle = self.derivative_oracles.get((i, j, k)) \
@@ -369,27 +374,22 @@ class MetricChart:
         over the points ``p`` and velocities ``v``, built on first use; None
         unless every oracle is a float or a compilable expression (fd mode
         and plain-callable derivative oracles keep the per-oracle route)."""
-        if "acceleration_kernel" not in self._cache:
-            kernel = None
+        def build():
             oracles = [o for _, _, g, partials in self.oracles()
                        for o in [g] + partials if not isinstance(o, float)]
-            if all(isinstance(o, Expression) and o.compilable for o in oracles):
-                program = Program()
-                vs = [program.emit(f"v[..., {i}]") for i in range(self.dimension)]
-                acc = _acceleration(
-                    self.oracles(), _evaluator(None, program.expression), vs,
-                    lambda: TracedArray(program, program.emit(
-                        "{}(p, v)", _empty_acceleration).name))
-                kernel = program.build("p, v", acc)
-            self._cache["acceleration_kernel"] = kernel
-        return self._cache["acceleration_kernel"]
+            if not all(isinstance(o, Expression) and o.compilable
+                       for o in oracles):
+                return None
+            program = Program()
+            vs = [program.emit(f"v[..., {i}]") for i in range(self.dimension)]
+            acc = _acceleration(
+                self.oracles(), _evaluator(None, program.expression), vs,
+                lambda: TracedArray(program, program.emit(
+                    "{}(p, v)", _empty_acceleration).name))
+            return program.build("p, v", acc)
+        return self.memo("acceleration_kernel", build)
 
     # -- grid samples ----------------------------------------------------------
-
-    def _grid(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
 
     def grid_metric(self) -> np.ndarray:
         def build():
@@ -402,18 +402,18 @@ class MetricChart:
                 pt = [self.box.axes[k][idx[k]] for k in range(self.dimension)]
                 raise DegenerateMetric(pt, eig[..., 0].reshape(-1)[flat])
             return g
-        return self._grid("metric", build)
+        return self.memo("metric", build)
 
     def grid_inverse(self) -> np.ndarray:
-        return self._grid("inverse", lambda: np.linalg.inv(self.grid_metric()))
+        return self.memo("inverse", lambda: np.linalg.inv(self.grid_metric()))
 
     def grid_sqrt_det(self) -> np.ndarray:
-        return self._grid("sqrt_det",
-                          lambda: np.sqrt(np.linalg.det(self.grid_metric())))
+        return self.memo("sqrt_det",
+                         lambda: np.sqrt(np.linalg.det(self.grid_metric())))
 
     def grid_christoffel(self) -> np.ndarray:
         """Christoffel symbols on the grid, ``(*grid, l, i, j)``."""
-        return self._grid("christoffel", lambda: self.christoffel_at(
+        return self.memo("christoffel", lambda: self.christoffel_at(
             self.box.points()).reshape(self.box.shape + (self.dimension,) * 3))
 
     def ellipticity_range(self):

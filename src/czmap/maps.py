@@ -77,15 +77,25 @@ class MapModel:
         points = np.asarray(points, dtype=float)
         return np.stack([c(points) for c in self.components], axis=-1)
 
+    def memo(self, key, build):
+        """``build()`` at the first call with ``key``, then kept."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def values_on_grid(self) -> np.ndarray:
-        if "values" not in self._cache:
+        def build():
             vals = self.values(self.source_chart.box.points())
             inside = self.target_chart.box.contains(vals)
             if not np.all(inside):
                 bad = int(np.flatnonzero(~inside)[0])
                 raise TargetEscape(self.source_chart.box.points()[bad], vals[bad])
-            self._cache["values"] = vals
-        return self._cache["values"]
+            return vals
+        return self.memo("values", build)
+
+    def jet(self) -> "JetField":
+        """The map's :func:`generalized_hessian`, formed once."""
+        return self.memo("jet", lambda: generalized_hessian(self))
 
     def validate(self) -> "MapModel":
         """Target containment plus sampled Lipschitz difference quotients."""
@@ -223,25 +233,24 @@ def generalized_hessian(map_model: MapModel) -> JetField:
 
 @dataclass
 class ImmersionData:
-    """Immersion specialization of a jet.
+    """Immersion specialization of a map's jet.
 
     The second fundamental form is ``jet.hess`` and the mean curvature its
     trace ``jet.laplacian``; the defects measure how isometric (pullback
     metric against g) and how normal (h(Hess_ij, d_k u)) the data is.
     """
 
-    jet: JetField
     isometry_defect: float
     normality_defect: float
 
 
-def immersion_check(map_model: MapModel, jet: JetField | None = None) -> ImmersionData:
-    """Isometry defect and Gauss-formula normality of a jet.
+def immersion_check(map_model: MapModel) -> ImmersionData:
+    """Isometry defect and Gauss-formula normality of the map's jet.
 
     Raises NotImmersion when the differential drops rank (smallest singular
     value below the FD noise floor) at some grid point.
     """
-    jet = jet or generalized_hessian(map_model)
+    jet = map_model.jet()
     du = jet.du                      # (*grid, a, i)
     sigma = np.linalg.svd(du, compute_uv=False)
     smin = sigma[..., -1]
@@ -253,8 +262,7 @@ def immersion_check(map_model: MapModel, jet: JetField | None = None) -> Immersi
     pullback = np.einsum("...ab,...ai,...bj->...ij", h, du, du)
     g = map_model.source_chart.grid_metric()
     normality = np.einsum("...ab,...aij,...bk->...ijk", h, jet.hess, du)
-    return ImmersionData(jet=jet,
-                         isometry_defect=float(np.abs(pullback - g).max()),
+    return ImmersionData(isometry_defect=float(np.abs(pullback - g).max()),
                          normality_defect=float(np.abs(normality).max()))
 
 

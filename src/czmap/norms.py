@@ -168,7 +168,6 @@ def dist_to_basepoint_field(map_model, o) -> np.ndarray:
     """dist_N(u(x), o) on a map's source grid; one evaluator per o and chart."""
     chart = map_model.target_chart
     key = ("distance_to", np.asarray(o, dtype=float).tobytes())
-    if key not in chart._cache:
-        chart._cache[key] = DistanceEvaluator(chart, o)
+    evaluator = chart.memo(key, lambda: DistanceEvaluator(chart, o))
     values = map_model.values_on_grid()
-    return chart._cache[key](values).reshape(map_model.source_chart.box.shape)
+    return evaluator(values).reshape(map_model.source_chart.box.shape)

@@ -1,9 +1,10 @@
 """Scenario execution: builds models, drives the engine, emits reports.
 
-Every chart-based mode runs on one ``RunContext`` per resolution level.
-The charts, the harmonic radii and the cover do not depend on the map, so
-they are built once per level; each map (one per level in a run, one per
-parameter point in a search) adds only its model, jet and basepoint.
+Every chart-based mode runs on one ``RunContext`` per resolution level:
+the charts and the harmonic radii, which do not depend on the map.  Each
+map (one per level in a run, one per parameter point in a search) adds
+its model and basepoint.  The cover, the jet and the immersion data are
+kept by the chart or map they come from (``memo``), for every exponent.
 """
 
 from __future__ import annotations
@@ -14,17 +15,15 @@ from functools import partial
 
 import numpy as np
 
-from .engine import (Cover, EllipticOperatorSpec, GlobalEstimateInstance,
-                     HarmonicRadii, build_cover, compute_r_hat,
-                     verify_ball_estimate, verify_euclidean_corollaries,
-                     verify_global_estimate, verify_interior_estimate,
-                     verify_scaling_identities)
+from .engine import (EllipticOperatorSpec, GlobalEstimateInstance,
+                     HarmonicRadii, verify_ball_estimate,
+                     verify_euclidean_corollaries, verify_global_estimate,
+                     verify_interior_estimate, verify_scaling_identities)
 from .errors import CzmapError
 from .expressions import Expression
 from .geometry import MetricChart
 from .harmonic import (RadiusCertificate, declared_certificate, default_r_max,
                        estimate_harmonic_radius)
-from .maps import generalized_hessian, immersion_check
 from .report import InequalityReport, write_reports
 from .scenario import Scenario
 from .search import MapFamily, extremal_ratio_search
@@ -75,17 +74,14 @@ class RunContext:
     """The map-independent part of one resolution level.
 
     Holds the SPD-checked source and target charts and the resolved
-    harmonic radii with their certificates.  Unless the run sets
-    ``uc_radius``, the cover for the declared Lipschitz bound is built on
-    first use and then shared by every exponent and every map verified on
-    this context.
+    harmonic radii with their certificates.  The source chart keeps the
+    cover of each r_hat it is asked for.
     """
 
     scenario: Scenario
     source: MetricChart
     target: MetricChart
     radii: HarmonicRadii
-    cover: Cover | None = None
 
     @classmethod
     def build(cls, scenario: Scenario, resolution=None) -> "RunContext":
@@ -95,23 +91,19 @@ class RunContext:
         return cls(scenario, source, target,
                    resolve_radii(scenario, source, target))
 
-    def build_map(self, parameter_values=None) -> tuple:
-        """(validated map model, jet) of the primary map on these charts."""
+    def build_map(self, parameter_values=None):
+        """The validated primary map on these charts.  Its jet is formed
+        here, so that a jet that fails ends the level in one error record."""
         map_model = self.scenario.primary_map().build(
             self.source, self.target, parameter_values)
-        map_model.validate()
-        return map_model, generalized_hessian(map_model)
+        map_model.validate().jet()
+        return map_model
 
-    def verify_global(self, map_model, jet, p: float) -> GlobalEstimateInstance:
-        run = self.scenario.run
-        o = _basepoint(self.scenario, map_model)
-        if self.cover is None and run.uc_radius is None:
-            self.cover = build_cover(
-                self.source, compute_r_hat(self.radii.r1M, self.radii.r1N,
-                                           map_model.lipschitz_bound))
+    def verify_global(self, map_model, p: float) -> GlobalEstimateInstance:
         return verify_global_estimate(
-            map_model, o, p, self.radii, jet=jet, cover=self.cover,
-            uniform_radius=run.uc_radius, name=self.scenario.name)
+            map_model, _basepoint(self.scenario, map_model), p, self.radii,
+            uniform_radius=self.scenario.run.uc_radius,
+            name=self.scenario.name)
 
 
 def _resolutions(scenario: Scenario):
@@ -158,20 +150,19 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
     t0 = time.perf_counter()
     try:
         ctx = RunContext.build(scenario, resolution)
-        map_model, jet = ctx.build_map()
+        map_model = ctx.build_map()
     except CzmapError as exc:
         return [report(p=scenario.run.p_list[0], terms={}, ratio=np.nan,
                        error=f"{type(exc).__name__}: {exc}",
                        timing_seconds=time.perf_counter() - t0)]
     radii = ctx.radii
     certificates = [c.as_record() for c in radii.certificates]
-    immersion = None
 
     for p in scenario.run.p_list:
         t1 = time.perf_counter()
         try:
             if mode == "global":
-                inst = ctx.verify_global(map_model, jet, p)
+                inst = ctx.verify_global(map_model, p)
                 rep = report(
                     p=p, terms=inst.terms, ratio=inst.ratio, checks=inst.checks,
                     certificates=certificates,
@@ -183,11 +174,9 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
             elif mode in ("intro", "corollaryA"):
                 basepoint = (np.asarray(scenario.run.basepoint, dtype=float)
                              if scenario.run.basepoint is not None else None)
-                immersion = immersion or immersion_check(map_model, jet)
                 rec = verify_euclidean_corollaries(
                     map_model, p, mode=mode, basepoint=basepoint,
-                    radii=radii if mode == "corollaryA" else None,
-                    immersion=immersion)
+                    radii=radii if mode == "corollaryA" else None)
                 rep = report(
                     p=p, terms={k: v for k, v in rec.items()
                                 if isinstance(v, (int, float))},
@@ -196,7 +185,7 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
                     certificates=certificates if mode == "corollaryA" else [],
                     caveats=rec.get("caveats", []))
             elif mode == "ball":
-                rep = _run_ball(scenario, map_model, radii, jet, p,
+                rep = _run_ball(scenario, map_model, radii, p,
                                 partial(report, certificates=certificates))
             else:
                 raise CzmapError(f"mode {mode} not runnable here")
@@ -208,7 +197,7 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
     return reports
 
 
-def _run_ball(scenario, map_model, radii, jet, p, report) -> InequalityReport:
+def _run_ball(scenario, map_model, radii, p, report) -> InequalityReport:
     ball = scenario.run.ball
     if "center" not in ball or "r" not in ball or "R" not in ball:
         raise CzmapError("ball mode needs ball_center, ball_r, ball_R")
@@ -216,9 +205,9 @@ def _run_ball(scenario, map_model, radii, jet, p, report) -> InequalityReport:
     tc = ball.get("target_center", "image")
     y = map_model.values(x) if isinstance(tc, str) else np.asarray(tc, dtype=float)
     inst = verify_ball_estimate(
-        map_model, x, y, float(ball["r"][0]), float(ball["R"][0]), p,
+        map_model, x, y, ball["r"], ball["R"], p,
         source_certificate=radii.certificates[0],
-        target_certificate=radii.certificates[1], jet=jet)
+        target_certificate=radii.certificates[1])
     return report(p=p, terms=inst.terms, ratio=inst.ratio,
                   checks={"ratio_finite": bool(np.isfinite(inst.ratio))},
                   warnings=inst.warnings, caveats=list(inst.caveats))
@@ -326,8 +315,8 @@ def run_search(scenario: Scenario) -> list:
     ctx = RunContext.build(scenario)
 
     def evaluate(params):
-        map_model, jet = ctx.build_map(dict(zip(cfg.parameters, params)))
-        return ctx.verify_global(map_model, jet, p).ratio
+        map_model = ctx.build_map(dict(zip(cfg.parameters, params)))
+        return ctx.verify_global(map_model, p).ratio
 
     family = MapFamily(cfg.lower, cfg.upper, evaluate, name=scenario.name)
     result = extremal_ratio_search(family, seed=scenario.run.seed)

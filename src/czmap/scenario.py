@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -309,7 +310,8 @@ class Scenario:
         parsed = {}
         for flag, text, convert, invariant in (
                 ("--resolution", resolution, _grid_count, "NumberFormat"),
-                ("--r-max", r_max, _radius_bound, "HarmonicRadius")):
+                ("--r-max", r_max, partial(_positive, name="r_max"),
+                 "HarmonicRadius")):
             parsed[flag] = None
             if text is None:
                 continue
@@ -378,9 +380,12 @@ def _parse_manifold(section: _Section, path: str, issues: list) -> ManifoldDef |
                                           f"'{key}' needs {m} entries"))
             ok = False
             continue
-        if not np.all(np.isfinite(nums)):
-            issues.append(ValidationIssue(path, entry.line, "NumberFormat",
-                                          f"'{key}' entries must be finite"))
+        counts = key == "resolution"      # grid point counts are whole
+        if not np.all(np.isfinite(nums)) or (
+                counts and nums != [int(n) for n in nums]):
+            issues.append(ValidationIssue(
+                path, entry.line, "NumberFormat",
+                f"'{key}' entries must be finite{' whole numbers' * counts}"))
             ok = False
             continue
         vals[key] = nums
@@ -566,9 +571,10 @@ def _parse_map(section: _Section, path: str, issues: list,
 
 
 def _ladder(text: str) -> list:
-    ladder = [int(x) for x in _floats(text)]
-    if any(r < 3 for r in ladder):
-        raise ValueError("every grid point count must be >= 3")
+    values = _floats(text)
+    ladder = [int(x) for x in values]
+    if ladder != values or any(r < 3 for r in ladder):
+        raise ValueError("every grid point count must be a whole number >= 3")
     return ladder
 
 
@@ -580,11 +586,13 @@ def _grid_count(text: str) -> int:
     return ladder[0]
 
 
-def _radius_bound(text: str) -> float:
+def _positive(text: str, name: str = "value", finite: bool = True) -> float:
+    """One number > 0, finite too unless ``finite`` is False."""
     values = _floats(text)
-    if len(values) != 1 or not 0.0 < values[0] < math.inf:
-        raise ValueError("r_max must be one finite number > 0")
-    return values[0]
+    value = values[0] if len(values) == 1 else math.nan
+    if not (0.0 < value < math.inf or value == math.inf and not finite):
+        raise ValueError(f"{name} must be one {'finite ' * finite}number > 0")
+    return value
 
 
 def _ladder_issue(run: RunConfig, manifolds: dict, maps: dict, path: str,
@@ -615,14 +623,18 @@ def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
     cfg.resolution_ladder = number("resolution_ladder", cfg.resolution_ladder,
                                    _ladder)
     cfg.seed = number("seed", cfg.seed, int)
-    for key in ("center", "target_center", "r", "R"):
+    for key, convert in (("center", _floats), ("target_center", _floats),
+                         ("r", _positive),
+                         ("R", partial(_positive, finite=False))):
         bkey = f"ball_{key}"
         if bkey in e:
             cfg.ball[key] = (e[bkey].value if key == "target_center"
                              and e[bkey].value.strip() == "image"
-                             else number(bkey, None))
-    cfg.uc_radius = number("uc_radius", cfg.uc_radius,
-                           lambda text: _floats(text)[0])
+                             else number(bkey, None, convert))
+        elif cfg.mode == "ball" and key != "target_center":
+            issues.append(ValidationIssue(path, section.line, "MissingKey",
+                                          f"ball mode needs '{bkey}'"))
+    cfg.uc_radius = number("uc_radius", cfg.uc_radius, _positive)
     issue = cfg.validate_issue(path, section.line,
                                e["p"].line if "p" in e else section.line)
     if issue:
@@ -652,6 +664,9 @@ def _parse_search(section: _Section, path: str, issues: list) -> SearchConfig | 
             issues.append(ValidationIssue(path, e[key].line, "NumberFormat",
                                           f"'{key}' entries must be finite"))
             return None
+    if not all(lo < hi for lo, hi in zip(lower, upper)):
+        issues.append(ValidationIssue(path, e["lower"].line, "SearchBounds",
+                                      "each lower must be < its upper"))
     return SearchConfig(parameters=params, lower=lower, upper=upper,
                         line=section.line)
 

@@ -37,8 +37,11 @@ class SearchTraceEntry:
 class SearchResult:
     best_params: np.ndarray
     best_value: float
-    trace: list = field(default_factory=list)
-    evaluations: int = 0
+    trace: list = field(default_factory=list)   # one entry per evaluation
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.trace)
 
 
 class MapFamily:
@@ -78,12 +81,9 @@ def extremal_ratio_search(family: MapFamily, seed: int = SEARCH_SEED,
     rng = np.random.default_rng(seed)
     span = family.upper - family.lower
     trace: list[SearchTraceEntry] = []
-    evaluations = 0
 
     def evaluate(params, phase) -> float | None:
-        nonlocal evaluations
         params = np.clip(params, family.lower, family.upper)
-        evaluations += 1
         try:
             value = family.evaluate(params)
             feasible = bool(np.isfinite(value))
@@ -131,5 +131,4 @@ def extremal_ratio_search(family: MapFamily, seed: int = SEARCH_SEED,
     if best_params is None:
         raise EmptyFeasibleSet("no feasible candidate in the search family")
     return SearchResult(best_params=np.asarray(best_params, dtype=float),
-                        best_value=float(best_value), trace=trace,
-                        evaluations=evaluations)
+                        best_value=float(best_value), trace=trace)

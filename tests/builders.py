@@ -11,12 +11,13 @@ the compiled chart kernel must match bit for bit, the shot reference the
 two-array RK4 shot that ``geodesics.shoot`` must match, and
 ``geodesic_distance`` refines a graph distance by one shooting pass.  The
 derivative-decay experiment samples the harmonic solver at a ladder of
-radii.
+radii.  ``count_calls`` counts the calls of a czmap function.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -386,3 +387,22 @@ def derivative_decay_experiment(chart: MetricChart, x, radii) -> list:
         rows.append({"r": float(r), "sup_dginv": sup, "product": sup * float(r),
                      "verdict": cert.verdict, "hr2_value": cert.hr2_value})
     return rows
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of ``module.name``, made through every czmap module
+    that holds the function under any name; returns the growing list of
+    their positional arguments."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "czmap" or key.startswith("czmap."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls

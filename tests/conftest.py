@@ -4,7 +4,6 @@ import pytest
 
 from builders import (cylinder_immersion, flat_chart, hyperbolic_chart,
                       identity_map, sphere_chart, sphere_immersion)
-from czmap.maps import generalized_hessian
 
 EQUATOR_BAND = (math.pi / 2 - 0.6, math.pi / 2 + 0.6)
 FD_PATCH_THETA = (math.pi / 2 - 0.2, math.pi / 2 + 0.2)
@@ -14,7 +13,7 @@ FD_PATCH_PHI = (0.0, 0.4)
 @pytest.fixture(scope="session")
 def sphere_jet():
     psi = sphere_immersion(EQUATOR_BAND, (0.0, 1.2), 33)
-    return psi, generalized_hessian(psi)
+    return psi, psi.jet()
 
 
 @pytest.fixture(scope="session")
@@ -23,14 +22,14 @@ def sphere_fd_jets():
     jets = {}
     for res in (33, 65, 129):
         psi = sphere_immersion(FD_PATCH_THETA, FD_PATCH_PHI, res, mode="fd")
-        jets[res] = (psi, generalized_hessian(psi))
+        jets[res] = (psi, psi.jet())
     return jets
 
 
 @pytest.fixture(scope="session")
 def cylinder_jet():
     psi = cylinder_immersion(resolution=33)
-    return psi, generalized_hessian(psi)
+    return psi, psi.jet()
 
 
 @pytest.fixture(scope="session")

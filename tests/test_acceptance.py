@@ -51,14 +51,11 @@ def global_battery():
             _, _, map_model = scenario.build_models([res] * sdef.dimension)
             radii = resolve_radii(scenario, map_model.source_chart,
                                   map_model.target_chart)
-            jet = generalized_hessian(map_model)
             o = np.asarray(scenario.run.basepoint, dtype=float)
-            cover = None
             for p in BATTERY_P:
-                inst = verify_global_estimate(map_model, o, p, radii, jet=jet,
-                                              cover=cover, name=name)
-                cover = inst.cover
-                instances[(name, level, p)] = inst
+                # the map keeps its jet and the source chart its cover
+                instances[(name, level, p)] = verify_global_estimate(
+                    map_model, o, p, radii, name=name)
     return instances
 
 

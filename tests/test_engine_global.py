@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -12,33 +11,14 @@ from czmap.engine import (HarmonicRadii, build_cover, compute_r_hat,
 from czmap.errors import (CertificateRequired, DegenerateRadius,
                           PreconditionFailed, ResolutionTooCoarse)
 from czmap.expressions import Expression
-from builders import (flat_chart, flat_to_sphere_map, graph_immersion,
-                      hyperbolic_chart, identity_map, sphere_chart,
-                      sphere_immersion)
+from builders import (count_calls, flat_chart, flat_to_sphere_map,
+                      graph_immersion, hyperbolic_chart, identity_map,
+                      sphere_chart, sphere_immersion)
 from czmap.geodesics import segment_length
 from czmap.harmonic import declared_certificate
 from czmap.maps import MapModel
 
 V2 = ("x1", "x2")
-
-
-def count_calls(monkeypatch, module, name) -> list:
-    """Count the calls of ``module.name``, made through every czmap module
-    that holds the function under any name; returns the growing list of
-    their positional arguments."""
-    original = getattr(module, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for key, mod in list(sys.modules.items()):
-        if key == "czmap" or key.startswith("czmap."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counting)
-    return calls
 
 
 def immersion_scenario(mode: str, tmp_path):
@@ -290,8 +270,7 @@ class TestGlobalEstimate:
         # some centers lie outside Omega
         inst = split_regime_instance
         broken = verify_global_estimate(split_regime_map, SPLIT_BASEPOINT,
-                                        2.0, inst.radii, cover=inst.cover,
-                                        omega_slack=-1.0)
+                                        2.0, inst.radii, omega_slack=-1.0)
         assert broken.cover is inst.cover
         assert not broken.checks["regime_dichotomy"]
         assert broken.ratio == inst.ratio
@@ -313,8 +292,8 @@ class TestGlobalEstimate:
         # a finite radius as large checks the same cover pair by pair
         del calls[:]
         finite = verify_global_estimate(psi, o, 2.0,
-                                        HarmonicRadii(np.inf, 1e6),
-                                        cover=inst.cover)
+                                        HarmonicRadii(np.inf, 1e6))
+        assert finite.cover is inst.cover
         assert len(target_calls(calls, psi)) == 1 + math.ceil(
             inst.cover.size / 32)
         assert finite.checks["regime_dichotomy"]
@@ -356,23 +335,47 @@ class TestGlobalEstimate:
         assert inst.extrapolated
         assert inst.ratio == 0.0
 
-    def test_cover_of_another_chart_is_not_reused(self):
-        def line_map():
-            source = flat_chart(0.0, 0.5, 33, dim=1, names=("x",))
-            target = flat_chart(-1.0, 1.0, 5, dim=1, names=("u",))
-            return MapModel(source, target, [Expression("x^2", ("x",))],
-                            lipschitz_bound=1.0)
+    def test_one_cover_per_chart_and_r_hat(self, monkeypatch):
+        import czmap.engine as engine
+        source = flat_chart(0.0, 0.5, 33, dim=1, names=("x",))
+        target = flat_chart(-1.0, 1.0, 5, dim=1, names=("u",))
 
-        radii = HarmonicRadii(np.inf, np.inf)
-        r_hat = compute_r_hat(radii.r1M, radii.r1N, 1.0)
-        u, other = line_map(), line_map()
-        own = build_cover(u.source_chart, r_hat)
-        foreign = build_cover(other.source_chart, r_hat)
-        assert verify_global_estimate(u, [0.0], 2.0, radii,
-                                      cover=own).cover is own
-        inst = verify_global_estimate(u, [0.0], 2.0, radii, cover=foreign)
-        assert inst.cover is not foreign
-        assert inst.cover.chart is u.source_chart
+        def line_map(chart, lipschitz):
+            return MapModel(chart, target, [Expression("x^2", ("x",))],
+                            lipschitz_bound=lipschitz)
+
+        builds = count_calls(monkeypatch, engine, "build_cover")
+        radii = HarmonicRadii(np.inf, 2.0)
+        first = verify_global_estimate(line_map(source, 1.0), [0.0], 2.0, radii)
+        # another map on the same chart at the same r_hat, other exponents
+        for p in (1.5, 4.0):
+            again = verify_global_estimate(line_map(source, 1.0), [0.0], p,
+                                           radii)
+            assert again.cover is first.cover
+        assert [args[0] for args in builds] == [source]
+        # a new r_hat on the same chart, or a second chart with the same
+        # data, gets a cover of its own
+        halved = verify_global_estimate(line_map(source, 4.0), [0.0], 2.0,
+                                        radii)
+        assert halved.r_hat == first.r_hat / 2.0
+        other = flat_chart(0.0, 0.5, 33, dim=1, names=("x",))
+        foreign = verify_global_estimate(line_map(other, 1.0), [0.0], 2.0,
+                                         radii)
+        assert foreign.cover.chart is other
+        assert [args[0] for args in builds] == [source, source, other]
+
+    def test_run_builds_one_jet_and_one_cover_per_level(self, monkeypatch):
+        import czmap.engine as engine
+        import czmap.maps as maps
+        import czmap.runner as runner
+        from czmap.scenario import fixture_path, load_scenario
+        jets = count_calls(monkeypatch, maps, "generalized_hessian")
+        covers = count_calls(monkeypatch, engine, "build_cover")
+        reports = runner.run_scenario(
+            load_scenario(fixture_path("sphere-global")))
+        assert len(reports) == 6           # two levels, three exponents
+        assert all(rep.error is None for rep in reports)
+        assert (len(jets), len(covers)) == (2, 2)
 
     def test_uniform_continuity_needs_small_profile(self, flat_identity):
         radii = HarmonicRadii(10.0, 1.0)

@@ -59,6 +59,38 @@ class TestSolve:
             solve_harmonic_chart(chart, [0.8, 0.0], 0.6)
 
 
+class TestIterativeSolve:
+    """The lgmres route, taken above DIRECT_SOLVE_LIMIT interior points
+    (no fixture reaches it), forced on a ball of 387 interior points."""
+
+    X, R = [1.5708, 0.6], 0.3
+
+    @pytest.fixture(scope="class")
+    def chart(self):
+        return make_sphere(res=33, theta=(1.0, 2.14), phi=(0.0, 1.2))
+
+    def test_matches_the_direct_solve(self, chart, monkeypatch):
+        import czmap.harmonic as harmonic
+        direct = solve_harmonic_chart(chart, self.X, self.R)
+        monkeypatch.setattr(harmonic, "DIRECT_SOLVE_LIMIT", 0)
+        iterative = solve_harmonic_chart(chart, self.X, self.R)
+        assert int(iterative.interior_mask.sum()) == 387
+        solved = np.isfinite(direct.fields)
+        assert np.array_equal(solved, np.isfinite(iterative.fields))
+        gap = np.abs(direct.fields[solved] - iterative.fields[solved]).max()
+        assert gap <= 1e-6
+        assert (check_hr_conditions(iterative).holds
+                == check_hr_conditions(direct).holds)
+
+    def test_stalled_iteration_raises(self, chart, monkeypatch):
+        import czmap.harmonic as harmonic
+        from czmap.errors import SolverDiverged
+        monkeypatch.setattr(harmonic, "DIRECT_SOLVE_LIMIT", 0)
+        monkeypatch.setattr(harmonic, "ITERATIVE_MAXITER", 1)
+        with pytest.raises(SolverDiverged):
+            solve_harmonic_chart(chart, self.X, self.R)
+
+
 class TestConditions:
     def test_flat_margins(self, flat_candidate):
         cert = check_hr_conditions(flat_candidate, alpha=0.5)

@@ -298,23 +298,26 @@ class TestPointwiseNorms:
 
 class TestImmersionCheck:
     def test_flat_graph(self):
-        data = immersion_check(graph_immersion(resolution=21))
+        graph = graph_immersion(resolution=21)
+        data = immersion_check(graph)
         assert data.isometry_defect < 1e-12
-        assert np.abs(data.jet.hess).max() < 1e-12
-        assert np.abs(data.jet.laplacian).max() < 1e-12
+        assert np.abs(graph.jet().hess).max() < 1e-12
+        assert np.abs(graph.jet().laplacian).max() < 1e-12
 
     def test_sphere(self, sphere_jet):
         psi, jet = sphere_jet
-        data = immersion_check(psi, jet)
+        data = immersion_check(psi)
+        assert psi.jet() is jet         # checked on the map's own jet
         assert data.isometry_defect <= 1e-8
-        assert np.allclose(data.jet.norm_laplacian, 2.0, atol=1e-10)
+        assert np.allclose(jet.norm_laplacian, 2.0, atol=1e-10)
         assert data.normality_defect <= 1e-6
 
     def test_cylinder_principal_curvatures(self, cylinder_jet):
         psi, jet = cylinder_jet
-        data = immersion_check(psi, jet)
-        assert np.allclose(data.jet.norm_laplacian, 1.0, atol=1e-12)
-        assert np.allclose(data.jet.norm_hess, 1.0, atol=1e-12)
+        data = immersion_check(psi)
+        assert psi.jet() is jet
+        assert np.allclose(jet.norm_laplacian, 1.0, atol=1e-12)
+        assert np.allclose(jet.norm_hess, 1.0, atol=1e-12)
         assert data.isometry_defect <= 1e-12
 
     def test_rank_deficiency_names_point(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import count_calls
 from czmap.cli import _apply_overrides, build_parser, main
 from czmap.errors import ScenarioError
 from czmap.report import read_reports
@@ -88,6 +89,7 @@ resolution_ladder = 9, 17
 seed = 20859
 uc_radius = 0.01
 ball_r = 0.1
+ball_R = 0.5
 """
 
 # identity into a wide flat target whose radius is estimated (the
@@ -215,7 +217,12 @@ class TestLoader:
         ("ricci_lower_bound", "abc"),
         ("lower", "nan"), ("resolution_ladder", "2.5"), ("lipschitz", "nan"),
         ("basepoint", "0"), ("p", "nan"), ("p", "inf"), ("resolution", "1e300"),
-        ("resolution_ladder", "9, 1e300")])
+        ("resolution_ladder", "9, 1e300"),
+        # ranges that used to end in a traceback or a silent truncation
+        ("uc_radius", "0"), ("uc_radius", "-1"), ("uc_radius", "nan"),
+        ("uc_radius", "inf"), ("ball_r", "-0.05"), ("ball_r", "inf"),
+        ("ball_R", "0"), ("ball_R", "nan"), ("resolution", "9.5"),
+        ("resolution_ladder", "9, 17.5")])
     def test_malformed_number_is_located(self, tmp_path, key, bad):
         path = tmp_path / "numbers.scn"
         path.write_text(NUMERIC_KEYS)
@@ -228,6 +235,34 @@ class TestLoader:
         with pytest.raises(ScenarioError) as err:
             load_scenario(str(path))
         assert err.value.issues[0].line == index + 1
+
+    def test_whole_valued_count_is_valid(self, tmp_path):
+        path = tmp_path / "whole.scn"
+        path.write_text(NUMERIC_KEYS.replace("resolution = 9, 9",
+                                             "resolution = 9.0, 9"))
+        assert load_scenario(str(path)).manifolds["plane"].resolution == [9, 9]
+
+    @pytest.mark.parametrize("fixture, old, new, invariant", [
+        ("saddle-search", "upper = 0.5", "upper = 0", "SearchBounds"),
+        ("ball-estimate", "ball_r = 0.12", "", "MissingKey"),
+        ("ball-estimate", "ball_R = 2.5", "", "MissingKey"),
+        ("ball-estimate", "ball_center = 1.5708, 0.55", "", "MissingKey")])
+    def test_search_bounds_and_ball_keys_are_one_issue(self, tmp_path, fixture,
+                                                       old, new, invariant):
+        with open(fixture_path(fixture), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        index = lines.index(old)
+        lines[index] = new
+        path = tmp_path / "broken.scn"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        issue, = err.value.issues
+        assert issue.invariant == invariant
+        # the lower bound's line, or the [run] header for a missing key
+        header = "[search]" if fixture == "saddle-search" else "[run]"
+        line = lines.index(header) + (2 if invariant == "SearchBounds" else 0)
+        assert issue.line == line + 1
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
@@ -452,12 +487,19 @@ class TestRunner:
                         "t_dist"):
                 assert b.terms[key] == pytest.approx(a.terms[key], rel=1e-4)
 
-    def test_estimated_source_certificate_in_corollary_records(self, tmp_path):
+    def test_estimated_source_certificate_in_corollary_records(
+            self, tmp_path, monkeypatch):
+        import czmap.engine as engine
         from czmap.runner import run_and_report
         scenario = load_scenario(fixture_path("halfplane-corollary"))
+        assert scenario.override_run("1.5, 2, 4", None) is None
+        diameters = count_calls(monkeypatch, engine, "image_diameter")
         reports, jsonl, _ = run_and_report(scenario, str(tmp_path / "cor"))
         records = read_reports(jsonl)
-        assert records and all(r["passed"] for r in records)
+        assert len(records) == 3 and all(r["passed"] for r in records)
+        # the map keeps its image diameter for every exponent
+        assert len(diameters) == 1
+        assert len({r["terms"]["diameter"] for r in records}) == 1
         for record in records:
             source_cert, target_cert = record["certificates"]
             assert source_cert["source"] == "solver"
@@ -482,15 +524,23 @@ class TestRunner:
             assert rep.checks["identities_pass"]
             assert np.isfinite(rep.terms["c_emp"]) and rep.terms["c_emp"] > 0
 
-    def test_uniform_continuity_key_flags_extrapolation(self, tmp_path):
+    def test_uniform_continuity_key_flags_extrapolation(self, tmp_path,
+                                                        monkeypatch):
+        import czmap.engine as engine
+        import czmap.maps as maps
         from czmap.runner import run_and_report
         scenario = load_scenario(fixture_path("sheared-continuous"))
         assert math.isinf(scenario.primary_map().lipschitz)
         assert scenario.run.uc_radius == 0.08
+        assert scenario.override_run("1.5, 2, 4", None) is None
+        covers = count_calls(monkeypatch, engine, "build_cover")
+        profiles = count_calls(monkeypatch, maps, "uniform_continuity_profile")
         reports, jsonl, _ = run_and_report(scenario, str(tmp_path / "uc"))
         records = read_reports(jsonl)
-        assert records and all(r["passed"] for r in records)
+        assert len(records) == 3 and all(r["passed"] for r in records)
         assert all(r["extrapolated"] is True for r in records)
+        # one cover on the source chart, one profile on the map
+        assert (len(covers), len(profiles)) == (1, 1)
 
     def test_sphere_intro_values(self):
         import math
@@ -595,7 +645,8 @@ class TestCli:
         ("--p", "nan", "UnsupportedExponent"),
         ("--p", "inf", "UnsupportedExponent"),
         ("--resolution", "2", "NumberFormat"),
-        ("--resolution", "2.5", "NumberFormat")])
+        ("--resolution", "2.5", "NumberFormat"),
+        ("--resolution", "29.9", "NumberFormat")])
     def test_bad_override_flag_is_one_issue(self, capsys, flag, value,
                                             invariant):
         # the [run] rules of p and resolution_ladder hold for the flags
@@ -610,6 +661,7 @@ class TestCli:
         ("--resolution", "2", "NumberFormat"),
         ("--resolution", "0", "NumberFormat"),
         ("--resolution", "2.5", "NumberFormat"),
+        ("--resolution", "29.9", "NumberFormat"),
         ("--resolution", "abc", "NumberFormat"),
         ("--resolution", "nan", "NumberFormat"),
         ("--resolution", "inf", "NumberFormat"),

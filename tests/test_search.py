@@ -104,7 +104,6 @@ class TestSearchScenarios:
 
     def test_search_shares_one_cover(self, monkeypatch, tmp_path):
         import czmap.engine as engine
-        import czmap.runner as runner
         from czmap.report import read_reports, write_reports
         builds = []
         original = engine.build_cover
@@ -113,8 +112,8 @@ class TestSearchScenarios:
             builds.append(args)
             return original(*args, **kwargs)
 
+        # the source chart keeps the cover; engine builds it on first use
         monkeypatch.setattr(engine, "build_cover", counting_build_cover)
-        monkeypatch.setattr(runner, "build_cover", counting_build_cover)
         scenario = load_scenario(fixture_path("sine-search"))
         reports = run_scenario(scenario)
         rep = reports[0]

@@ -5,15 +5,17 @@
 Each argument is a directory that holds the ``czmap`` package (a
 checkout's ``src``).  For each tree and each fixture in that tree's
 ``czmap/fixtures``, the script runs ``czmap run --scenario <fixture>
---out <prefix>`` and ``czmap validate --scenario <fixture>`` and ``czmap radius --scenario
-<fixture>`` in a fresh interpreter with the tree on PYTHONPATH.  It then
-compares
+--out <prefix>`` at the fixture's own exponents and again with ``--p
+1.5,2,4`` (the work shared across exponents shows only in a run at
+several), ``czmap validate --scenario <fixture>`` and ``czmap radius
+--scenario <fixture>`` in a fresh interpreter with the tree on
+PYTHONPATH.  It then compares
 
-* the JSONL records, parsed, with the wall-clock key ``timing_seconds``
-  removed;
-* the TSV files, byte for byte;
+* the JSONL records of both runs, parsed, with the wall-clock key
+  ``timing_seconds`` removed;
+* the TSV files of both runs, byte for byte;
 * the ``validate`` and ``radius`` stdout, byte for byte;
-* the exit codes of all three commands.
+* the exit codes of all four commands.
 
 It prints every difference and exits 1 if there is one, else 0.  Only
 the standard library is used; fixtures run one at a time.
@@ -50,18 +52,30 @@ def _read(path: str):
         return fh.read()
 
 
+MULTI_P = "1.5,2,4"
+
+
+def _run(src: str, fixture: str, prefix: str, *flags) -> dict:
+    """Exit code, records and table of one ``czmap run`` with ``flags``."""
+    run = _czmap(src, ["run", "--scenario", fixture, "--out", prefix, *flags])
+    label = " ".join(["run", *flags])
+    jsonl = prefix + ".jsonl"
+    return {
+        f"{label} exit code": run.returncode,
+        f"{label} JSONL records (minus timing_seconds)":
+            _records(jsonl) if os.path.exists(jsonl) else None,
+        f"{label} TSV bytes": _read(prefix + ".tsv"),
+    }
+
+
 def outputs(src: str, fixture: str, workdir: str) -> dict:
     """Everything compared for one fixture under one tree."""
     prefix = os.path.join(workdir, fixture)
-    run = _czmap(src, ["run", "--scenario", fixture, "--out", prefix])
     validate = _czmap(src, ["validate", "--scenario", fixture])
     radius = _czmap(src, ["radius", "--scenario", fixture])
-    jsonl = prefix + ".jsonl"
     return {
-        "run exit code": run.returncode,
-        "JSONL records (minus timing_seconds)":
-            _records(jsonl) if os.path.exists(jsonl) else None,
-        "TSV bytes": _read(prefix + ".tsv"),
+        **_run(src, fixture, prefix),
+        **_run(src, fixture, prefix + "-multi-p", "--p", MULTI_P),
         "validate exit code": validate.returncode,
         "validate stdout": validate.stdout,
         "radius exit code": radius.returncode,
