@@ -2,11 +2,11 @@
 between Riemannian chart models, with an isometric-immersion
 specialization (second fundamental form against mean curvature)."""
 
-from .engine import (BallEstimateInstance, EllipticOperatorSpec,
-                     GlobalEstimateInstance, HarmonicRadii, build_cover,
-                     compute_r_hat, omega_decomposition, verify_ball_estimate,
-                     verify_euclidean_corollaries, verify_global_estimate,
-                     verify_interior_estimate, verify_scaling_identities)
+from .engine import (EllipticOperatorSpec, HarmonicRadii, Verdict,
+                     build_cover, compute_r_hat, omega_decomposition,
+                     verify_ball_estimate, verify_euclidean_corollaries,
+                     verify_global_estimate, verify_interior_estimate,
+                     verify_scaling_identities)
 from .expressions import Expression, parse_expression, to_string
 from .geodesics import metric_ball
 from .geometry import (CoordinateBox, MetricChart, check_ricci_lower_bound,

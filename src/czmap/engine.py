@@ -301,18 +301,19 @@ class HarmonicRadii:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BallEstimateInstance:
-    """All terms of one local estimate and their empirical ratio."""
+class Verdict:
+    """One verified inequality, as its report states it: the named terms
+    of both sides, their ratio, the checks, and what qualifies them.  The
+    runner adds what describes the run (scenario, mode, p, resolution,
+    certificates, timing)."""
 
-    x: np.ndarray
-    y: np.ndarray
-    r: float
-    R: float
-    p: float
     terms: dict
     ratio: float
+    checks: dict
     warnings: list = field(default_factory=list)
-    caveats: tuple = (COMPLETENESS_CAVEAT,)
+    caveats: list = field(default_factory=lambda: [COMPLETENESS_CAVEAT])
+    cover_stats: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)
 
 
 def _ratio(lhs: float, denom: float) -> float:
@@ -327,7 +328,7 @@ def verify_ball_estimate(map_model: MapModel, x, y, r: float, R: float,
                          p: float,
                          source_certificate: RadiusCertificate | None = None,
                          target_certificate: RadiusCertificate | None = None
-                         ) -> BallEstimateInstance:
+                         ) -> Verdict:
     """Evaluate the local estimate on B_r(x) -> B_R(y).
 
     Certificates (solver or declared) must cover 2r at the source and R at
@@ -379,10 +380,9 @@ def verify_ball_estimate(map_model: MapModel, x, y, r: float, R: float,
     t_du = r ** (-1) * lp_norm_on(box, p, jet.norm_du, vol, ball_2r.mask)
     terms = {"lhs_hess": lhs, "t_laplacian": t_lap, "t_du_2p_sq": t_du_sq,
              "t_dist": t_dist, "t_du": t_du}
-    ratio = _ratio(lhs, t_lap + t_du_sq + t_dist + t_du)
-    return BallEstimateInstance(x=x, y=y, r=float(r), R=float(R), p=float(p),
-                                terms=terms, ratio=float(ratio),
-                                warnings=warnings)
+    ratio = float(_ratio(lhs, t_lap + t_du_sq + t_dist + t_du))
+    return Verdict(terms, ratio, {"ratio_finite": bool(np.isfinite(ratio))},
+                   warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +440,6 @@ class Cover:
     @property
     def separation(self) -> float:
         return self.r_hat / 8.0
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.chart.box.points()[self.center_indices]
 
     def verify(self) -> dict:
         """Brute-force cover and multiplicity checks at every grid point."""
@@ -524,25 +520,6 @@ def build_cover(chart: MetricChart, r_hat: float) -> Cover:
 # global estimate
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GlobalEstimateInstance:
-    """Full global-verification record."""
-
-    name: str
-    p: float
-    r_hat: float
-    r: float
-    radii: HarmonicRadii
-    cover: Cover
-    terms: dict
-    ratio: float
-    checks: dict
-    in_omega: np.ndarray          # (C,) bool, per cover center
-    warnings: list = field(default_factory=list)
-    extrapolated: bool = False
-    caveats: tuple = (COMPLETENESS_CAVEAT,)
-
-
 def _inv(x: float) -> float:
     return 0.0 if np.isinf(x) else 1.0 / x
 
@@ -550,8 +527,7 @@ def _inv(x: float) -> float:
 def verify_global_estimate(map_model: MapModel, o, p: float,
                            radii: HarmonicRadii,
                            uniform_radius: float | None = None,
-                           omega_slack: float = OMEGA_SLACK,
-                           name: str = "global") -> GlobalEstimateInstance:
+                           omega_slack: float = OMEGA_SLACK) -> Verdict:
     """Run the whole global pipeline and report the empirical ratio.
 
     The two per-center regimes follow the basepoint decomposition: centers
@@ -645,7 +621,7 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
     t_dist = r ** (-2) * total["t_dist"] ** (1.0 / p)
     terms = {"lhs_hess": lhs, "t_laplacian": t_lap, "t_du": t_du,
              "t_du_2p_sq": t_du_2p_sq, "t_dist": t_dist}
-    ratio = _ratio(lhs, t_lap + t_du + t_du_2p_sq + t_dist)
+    ratio = float(_ratio(lhs, t_lap + t_du + t_du_2p_sq + t_dist))
 
     checks = dict(cover_checks)
     checks.update({
@@ -657,11 +633,11 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
     warnings = []
     if radii.source == "declared":
         warnings.append("harmonic radii taken from scenario declaration")
-    return GlobalEstimateInstance(
-        name=name, p=float(p), r_hat=float(r_hat), r=float(r), radii=radii,
-        cover=cover, terms=terms, ratio=float(ratio), checks=checks,
-        in_omega=in_omega, warnings=warnings,
-        extrapolated=uniform_radius is not None)
+    return Verdict(terms, ratio, checks, warnings=warnings,
+                   cover_stats={"centers": cover.size,
+                                "multiplicity": cover.multiplicity,
+                                "separation": cover.separation},
+                   extra={"extrapolated": uniform_radius is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +647,8 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
 def verify_euclidean_corollaries(map_model: MapModel, p: float,
                                  mode: str = "intro",
                                  basepoint=None,
-                                 radii: HarmonicRadii | None = None) -> dict:
+                                 radii: HarmonicRadii | None = None
+                                 ) -> Verdict:
     """Immersion inequalities: second-fundamental-form norm against mean
     curvature plus lower-order data.
 
@@ -696,8 +673,8 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
     isometric_defect = float(np.abs(du_sq - m).max())
     volume = float((quadrature_weights(box) * vol).sum())
     du_2p = lp_norm_on(box, 2 * p, jet.norm_du, vol)
-    record = {
-        "mode": mode, "p": p,
+    terms = {
+        "p": p,
         "norm_ii": norm_ii, "norm_h": norm_h,
         "isometry_defect": imm.isometry_defect,
         "normality_defect": imm.normality_defect,
@@ -705,28 +682,25 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
         "volume": volume,
         "norm_du_2p_sq": du_2p ** 2,
         "norm_du_2p_sq_closed_form": m * volume ** (1.0 / p),
-        "caveats": [COMPLETENESS_CAVEAT],
     }
     if mode == "intro":
         if basepoint is None:
             basepoint = np.zeros(map_model.target_dimension)
         dist = dist_to_basepoint_field(map_model, basepoint)
-        norm_dist = lp_norm_on(box, p, dist, vol)
-        record["norm_dist"] = norm_dist
-        record["ratio"] = _ratio(norm_ii, 1.0 + norm_h + norm_dist)
-        return record
-    if radii is None:
+        terms["norm_dist"] = lp_norm_on(box, p, dist, vol)
+        rhs = 1.0 + norm_h + terms["norm_dist"]
+    elif radii is None:
         raise CertificateRequired("corollaryA mode needs harmonic radii")
-    r = min(radii.r1M, radii.r1N, 1.0)
-    diam = map_model.memo("image_diameter", lambda: image_diameter(map_model))
-    record["diameter"] = diam
-    record["diameter_is_lower_bound"] = True
-    record["r"] = r
-    rhs = norm_h + volume ** (1.0 / p) * (1.0 / r + _inv(radii.r1N)
-                                          + r ** (-2) * diam)
-    record["rhs"] = rhs
-    record["ratio"] = _ratio(norm_ii, rhs)
-    return record
+    else:
+        r = min(radii.r1M, radii.r1N, 1.0)
+        diam = map_model.memo("image_diameter",
+                              lambda: image_diameter(map_model))
+        rhs = norm_h + volume ** (1.0 / p) * (1.0 / r + _inv(radii.r1N)
+                                              + r ** (-2) * diam)
+        terms.update(diameter=diam, diameter_is_lower_bound=True, r=r,
+                     rhs=rhs)
+    terms["ratio"] = ratio = _ratio(norm_ii, rhs)
+    return Verdict(terms, ratio, {"ratio_finite": bool(np.isfinite(ratio))})
 
 
 def image_diameter(map_model: MapModel) -> float:

@@ -5,6 +5,8 @@ the charts and the harmonic radii, which do not depend on the map.  Each
 map (one per level in a run, one per parameter point in a search) adds
 its model and basepoint.  The cover, the jet and the immersion data are
 kept by the chart or map they come from (``memo``), for every exponent.
+Each chart verifier returns an ``engine.Verdict``; a report is that
+verdict plus the run's scenario, mode, p, resolution and certificates.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from functools import partial
 
 import numpy as np
 
-from .engine import (EllipticOperatorSpec, GlobalEstimateInstance,
-                     HarmonicRadii, verify_ball_estimate,
-                     verify_euclidean_corollaries, verify_global_estimate,
-                     verify_interior_estimate, verify_scaling_identities)
+from .engine import (EllipticOperatorSpec, HarmonicRadii, Verdict,
+                     verify_ball_estimate, verify_euclidean_corollaries,
+                     verify_global_estimate, verify_interior_estimate,
+                     verify_scaling_identities)
 from .errors import CzmapError
 from .expressions import Expression
 from .geometry import MetricChart
@@ -99,11 +101,10 @@ class RunContext:
         map_model.validate().jet()
         return map_model
 
-    def verify_global(self, map_model, p: float) -> GlobalEstimateInstance:
+    def verify_global(self, map_model, p: float) -> Verdict:
         return verify_global_estimate(
             map_model, _basepoint(self.scenario, map_model), p, self.radii,
-            uniform_radius=self.scenario.run.uc_radius,
-            name=self.scenario.name)
+            uniform_radius=self.scenario.run.uc_radius)
 
 
 def _resolutions(scenario: Scenario):
@@ -144,9 +145,8 @@ def run_and_report(scenario: Scenario, out_prefix: str | None = None):
 def _run_at_resolution(scenario: Scenario, resolution) -> list:
     mode = scenario.run.mode
     reports = []
-    res_label = _res_label(scenario, resolution)
     report = partial(InequalityReport, scenario=scenario.name, mode=mode,
-                     resolution=res_label)
+                     resolution=_res_label(scenario, resolution))
     t0 = time.perf_counter()
     try:
         ctx = RunContext.build(scenario, resolution)
@@ -155,40 +155,14 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
         return [report(p=scenario.run.p_list[0], terms={}, ratio=np.nan,
                        error=f"{type(exc).__name__}: {exc}",
                        timing_seconds=time.perf_counter() - t0)]
-    radii = ctx.radii
-    certificates = [c.as_record() for c in radii.certificates]
+    certificates = ([c.as_record() for c in ctx.radii.certificates]
+                    if mode != "intro" else [])
 
     for p in scenario.run.p_list:
         t1 = time.perf_counter()
         try:
-            if mode == "global":
-                inst = ctx.verify_global(map_model, p)
-                rep = report(
-                    p=p, terms=inst.terms, ratio=inst.ratio, checks=inst.checks,
-                    certificates=certificates,
-                    cover_stats={"centers": inst.cover.size,
-                                 "multiplicity": inst.cover.multiplicity,
-                                 "separation": inst.cover.separation},
-                    warnings=inst.warnings, caveats=list(inst.caveats),
-                    extra={"extrapolated": inst.extrapolated})
-            elif mode in ("intro", "corollaryA"):
-                basepoint = (np.asarray(scenario.run.basepoint, dtype=float)
-                             if scenario.run.basepoint is not None else None)
-                rec = verify_euclidean_corollaries(
-                    map_model, p, mode=mode, basepoint=basepoint,
-                    radii=radii if mode == "corollaryA" else None)
-                rep = report(
-                    p=p, terms={k: v for k, v in rec.items()
-                                if isinstance(v, (int, float))},
-                    ratio=rec["ratio"],
-                    checks={"ratio_finite": bool(np.isfinite(rec["ratio"]))},
-                    certificates=certificates if mode == "corollaryA" else [],
-                    caveats=rec.get("caveats", []))
-            elif mode == "ball":
-                rep = _run_ball(scenario, map_model, radii, p,
-                                partial(report, certificates=certificates))
-            else:
-                raise CzmapError(f"mode {mode} not runnable here")
+            rep = report(p=p, certificates=certificates,
+                         **vars(_verify(ctx, map_model, p)))
         except CzmapError as exc:
             rep = report(p=p, terms={}, ratio=np.nan,
                          error=f"{type(exc).__name__}: {exc}")
@@ -197,20 +171,33 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
     return reports
 
 
-def _run_ball(scenario, map_model, radii, p, report) -> InequalityReport:
+def _verify(ctx: RunContext, map_model, p: float) -> Verdict:
+    """The verdict of the run mode's chart verifier at exponent ``p``."""
+    run = ctx.scenario.run
+    if run.mode == "global":
+        return ctx.verify_global(map_model, p)
+    if run.mode == "ball":
+        return _run_ball(ctx.scenario, map_model, ctx.radii, p)
+    if run.mode in ("intro", "corollaryA"):
+        basepoint = (np.asarray(run.basepoint, dtype=float)
+                     if run.basepoint is not None else None)
+        return verify_euclidean_corollaries(
+            map_model, p, mode=run.mode, basepoint=basepoint,
+            radii=ctx.radii if run.mode == "corollaryA" else None)
+    raise CzmapError(f"mode {run.mode} not runnable here")
+
+
+def _run_ball(scenario, map_model, radii, p) -> Verdict:
     ball = scenario.run.ball
     if "center" not in ball or "r" not in ball or "R" not in ball:
         raise CzmapError("ball mode needs ball_center, ball_r, ball_R")
     x = np.asarray(ball["center"], dtype=float)
     tc = ball.get("target_center", "image")
     y = map_model.values(x) if isinstance(tc, str) else np.asarray(tc, dtype=float)
-    inst = verify_ball_estimate(
+    return verify_ball_estimate(
         map_model, x, y, ball["r"], ball["R"], p,
         source_certificate=radii.certificates[0],
         target_certificate=radii.certificates[1])
-    return report(p=p, terms=inst.terms, ratio=inst.ratio,
-                  checks={"ratio_finite": bool(np.isfinite(inst.ratio))},
-                  warnings=inst.warnings, caveats=list(inst.caveats))
 
 
 def _res_label(scenario, resolution) -> str:

@@ -465,7 +465,7 @@ def _parse_manifold(section: _Section, path: str, issues: list) -> ManifoldDef |
                                       "RicciBound", "A must be >= 0"))
         ok = False
 
-    base_points = []
+    base_points = []              # (line, point)
     for key in ("base_point", "base_points"):
         if key in e:
             try:
@@ -473,7 +473,7 @@ def _parse_manifold(section: _Section, path: str, issues: list) -> ManifoldDef |
                 pts = [nums[k:k + m] for k in range(0, len(nums), m)]
                 if any(len(p) != m for p in pts):
                     raise ValueError("base point length mismatch")
-                base_points.extend(pts)
+                base_points.extend((e[key].line, p) for p in pts)
             except ValueError as exc:
                 issues.append(ValidationIssue(path, e[key].line, "BasePoint",
                                               str(exc)))
@@ -496,12 +496,32 @@ def _parse_manifold(section: _Section, path: str, issues: list) -> ManifoldDef |
 
     if not ok:
         return None
-    return ManifoldDef(name=section.name, coordinates=coordinates,
+    mdef = ManifoldDef(name=section.name, coordinates=coordinates,
                        lower=vals["lower"], upper=vals["upper"],
                        resolution=[int(r) for r in vals["resolution"]],
                        metric_exprs=metric_exprs, derivative_mode=mode,
-                       ricci_lower_bound=A, base_points=base_points,
+                       ricci_lower_bound=A,
+                       base_points=[p for _, p in base_points],
                        r1_half=r1_half, line=section.line)
+    for line, point in base_points:
+        _check_point(path, line, "base point", point, mdef, issues)
+    return mdef
+
+
+def _check_point(path: str, line: int, key: str, point, mdef: ManifoldDef,
+                 issues: list):
+    """Record the issue of ``point``, read from ``key`` at ``line``, if it
+    has not ``mdef``'s dimension or lies outside its box (within the
+    tolerance of ``CoordinateBox.contains``)."""
+    if len(point) != mdef.dimension:
+        issues.append(ValidationIssue(path, line, "DimensionMismatch",
+                                      f"{key} needs {mdef.dimension} "
+                                      "coordinates"))
+    elif not CoordinateBox(mdef.lower, mdef.upper,
+                           mdef.resolution).contains(point):
+        issues.append(ValidationIssue(path, line, "OutsideBox",
+                                      f"{key} {point} lies outside the box "
+                                      f"of manifold {mdef.name}"))
 
 
 def _parse_map(section: _Section, path: str, issues: list,
@@ -708,12 +728,23 @@ def load_scenario(path: str) -> Scenario:
     if run_section is None and run.mode != "lemma":
         issues.append(ValidationIssue(path, 0, "MissingSection",
                                       "scenario has no [run] section"))
-    target = manifolds.get(next(iter(maps.values())).target) if maps else None
-    if run.basepoint is not None and target is not None \
-            and len(run.basepoint) != target.dimension:
-        issues.append(ValidationIssue(
-            path, run_section.entries["basepoint"].line, "DimensionMismatch",
-            f"basepoint needs {target.dimension} coordinates"))
+    primary = next(iter(maps.values()), None)
+    if primary is not None:
+        source, target = manifolds[primary.source], manifolds[primary.target]
+        for key, point, mdef in (
+                ("basepoint", run.basepoint, target),
+                ("ball_center", run.ball.get("center"), source),
+                ("ball_target_center", run.ball.get("target_center"), target)):
+            if point is not None and not isinstance(point, str):
+                _check_point(path, run_section.entries[key].line, key, point,
+                             mdef, issues)
+        # every mode but lemma resolves the map's harmonic radii
+        for mdef in {source.name: source, target.name: target}.values():
+            if (run.mode != "lemma" and mdef.r1_half == "estimate"
+                    and not mdef.base_points):
+                issues.append(ValidationIssue(
+                    path, mdef.line, "MissingKey", f"manifold {mdef.name}: "
+                    "r1_half = estimate needs a 'base_point'"))
     if run.resolution_ladder:
         issue = _ladder_issue(run, manifolds, maps, path,
                               run_section.entries["resolution_ladder"].line)

@@ -11,7 +11,8 @@ the compiled chart kernel must match bit for bit, the shot reference the
 two-array RK4 shot that ``geodesics.shoot`` must match, and
 ``geodesic_distance`` refines a graph distance by one shooting pass.  The
 derivative-decay experiment samples the harmonic solver at a ladder of
-radii.  ``count_calls`` counts the calls of a czmap function.
+radii.  ``count_calls`` counts the calls of a czmap function, and
+``verified_cover`` reads the cover a global verification used.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 
 import numpy as np
 
+from czmap.engine import build_cover, compute_r_hat
 from czmap.expressions import Expression
 from czmap.geodesics import (SHOOTING_STEPS, distance_field, log_map,
                              segment_length)
@@ -406,3 +408,12 @@ def count_calls(monkeypatch, module, name) -> list:
                 if value is original:
                     monkeypatch.setattr(mod, attr, counting)
     return calls
+
+
+def verified_cover(map_model, radii):
+    """The cover that ``verify_global_estimate`` uses for ``map_model`` at
+    ``radii`` with no uniform radius: the source chart's memo at that
+    r_hat, so the one the verifier built if it has run."""
+    source = map_model.source_chart
+    r_hat = compute_r_hat(radii.r1M, radii.r1N, map_model.lipschitz_bound)
+    return source.memo(("cover", r_hat), lambda: build_cover(source, r_hat))

@@ -16,7 +16,8 @@ from czmap.engine import (compute_r_hat,
 from czmap.errors import DegenerateRadius
 from czmap.expressions import Expression
 from builders import (cylinder_immersion, flat_chart, geodesic_distance,
-                      graph_immersion, sphere_chart, sphere_immersion)
+                      graph_immersion, sphere_chart, sphere_immersion,
+                      verified_cover)
 from czmap.geodesics import segment_length
 from czmap.harmonic import (check_hr_conditions, estimate_harmonic_radius,
                             solve_harmonic_chart)
@@ -42,8 +43,9 @@ def _report(criterion: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def global_battery():
-    """One global-estimate instance per (fixture, grid level, p)."""
-    instances = {}
+    """One global-estimate verdict per (fixture, grid level, p), and the
+    cover each (fixture, grid level) ran on."""
+    verdicts, covers = {}, {}
     for name in BATTERY:
         scenario = load_scenario(fixture_path(name))
         for level, res in enumerate(scenario.run.resolution_ladder):
@@ -54,9 +56,10 @@ def global_battery():
             o = np.asarray(scenario.run.basepoint, dtype=float)
             for p in BATTERY_P:
                 # the map keeps its jet and the source chart its cover
-                instances[(name, level, p)] = verify_global_estimate(
-                    map_model, o, p, radii, name=name)
-    return instances
+                verdicts[(name, level, p)] = verify_global_estimate(
+                    map_model, o, p, radii)
+            covers[(name, level)] = verified_cover(map_model, radii)
+    return verdicts, covers
 
 
 class TestCriterion1ImmersionOracles:
@@ -173,21 +176,21 @@ class TestCriterion5HarmonicSolver:
 
 class TestCriterion6CoveringVerifier:
     def test_brute_force_cover_sums(self, global_battery):
-        checked = set()
+        verdicts, covers = global_battery
         ok = True
         details = []
-        for (name, level, p), inst in global_battery.items():
-            assert inst.checks["cover_holds"], (name, level, p)
-            key = (name, level)
-            if key in checked:
-                continue
-            checked.add(key)
-            cover = inst.cover
+        for (name, level, p), verdict in verdicts.items():
+            assert verdict.checks["cover_holds"], (name, level, p)
+            cover = covers[name, level]      # the one the verdict reports
+            assert verdict.cover_stats == {
+                "centers": cover.size, "multiplicity": cover.multiplicity,
+                "separation": cover.separation}
+        for (name, level), cover in covers.items():
             chart = cover.chart
             pts = chart.box.points()
             count8 = np.zeros(pts.shape[0], dtype=int)
             count1 = np.zeros(pts.shape[0], dtype=int)
-            for c in cover.centers:
+            for c in pts[cover.center_indices]:
                 row = segment_length(chart, c[None, :], pts)
                 count8 += row <= cover.r_hat / 8.0
                 count1 += row <= cover.r_hat
@@ -202,9 +205,10 @@ class TestCriterion6CoveringVerifier:
 
 class TestCriterion7PipelineRegression:
     def test_battery_ratios(self, global_battery):
+        verdicts, _ = global_battery
         ok = True
         details = []
-        for (name, level, p), inst in global_battery.items():
+        for (name, level, p), inst in verdicts.items():
             if not np.isfinite(inst.ratio):
                 ok = False
                 details.append(f"{name} p={p} level {level}: ratio not finite")
@@ -214,8 +218,8 @@ class TestCriterion7PipelineRegression:
         # drift under one grid halving
         for name in BATTERY:
             for p in BATTERY_P:
-                r0 = global_battery[(name, 0, p)].ratio
-                r1 = global_battery[(name, 1, p)].ratio
+                r0 = verdicts[(name, 0, p)].ratio
+                r1 = verdicts[(name, 1, p)].ratio
                 drift = 0.0 if r0 == r1 == 0.0 else abs(r1 - r0) / max(r0, 1e-300)
                 if drift > 0.10:
                     ok = False
@@ -227,11 +231,11 @@ class TestCriterion7PipelineRegression:
                               map_model.target_chart)
         again = verify_global_estimate(
             map_model, np.asarray(scenario.run.basepoint), 2.0, radii)
-        if again.ratio != global_battery[("sphere-global", 0, 2.0)].ratio:
+        if again.ratio != verdicts[("sphere-global", 0, 2.0)].ratio:
             ok = False
             details.append("sphere-global p=2 not reproduced bit-for-bit")
         _report(7, ok, "; ".join(details) if details else
-                f"{len(global_battery)} runs finite, stable, deterministic")
+                f"{len(verdicts)} runs finite, stable, deterministic")
 
 
 class TestCriterion8RadiusArithmetic:
@@ -253,8 +257,8 @@ class TestCriterion9RhoFamily:
         for rho in (0.5, 1.0, 2.0):
             psi = sphere_immersion((0.7, math.pi - 0.7), (0.0, 1.4), 33,
                                    rho=rho)
-            rec = verify_euclidean_corollaries(psi, 2.0, mode="intro")
-            worst = max(worst, abs(rec["norm_ii"] / rec["norm_h"]
+            terms = verify_euclidean_corollaries(psi, 2.0, mode="intro").terms
+            worst = max(worst, abs(terms["norm_ii"] / terms["norm_h"]
                                    - 1.0 / math.sqrt(2.0)))
         _report(9, worst <= 1e-3, f"max |ratio - 1/sqrt(2)| = {worst:.2e}")
 

@@ -13,7 +13,7 @@ from czmap.errors import (CertificateRequired, DegenerateRadius,
 from czmap.expressions import Expression
 from builders import (count_calls, flat_chart, flat_to_sphere_map,
                       graph_immersion, hyperbolic_chart, identity_map,
-                      sphere_chart, sphere_immersion)
+                      sphere_chart, sphere_immersion, verified_cover)
 from czmap.geodesics import segment_length
 from czmap.harmonic import declared_certificate
 from czmap.maps import MapModel
@@ -101,7 +101,7 @@ class TestCover:
         pts = chart.box.points()
         count8 = np.zeros(pts.shape[0], dtype=int)
         count1 = np.zeros(pts.shape[0], dtype=int)
-        for c in cover.centers:
+        for c in pts[cover.center_indices]:
             row = segment_length(chart, c[None, :], pts)
             count8 += row <= 0.25 / 8.0
             count1 += row <= 0.25
@@ -123,7 +123,7 @@ class TestCover:
         assert checks["cover_holds"]
         pts = chart.box.points()
         counts = np.zeros(pts.shape[0], dtype=int)
-        for c in cover.centers:
+        for c in pts[cover.center_indices]:
             counts += segment_length(chart, c[None, :], pts) <= 0.5
         assert counts.max() == cover.multiplicity
 
@@ -224,6 +224,7 @@ class TestBallEstimate:
 
 
 SPLIT_BASEPOINT = [1.6208, 0.05]
+SPLIT_RADII = HarmonicRadii(r1M=np.inf, r1N=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -233,9 +234,8 @@ def split_regime_map():
 
 @pytest.fixture(scope="module")
 def split_regime_instance(split_regime_map):
-    radii = HarmonicRadii(r1M=np.inf, r1N=0.3)
     return verify_global_estimate(split_regime_map, SPLIT_BASEPOINT, 2.0,
-                                  radii, name="flat-to-sphere")
+                                  SPLIT_RADII)
 
 
 def target_calls(calls, model) -> list:
@@ -258,44 +258,55 @@ class TestGlobalEstimate:
         inst = verify_global_estimate(psi, [0.0, 0.0, 0.0], 2.0, radii)
         assert inst.ratio == 0.0
 
-    def test_regime_split_present_and_checked(self, split_regime_instance):
+    def test_regime_split_present_and_checked(self, split_regime_map,
+                                              split_regime_instance):
         inst = split_regime_instance
-        assert inst.in_omega.shape == (inst.cover.size,)
-        assert inst.in_omega.any() and not inst.in_omega.all()
+        cover = verified_cover(split_regime_map, SPLIT_RADII)
+        assert inst.cover_stats["centers"] == cover.size
+        in_omega = omega_decomposition(
+            split_regime_map, SPLIT_BASEPOINT,
+            SPLIT_RADII.r1N).mask.reshape(-1)[cover.center_indices]
+        assert in_omega.any() and not in_omega.all()
         assert inst.checks["regime_dichotomy"]
 
     def test_regime_dichotomy_can_fail(self, split_regime_map,
-                                       split_regime_instance):
+                                       split_regime_instance, monkeypatch):
         # a negative slack makes the far test fail for every point, and
         # some centers lie outside Omega
+        import czmap.engine as engine
         inst = split_regime_instance
+        builds = count_calls(monkeypatch, engine, "build_cover")
         broken = verify_global_estimate(split_regime_map, SPLIT_BASEPOINT,
-                                        2.0, inst.radii, omega_slack=-1.0)
-        assert broken.cover is inst.cover
+                                        2.0, SPLIT_RADII, omega_slack=-1.0)
+        assert builds == []                # the fixture's cover, reused
         assert not broken.checks["regime_dichotomy"]
         assert broken.ratio == inst.ratio
 
     def test_infinite_target_radius_measures_no_image_pairs(self,
                                                             monkeypatch):
+        import czmap.engine as engine
         import czmap.geodesics as geodesics
         from czmap.norms import dist_to_basepoint_field
         psi = flat_to_sphere_map(resolution=17)
         o = SPLIT_BASEPOINT
         dist_to_basepoint_field(psi, o)        # builds the target's field
         calls = count_calls(monkeypatch, geodesics, "segment_length")
+        builds = count_calls(monkeypatch, engine, "build_cover")
         inst = verify_global_estimate(psi, o, 2.0,
                                       HarmonicRadii(np.inf, np.inf))
         # Omega's distances from o are the only target lengths measured
         assert target_calls(calls, psi) == [((1, 2), (17 * 17, 2))]
-        assert inst.in_omega.all()
+        cover = verified_cover(psi, HarmonicRadii(np.inf, np.inf))
+        assert omega_decomposition(psi, o, np.inf).mask.reshape(-1)[
+            cover.center_indices].all()
         assert inst.checks["regime_dichotomy"]
         # a finite radius as large checks the same cover pair by pair
         del calls[:]
         finite = verify_global_estimate(psi, o, 2.0,
                                         HarmonicRadii(np.inf, 1e6))
-        assert finite.cover is inst.cover
+        assert len(builds) == 1
         assert len(target_calls(calls, psi)) == 1 + math.ceil(
-            inst.cover.size / 32)
+            inst.cover_stats["centers"] / 32)
         assert finite.checks["regime_dichotomy"]
 
     def test_nan_target_radius_rejected_before_the_regime_check(
@@ -332,7 +343,7 @@ class TestGlobalEstimate:
         radii = HarmonicRadii(10.0, 10.0)
         inst = verify_global_estimate(flat_identity, [0.0, 0.0], 2.0, radii,
                                       uniform_radius=0.2)
-        assert inst.extrapolated
+        assert inst.extra == {"extrapolated": True}
         assert inst.ratio == 0.0
 
     def test_one_cover_per_chart_and_r_hat(self, monkeypatch):
@@ -349,19 +360,16 @@ class TestGlobalEstimate:
         first = verify_global_estimate(line_map(source, 1.0), [0.0], 2.0, radii)
         # another map on the same chart at the same r_hat, other exponents
         for p in (1.5, 4.0):
-            again = verify_global_estimate(line_map(source, 1.0), [0.0], p,
-                                           radii)
-            assert again.cover is first.cover
+            verify_global_estimate(line_map(source, 1.0), [0.0], p, radii)
         assert [args[0] for args in builds] == [source]
         # a new r_hat on the same chart, or a second chart with the same
         # data, gets a cover of its own
         halved = verify_global_estimate(line_map(source, 4.0), [0.0], 2.0,
                                         radii)
-        assert halved.r_hat == first.r_hat / 2.0
+        assert (halved.cover_stats["separation"]
+                == first.cover_stats["separation"] / 2.0)
         other = flat_chart(0.0, 0.5, 33, dim=1, names=("x",))
-        foreign = verify_global_estimate(line_map(other, 1.0), [0.0], 2.0,
-                                         radii)
-        assert foreign.cover.chart is other
+        verify_global_estimate(line_map(other, 1.0), [0.0], 2.0, radii)
         assert [args[0] for args in builds] == [source, source, other]
 
     def test_run_builds_one_jet_and_one_cover_per_level(self, monkeypatch):
@@ -387,42 +395,44 @@ class TestGlobalEstimate:
 class TestEuclideanCorollaries:
     def test_flat_graph_zero(self):
         psi = graph_immersion(extent=0.5, resolution=21)
-        rec = verify_euclidean_corollaries(psi, 2.0, mode="intro")
-        assert rec["norm_ii"] == 0.0
-        assert rec["ratio"] == 0.0
+        verdict = verify_euclidean_corollaries(psi, 2.0, mode="intro")
+        assert verdict.terms["norm_ii"] == 0.0
+        assert verdict.ratio == verdict.terms["ratio"] == 0.0
 
     def test_sphere_closed_form_norms(self):
         # ||II||_2 = sqrt(2 vol), ||H||_2 = 2 sqrt(vol) with vol ~ 4 pi
         psi = sphere_immersion((0.04, math.pi - 0.04), (0.0, 2 * math.pi), 65)
-        rec = verify_euclidean_corollaries(psi, 2.0, mode="intro")
-        assert rec["norm_ii"] == pytest.approx(math.sqrt(8 * math.pi), abs=1e-2)
-        assert rec["norm_h"] == pytest.approx(2 * math.sqrt(4 * math.pi), abs=1e-2)
-        assert rec["norm_dist"] == pytest.approx(math.sqrt(4 * math.pi), abs=1e-2)
+        terms = verify_euclidean_corollaries(psi, 2.0, mode="intro").terms
+        assert terms["norm_ii"] == pytest.approx(math.sqrt(8 * math.pi), abs=1e-2)
+        assert terms["norm_h"] == pytest.approx(2 * math.sqrt(4 * math.pi), abs=1e-2)
+        assert terms["norm_dist"] == pytest.approx(math.sqrt(4 * math.pi), abs=1e-2)
 
     def test_rho_family_ratio_scale_invariant(self):
         for rho in (0.5, 1.0, 2.0):
             psi = sphere_immersion((0.7, math.pi - 0.7), (0.0, 1.4), 33,
                                    rho=rho)
-            rec = verify_euclidean_corollaries(psi, 2.0, mode="intro")
-            assert rec["norm_ii"] / rec["norm_h"] == pytest.approx(
+            terms = verify_euclidean_corollaries(psi, 2.0, mode="intro").terms
+            assert terms["norm_ii"] / terms["norm_h"] == pytest.approx(
                 1.0 / math.sqrt(2.0), abs=1e-3)
 
     def test_gradient_norm_closed_form_for_isometries(self):
         psi = sphere_immersion(resolution=33)
-        rec = verify_euclidean_corollaries(psi, 2.0, mode="intro")
-        assert rec["du_sq_minus_m"] <= 1e-10
-        assert rec["norm_du_2p_sq"] == pytest.approx(
-            rec["norm_du_2p_sq_closed_form"], rel=1e-12)
+        terms = verify_euclidean_corollaries(psi, 2.0, mode="intro").terms
+        assert terms["du_sq_minus_m"] <= 1e-10
+        assert terms["norm_du_2p_sq"] == pytest.approx(
+            terms["norm_du_2p_sq_closed_form"], rel=1e-12)
 
     def test_corollary_mode_reports_diameter(self):
         psi = sphere_immersion(resolution=33)
         radii = HarmonicRadii(0.3, np.inf)
-        rec = verify_euclidean_corollaries(psi, 2.0, mode="corollaryA",
-                                           radii=radii)
-        assert rec["diameter_is_lower_bound"]
-        assert 0 < rec["diameter"] <= 2.0 + 1e-9
-        assert rec["r"] == pytest.approx(0.3)
-        assert np.isfinite(rec["ratio"]) and rec["ratio"] > 0
+        verdict = verify_euclidean_corollaries(psi, 2.0, mode="corollaryA",
+                                               radii=radii)
+        terms = verdict.terms
+        assert terms["diameter_is_lower_bound"] is True
+        assert 0 < terms["diameter"] <= 2.0 + 1e-9
+        assert terms["r"] == pytest.approx(0.3)
+        assert np.isfinite(verdict.ratio) and verdict.ratio > 0
+        assert verdict.checks == {"ratio_finite": True}
 
     @pytest.mark.parametrize("mode", ["intro", "corollaryA"])
     def test_run_builds_one_jet_per_level(self, mode, monkeypatch, tmp_path):

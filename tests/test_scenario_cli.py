@@ -62,6 +62,7 @@ metric.1.1 = 1
 metric.1.2 = 0
 metric.2.2 = 1
 ricci_lower_bound = 0
+base_point = 0, 0
 r1_half = inf
 
 [manifold target]
@@ -88,6 +89,8 @@ basepoint = 0, 0
 resolution_ladder = 9, 17
 seed = 20859
 uc_radius = 0.01
+ball_center = 0, 0
+ball_target_center = 0, 0
 ball_r = 0.1
 ball_R = 0.5
 """
@@ -222,7 +225,13 @@ class TestLoader:
         ("uc_radius", "0"), ("uc_radius", "-1"), ("uc_radius", "nan"),
         ("uc_radius", "inf"), ("ball_r", "-0.05"), ("ball_r", "inf"),
         ("ball_R", "0"), ("ball_R", "nan"), ("resolution", "9.5"),
-        ("resolution_ladder", "9, 17.5")])
+        ("resolution_ladder", "9, 17.5"),
+        # points of the wrong length or outside their manifold's box
+        ("basepoint", "5, 5"), ("basepoint", "nan, 0"),
+        ("base_point", "0.3, 0"), ("base_point", "0, 0, 0, -inf"),
+        ("ball_center", "0.1"), ("ball_center", "0, 0.27"),
+        ("ball_target_center", "0, 0, 0"),
+        ("ball_target_center", "1.01, 0")])
     def test_malformed_number_is_located(self, tmp_path, key, bad):
         path = tmp_path / "numbers.scn"
         path.write_text(NUMERIC_KEYS)
@@ -235,6 +244,64 @@ class TestLoader:
         with pytest.raises(ScenarioError) as err:
             load_scenario(str(path))
         assert err.value.issues[0].line == index + 1
+
+    @pytest.mark.parametrize("fixture, old, new, invariant", [
+        ("flat-identity", "basepoint = 0, 0", "basepoint = 5, 5",
+         "OutsideBox"),
+        ("ball-estimate", "ball_center = 1.5708, 0.55", "ball_center = 1.5708",
+         "DimensionMismatch"),
+        ("ball-estimate", "ball_center = 1.5708, 0.55", "ball_center = 5, 5",
+         "OutsideBox"),
+        ("ball-estimate", "ball_target_center = 0, 0, 0",
+         "ball_target_center = 0, 0", "DimensionMismatch"),
+        ("ball-estimate", "ball_target_center = 0, 0, 0",
+         "ball_target_center = 0, 0, 1.2", "OutsideBox"),
+        ("ball-estimate", "base_point = 1.5708, 0.55",
+         "base_point = 5, 0.55", "OutsideBox"),
+        ("halfplane-corollary", "base_points = 0, 1.5, 0.05, 1.5",
+         "base_points = 0, 1.5, 0.05, 1.8", "OutsideBox")])
+    def test_bad_point_is_one_located_issue(self, tmp_path, fixture, old, new,
+                                            invariant):
+        # each used to validate ok, then end in a raw ValueError or, for
+        # a one-number ball_center, in a broadcast run that passed
+        with open(fixture_path(fixture), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        index = lines.index(old)
+        lines[index] = new
+        path = tmp_path / "point.scn"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        issue, = err.value.issues
+        assert (issue.invariant, issue.line) == (invariant, index + 1)
+
+    def test_every_bad_point_is_an_issue(self, tmp_path):
+        path = tmp_path / "points.scn"
+        path.write_text(NUMERIC_KEYS.replace(
+            "base_point = 0, 0", "base_points = 0, 1, 0, 0, 1, 0").replace(
+            "ball_center = 0, 0", "ball_center = 1, 1"))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        lines = NUMERIC_KEYS.split("\n")
+        assert [(i.invariant, i.line) for i in err.value.issues] == [
+            ("OutsideBox", lines.index("base_point = 0, 0") + 1)] * 2 + [
+            ("OutsideBox", lines.index("ball_center = 0, 0") + 1)]
+
+    @pytest.mark.parametrize("mode", ["global", "intro", "corollaryA", "lemma"])
+    def test_estimated_radius_needs_a_base_point(self, tmp_path, mode):
+        text = ESTIMATED_TARGET.replace("base_point = 0, 0\n", "").replace(
+            "mode = global", f"mode = {mode}")
+        path = tmp_path / "no-base.scn"
+        path.write_text(text)
+        if mode == "lemma":                # reads no radius
+            assert load_scenario(str(path)).run.mode == "lemma"
+            return
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        issue, = err.value.issues
+        assert issue.invariant == "MissingKey"
+        assert issue.line == text.split("\n").index("[manifold wide]") + 1
+        assert "r1_half = estimate needs a 'base_point'" in issue.detail
 
     def test_whole_valued_count_is_valid(self, tmp_path):
         path = tmp_path / "whole.scn"

@@ -7,15 +7,16 @@ checkout's ``src``).  For each tree and each fixture in that tree's
 ``czmap/fixtures``, the script runs ``czmap run --scenario <fixture>
 --out <prefix>`` at the fixture's own exponents and again with ``--p
 1.5,2,4`` (the work shared across exponents shows only in a run at
-several), ``czmap validate --scenario <fixture>`` and ``czmap radius
---scenario <fixture>`` in a fresh interpreter with the tree on
-PYTHONPATH.  It then compares
+several), ``czmap report <prefix>.jsonl`` on the first run's records,
+``czmap validate --scenario <fixture>`` and ``czmap radius --scenario
+<fixture>`` in a fresh interpreter with the tree on PYTHONPATH.  It then
+compares
 
 * the JSONL records of both runs, parsed, with the wall-clock key
   ``timing_seconds`` removed;
 * the TSV files of both runs, byte for byte;
-* the ``validate`` and ``radius`` stdout, byte for byte;
-* the exit codes of all four commands.
+* the ``report``, ``validate`` and ``radius`` stdout, byte for byte;
+* the exit codes of all five commands.
 
 It prints every difference and exits 1 if there is one, else 0.  Only
 the standard library is used; fixtures run one at a time.
@@ -73,8 +74,12 @@ def outputs(src: str, fixture: str, workdir: str) -> dict:
     prefix = os.path.join(workdir, fixture)
     validate = _czmap(src, ["validate", "--scenario", fixture])
     radius = _czmap(src, ["radius", "--scenario", fixture])
+    first = _run(src, fixture, prefix)
+    report = _czmap(src, ["report", prefix + ".jsonl"])
     return {
-        **_run(src, fixture, prefix),
+        **first,
+        "report exit code": report.returncode,
+        "report stdout": report.stdout,
         **_run(src, fixture, prefix + "-multi-p", "--p", MULTI_P),
         "validate exit code": validate.returncode,
         "validate stdout": validate.stdout,

@@ -11,12 +11,14 @@ script runs, for each fixture in ``SRC/czmap/fixtures``,
     czmap radius --scenario <fixture> --resolution 17
     czmap report <prefix>.jsonl
 
-in this interpreter under ``sys.settrace``, which records every code
-object that is called.  It then prints each function and method defined
-in ``SRC/czmap/*.py`` that was never called, as ``file:line name``,
-followed by their count.  Class bodies, lambdas and comprehensions are
-not listed.  A command that exits nonzero is named on stderr.  Only the
-standard library is used; the commands' own output is discarded.
+(``czmap search`` in place of ``czmap run`` when the fixture's ``[run]
+mode`` is ``search``) in this interpreter under ``sys.settrace``, which
+records every code object that is called.  It then prints each function
+and method defined in ``SRC/czmap/*.py`` that was never called, as
+``file:line name``, followed by their count.  Class bodies, lambdas and
+comprehensions are not listed.  A command that exits nonzero is named
+on stderr.  Only the standard library is used; the commands' own output
+is discarded.
 """
 
 from __future__ import annotations
@@ -44,9 +46,20 @@ def _key(code: types.CodeType) -> tuple:
     return code.co_filename, code.co_firstlineno, code.co_name
 
 
-def commands(name: str, prefix: str) -> list:
+def _mode(path: str) -> str:
+    """The value of the scenario file's ``mode`` key ('' if absent)."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            key, _, value = line.split("#", 1)[0].partition("=")
+            if key.strip() == "mode":
+                return value.strip()
+    return ""
+
+
+def commands(name: str, prefix: str, mode: str) -> list:
+    run = "search" if mode == "search" else "run"
     return [["validate", "--scenario", name],
-            ["run", "--scenario", name, "--out", prefix],
+            [run, "--scenario", name, "--out", prefix],
             ["radius", "--scenario", name, "--resolution", "17"],
             ["report", prefix + ".jsonl"]]
 
@@ -75,16 +88,19 @@ def main(argv=None) -> int:
     def tracer(frame, event, arg):
         called.add(_key(frame.f_code))
 
-    names = sorted(name[:-len(".scn")]
-                   for name in os.listdir(os.path.join(package, "fixtures"))
+    folder = os.path.join(package, "fixtures")
+    names = sorted(name[:-len(".scn")] for name in os.listdir(folder)
                    if name.endswith(".scn"))
+    modes = {name: _mode(os.path.join(folder, name + ".scn"))
+             for name in names}
     failed = []
     sys.settrace(tracer)         # from the import on: class bodies call too
     try:
         from czmap import cli
         with tempfile.TemporaryDirectory() as tmp:
             for name in names:
-                for args in commands(name, os.path.join(tmp, name)):
+                for args in commands(name, os.path.join(tmp, name),
+                                     modes[name]):
                     sink = io.StringIO()
                     with contextlib.redirect_stdout(sink), \
                             contextlib.redirect_stderr(sink):
