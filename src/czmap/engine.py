@@ -538,9 +538,10 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
 
     With ``uniform_radius`` set, the Lipschitz hypothesis is replaced by a
     measured uniform-continuity profile (r_uc, R_uc); the run is flagged
-    extrapolated.  Nothing here but the regime checks and the sums depends
-    on p: the map keeps its jet and its profile per radius, the source
-    chart its cover per r_hat, for every exponent and every map on it.
+    extrapolated.  Nothing here but the sums depends on p: the map keeps its
+    jet, its profile per radius, its Omega and its regime-dichotomy
+    verdict, the source chart its cover per r_hat, for every exponent and
+    every map on it.
     """
     source = map_model.source_chart
     box = source.box
@@ -563,7 +564,10 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
 
     cover = source.memo(("cover", r_hat), lambda: build_cover(source, r_hat))
     jet = map_model.jet()
-    omega = omega_decomposition(map_model, o, radii.r1N)
+    r1N = radii.r1N
+    at_o = np.asarray(o, dtype=float).tobytes()
+    omega = map_model.memo(("omega", at_o, r1N),
+                           lambda: omega_decomposition(map_model, o, r1N))
     cover_checks = cover.verify()
 
     values = map_model.values_on_grid()
@@ -581,24 +585,30 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
     # not nan here (compute_r_hat and the uniform-continuity test reject
     # it).  At r1N = +inf every center is in Omega and the near and
     # Lipschitz conditions hold trivially, so the far test is never read
-    # and the dichotomy holds without a single target distance.
-    r1N = radii.r1N
-    center_idx = cover.center_indices
-    in_omega = omega.mask.reshape(-1)[center_idx]
-    dichotomy_ok = True
-    blocks = range(0, cover.size, CHECK_BLOCK) if np.isfinite(r1N) else ()
-    for b0 in blocks:
-        b1 = min(b0 + CHECK_BLOCK, cover.size)
-        rows = np.repeat(np.arange(b0, b1), np.diff(cover.indptr[b0:b1 + 1]))
-        cols = cover.indices[cover.indptr[b0]:cover.indptr[b1]]
-        img_d = segment_length(map_model.target_chart,
-                               values[center_idx[rows]], values[cols])
-        d_o = dist_o[cols]
-        near = d_o < r1N / 2.0
-        far = img_d <= d_o + omega_slack * (1.0 + d_o)
-        lip = img_d < r1N / 8.0
-        dichotomy_ok &= bool(np.all(np.where(in_omega[rows], near, far))
-                             and np.all(lip))
+    # and the dichotomy holds without a single target distance.  Nothing
+    # in it depends on p: the map keeps the verdict.
+    def dichotomy() -> bool:
+        center_idx = cover.center_indices
+        in_omega = omega.mask.reshape(-1)[center_idx]
+        ok = True
+        blocks = range(0, cover.size, CHECK_BLOCK) if np.isfinite(r1N) else ()
+        for b0 in blocks:
+            b1 = min(b0 + CHECK_BLOCK, cover.size)
+            rows = np.repeat(np.arange(b0, b1),
+                             np.diff(cover.indptr[b0:b1 + 1]))
+            cols = cover.indices[cover.indptr[b0]:cover.indptr[b1]]
+            img_d = segment_length(map_model.target_chart,
+                                   values[center_idx[rows]], values[cols])
+            d_o = dist_o[cols]
+            near = d_o < r1N / 2.0
+            far = img_d <= d_o + omega_slack * (1.0 + d_o)
+            lip = img_d < r1N / 8.0
+            ok &= bool(np.all(np.where(in_omega[rows], near, far))
+                       and np.all(lip))
+        return ok
+
+    dichotomy_ok = map_model.memo(("dichotomy", r_hat, at_o, r1N, omega_slack),
+                                  dichotomy)
 
     # summation step, sum_c sum_{x in B_c} f(x) = sum_x count(x) f(x):
     # covering from below, multiplicity from above

@@ -264,17 +264,22 @@ def shoot(chart: MetricChart, x, v0: np.ndarray):
     below = upper - -1e-9 + 1e-12
     h = 1.0 / SHOOTING_STEPS
 
+    def clipped(rows):
+        # np.clip(rows, lower, upper) as (count, m) points (a transposed
+        # view, one contiguous row per coordinate): the same bits, nan
+        # kept, without np.clip's Python wrappers or a strided output
+        pos = np.maximum(rows, lower[:, None])
+        np.minimum(pos, upper[:, None], out=pos)
+        return pos.T
+
     def slope(y, valid):
         if valid is None:               # every row in the box
-            # np.clip(pos, lower, upper) into C-ordered (batch, m) points
-            pos = np.empty((batch, m))
-            np.clip(y[:m], lower[:, None], upper[:, None], out=pos.T)
-            acc = chart.geodesic_acceleration(pos, y[m:].T)
+            acc = chart.geodesic_acceleration(clipped(y[:m]), y[m:].T)
             return np.concatenate([y[m:], acc.T])
         k = np.zeros_like(y)
         k[:m] = y[m:]
         if valid.any():
-            pos = np.clip(np.ascontiguousarray(y[:m, valid].T), lower, upper)
+            pos = clipped(y[:m, valid])
             k[m:, valid] = chart.geodesic_acceleration(pos, y[m:, valid].T).T
         return k
 

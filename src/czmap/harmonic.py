@@ -130,32 +130,29 @@ def _masked_diff1(values: np.ndarray, mask: np.ndarray, axis: int, h: float):
 
 
 def _laplace_operator(chart: MetricChart, interior: np.ndarray):
-    """Sparse Laplace-Beltrami rows over interior points (cols: all points).
+    """Laplace-Beltrami stencil rows over the interior points, in C order.
 
-    Expanded divergence form g^{ij} d_i d_j + b^l d_l with
-    b^l = -g^{ij} Gamma^l_ij, central stencils.
+    Returns ``(cols, coef, pts_idx)``: row r is the interior point
+    ``pts_idx[r]``, and ``cols[r, s]`` (flat grid indices) and
+    ``coef[r, s]`` are its S stencil columns and coefficients.  Expanded
+    divergence form g^{ij} d_i d_j + b^l d_l with b^l = -g^{ij}
+    Gamma^l_ij, central stencils.
     """
-    from scipy.sparse import coo_matrix
     box = chart.box
     m = box.dimension
     h = box.steps
-    n = box.num_points
     pts_idx = np.flatnonzero(interior.reshape(-1))
     pts = box.points()[pts_idx]
     ginv = chart.grid_inverse().reshape(-1, m, m)[pts_idx]
     gam = chart.christoffel_at(pts)
     b = -np.einsum("...ij,...lij->...l", ginv, gam)
 
-    multi = np.array(np.unravel_index(pts_idx, box.shape)).T
-    rows, cols, vals = [], [], []
+    cols, coefs = [], []
     strides = np.array([int(np.prod(box.shape[k + 1:])) for k in range(m)])
-    row_ids = np.arange(pts_idx.size)
 
     def add(offset, coeff):
-        shift = int(np.dot(offset, strides))
-        rows.append(row_ids)
-        cols.append(pts_idx + shift)
-        vals.append(coeff)
+        cols.append(pts_idx + int(np.dot(offset, strides)))
+        coefs.append(coeff)
 
     center_coeff = np.zeros(pts_idx.size)
     for i in range(m):
@@ -172,11 +169,60 @@ def _laplace_operator(chart: MetricChart, interior: np.ndarray):
             add(e - ej, -w2)
             add(ej - e, -w2)
     add(np.zeros(m, dtype=int), center_coeff)
+    return np.stack(cols, axis=1), np.stack(coefs, axis=1), pts_idx
 
-    L = coo_matrix((np.concatenate(vals),
-                    (np.concatenate(rows), np.concatenate(cols))),
-                   shape=(pts_idx.size, n)).tocsr()
-    return L, pts_idx
+
+def _apply(coef: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Stencil rows applied to ``u``, whose row ``cols[r, s]`` is the value
+    at stencil column s of row r."""
+    return np.einsum("rs,rs...->r...", coef, u[cols])
+
+
+def _block_solve(cols: np.ndarray, coef: np.ndarray, first: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
+    """Solve A sol = rhs, A the interior part of the stencil rows.
+
+    ``cols`` numbers the interior rows 0..rows-1 and the boundary points
+    after them; ``first`` is each row's first-axis grid index.  Rows with
+    equal ``first`` form one contiguous block of the C order, and every
+    stencil offset (the cross terms e_i +- e_j too) moves the first index
+    by at most one, so A is block tridiagonal.  Block LU (block Thomas):
+    one partial-pivoting dense solve per block serves every column of
+    ``rhs``.  Raises SolverDiverged when a block is singular.
+    """
+    rows = first.size
+    bounds = np.flatnonzero(np.diff(first, prepend=-1, append=-1))
+    m = rhs.shape[1]
+    ys, ws = [], []
+    y = w = None
+    for k in range(bounds.size - 1):
+        s, e = bounds[k], bounds[k + 1]
+        lo = bounds[max(k - 1, 0)]
+        hi = bounds[min(k + 2, bounds.size - 1)]
+        # rows s:e of A over the columns of blocks k-1, k and k+1
+        band = np.zeros((e - s, hi - lo))
+        jc, cf = cols[s:e], coef[s:e]
+        inner = jc < rows
+        band[np.nonzero(inner)[0], jc[inner] - lo] = cf[inner]
+        lower, diag = band[:, :s - lo], band[:, s - lo:e - lo]
+        upper = band[:, e - lo:]
+        r = rhs[s:e]
+        if k:
+            diag = diag - lower @ w
+            r = r - lower @ y
+        try:
+            z = np.linalg.solve(diag, np.hstack([r, upper]))
+        except np.linalg.LinAlgError as exc:
+            raise SolverDiverged([np.inf]) from exc
+        y, w = z[:, :m], z[:, m:]
+        ys.append(y)
+        ws.append(w)
+    sol = np.empty((rows, m))
+    x = None
+    for k in range(len(ys) - 1, -1, -1):
+        x = ys[k] if x is None else ys[k] - ws[k] @ x
+        sol[bounds[k]:bounds[k + 1]] = x
+    return sol
 
 
 def solve_harmonic_chart(chart: MetricChart, x,
@@ -188,10 +234,9 @@ def solve_harmonic_chart(chart: MetricChart, x,
     (log map expressed in a g-orthonormal frame); the candidate's certified
     samples are the grid points of B_r(x).  Raises PreconditionFailed when
     the padded ball is truncated by the chart box, SolverDiverged when the
-    iterative fallback stalls, NotDiffeomorphic when the solved Jacobian
-    degenerates.
+    iterative fallback stalls or a block of the direct solve is singular,
+    NotDiffeomorphic when the solved Jacobian degenerates.
     """
-    from scipy.sparse.linalg import lgmres, splu
     x = np.asarray(x, dtype=float)
     box = chart.box
     m = box.dimension
@@ -230,17 +275,26 @@ def solve_harmonic_chart(chart: MetricChart, x,
     Lfac = np.linalg.cholesky(G)
     phi_boundary = v @ Lfac  # phi = L^T v
 
-    Lop, int_idx = _laplace_operator(chart, interior)
+    cols, coef, int_idx = _laplace_operator(chart, interior)
     bnd_idx = np.flatnonzero(boundary.reshape(-1))
-    A = Lop[:, int_idx]
-    B = Lop[:, bnd_idx]
-    rhs = -(B @ phi_boundary)
+    rows = int_idx.size
+    # every stencil column of an interior row lies in the solve ball:
+    # renumber the columns, interior rows first, boundary points after
+    order = np.empty(box.num_points, dtype=np.intp)
+    order[int_idx] = np.arange(rows)
+    order[bnd_idx] = rows + np.arange(bnd_idx.size)
+    cols = order[cols]
+    rhs = -_apply(coef, cols, np.vstack([np.zeros((rows, m)), phi_boundary]))
 
-    if int_idx.size <= DIRECT_SOLVE_LIMIT:
-        lu = splu(A.tocsc())
-        sol = np.column_stack([lu.solve(rhs[:, k]) for k in range(m)])
+    if rows <= DIRECT_SOLVE_LIMIT:
+        first = int_idx // int(np.prod(box.shape[1:]))
+        sol = _block_solve(cols, coef, first, rhs)
     else:
-        sol = np.empty((int_idx.size, m))
+        from scipy.sparse.linalg import LinearOperator, lgmres
+        pad = np.zeros((bnd_idx.size, 1))
+        A = LinearOperator((rows, rows), dtype=float, matvec=lambda v: (
+            _apply(coef, cols, np.vstack([v.reshape(rows, 1), pad]))))
+        sol = np.empty((rows, m))
         for k in range(m):
             sk, info = lgmres(A, rhs[:, k], rtol=ITERATIVE_TOL,
                               maxiter=ITERATIVE_MAXITER)
@@ -253,7 +307,7 @@ def solve_harmonic_chart(chart: MetricChart, x,
     flat[:, int_idx] = sol.T
     flat[:, bnd_idx] = phi_boundary.T
 
-    residual_vec = A @ sol - rhs
+    residual_vec = _apply(coef, cols, np.vstack([sol, phi_boundary]))
     scale = max(1.0, float(np.abs(sol).max()) if sol.size else 1.0)
     residual = float(np.abs(residual_vec).max()) / scale if sol.size else 0.0
 

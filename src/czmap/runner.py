@@ -76,22 +76,24 @@ class RunContext:
     """The map-independent part of one resolution level.
 
     Holds the SPD-checked source and target charts and the resolved
-    harmonic radii with their certificates.  The source chart keeps the
-    cover of each r_hat it is asked for.
+    harmonic radii with their certificates; ``intro`` reads neither
+    radius, so it resolves none (``radii`` is None).  The source chart
+    keeps the cover of each r_hat it is asked for.
     """
 
     scenario: Scenario
     source: MetricChart
     target: MetricChart
-    radii: HarmonicRadii
+    radii: HarmonicRadii | None
 
     @classmethod
     def build(cls, scenario: Scenario, resolution=None) -> "RunContext":
         mdef = scenario.primary_map()
         source = scenario.manifolds[mdef.source].build_chart(resolution)
         target = scenario.manifolds[mdef.target].build_chart()
-        return cls(scenario, source, target,
-                   resolve_radii(scenario, source, target))
+        radii = (None if scenario.run.mode == "intro"
+                 else resolve_radii(scenario, source, target))
+        return cls(scenario, source, target, radii)
 
     def build_map(self, parameter_values=None):
         """The validated primary map on these charts.  Its jet is formed
@@ -156,7 +158,7 @@ def _run_at_resolution(scenario: Scenario, resolution) -> list:
                        error=f"{type(exc).__name__}: {exc}",
                        timing_seconds=time.perf_counter() - t0)]
     certificates = ([c.as_record() for c in ctx.radii.certificates]
-                    if mode != "intro" else [])
+                    if ctx.radii else [])
 
     for p in scenario.run.p_list:
         t1 = time.perf_counter()
@@ -183,7 +185,7 @@ def _verify(ctx: RunContext, map_model, p: float) -> Verdict:
                      if run.basepoint is not None else None)
         return verify_euclidean_corollaries(
             map_model, p, mode=run.mode, basepoint=basepoint,
-            radii=ctx.radii if run.mode == "corollaryA" else None)
+            radii=ctx.radii)
     raise CzmapError(f"mode {run.mode} not runnable here")
 
 

@@ -385,6 +385,23 @@ class TestGlobalEstimate:
         assert all(rep.error is None for rep in reports)
         assert (len(jets), len(covers)) == (2, 2)
 
+    def test_regime_dichotomy_measured_once_for_every_exponent(
+            self, monkeypatch):
+        # the pass reads no p: three exponents measure the target
+        # segments of one, and the verdict is the same at each
+        import czmap.geodesics as geodesics
+        calls = count_calls(monkeypatch, geodesics, "segment_length")
+        counts = []
+        for exponents in ((2.0,), (1.5, 2.0, 4.0)):
+            psi = flat_to_sphere_map(resolution=33)
+            del calls[:]
+            verdicts = [verify_global_estimate(psi, SPLIT_BASEPOINT, p,
+                                               SPLIT_RADII)
+                        for p in exponents]
+            counts.append(len(target_calls(calls, psi)))
+            assert len({v.checks["regime_dichotomy"] for v in verdicts}) == 1
+        assert counts[0] == counts[1] > 1
+
     def test_uniform_continuity_needs_small_profile(self, flat_identity):
         radii = HarmonicRadii(10.0, 1.0)
         with pytest.raises(PreconditionFailed):

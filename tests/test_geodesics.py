@@ -242,6 +242,22 @@ class TestShotKernel:
         assert {"none": left == 0, "some": 0 < left < 12,
                 "all": left == 12}[escaped]
 
+    @pytest.mark.parametrize("name", sorted(SHOT_CHARTS))
+    @pytest.mark.parametrize("side", [-0.1, 1.1])
+    def test_clamp_keeps_the_np_clip_bits(self, name, side):
+        # the shot clamps by np.maximum then np.minimum, the reference by
+        # np.clip: a start outside the box makes the clamps act, and
+        # signed-zero velocities must come out on the same bits
+        chart = SHOT_CHARTS[name]
+        box = chart.box
+        m = chart.dimension
+        width = box.upper - box.lower
+        x = box.lower + side * width
+        v0 = np.random.default_rng(3).uniform(-0.5, 0.5, (6, m)) * width
+        v0[1] = -0.0
+        v0[2, 0] = -0.0
+        _assert_shot_matches_reference(chart, x, v0)
+
 
 def _einsum_segment_length(chart, a, b, n_quad):
     """The d.g.d contraction through ``chart.metric`` and ``einsum``, with

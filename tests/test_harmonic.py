@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_flat, make_sphere
-from czmap.errors import PreconditionFailed
+from conftest import make_flat, make_hyperbolic, make_sphere
+from czmap.errors import PreconditionFailed, SolverDiverged
 from builders import derivative_decay_experiment
-from czmap.harmonic import (HarmonicChartCandidate,
+from czmap.harmonic import (HarmonicChartCandidate, _block_solve,
                             check_hr_conditions, declared_certificate,
                             estimate_harmonic_radius, solve_harmonic_chart)
 
@@ -89,6 +91,83 @@ class TestIterativeSolve:
         monkeypatch.setattr(harmonic, "ITERATIVE_MAXITER", 1)
         with pytest.raises(SolverDiverged):
             solve_harmonic_chart(chart, self.X, self.R)
+
+
+def _splu_solve(cols, coef, first, rhs):
+    """SuperLU on the interior part of the same stencil rows."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import splu
+    rows = first.size
+    inner = cols < rows
+    r = np.broadcast_to(np.arange(rows)[:, None], cols.shape)
+    A = coo_matrix((coef[inner], (r[inner], cols[inner])),
+                   shape=(rows, rows)).tocsc()
+    lu = splu(A)
+    return np.column_stack([lu.solve(rhs[:, k]) for k in range(rhs.shape[1])])
+
+
+def _sheared_chart():
+    from czmap.scenario import fixture_path, load_scenario
+    scenario = load_scenario(fixture_path("sheared-continuous"))
+    return scenario.manifolds["sheared"].build_chart()
+
+
+BLOCK_CASES = {
+    # off-diagonal metric: the cross terms e_i +- e_j of the stencil
+    "sheared": (_sheared_chart, [0.0, 0.0], 0.12),
+    "half-plane": (lambda: make_hyperbolic(res=33), [0.0, 1.3], 0.3),
+    "flat-3d": (lambda: make_flat(-1.0, 1.0, 25, dim=3), [0.0] * 3, 0.45),
+}
+
+
+class TestBlockSolve:
+    """The block LU route against SuperLU on the same stencil."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_matches_superlu(self, case, monkeypatch):
+        import czmap.harmonic as harmonic
+        build, x, r = BLOCK_CASES[case]
+        chart = build()
+        block = solve_harmonic_chart(chart, x, r)
+        monkeypatch.setattr(harmonic, "_block_solve", _splu_solve)
+        reference = solve_harmonic_chart(chart, x, r)
+        solved = np.isfinite(reference.fields)
+        assert np.array_equal(solved, np.isfinite(block.fields))
+        scale = np.abs(reference.fields[solved]).max()
+        gap = np.abs(block.fields[solved] - reference.fields[solved]).max()
+        assert gap <= 1e-10 * scale
+        assert block.laplace_residual <= 1e-10
+        assert (check_hr_conditions(block).verdict
+                == check_hr_conditions(reference).verdict)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_block_tridiagonal_system(self, seed):
+        # blocks of any size, first-axis gaps (blocks that do not touch)
+        # and columns on the boundary, against a dense solve
+        rng = np.random.default_rng(seed)
+        first = np.sort(rng.choice(8, size=rng.integers(1, 16)))
+        rows = first.size
+        near = np.abs(first[:, None] - first[None, :]) <= 1
+        A = np.where(near & (rng.random((rows, rows)) < 0.6),
+                     rng.uniform(-1, 1, (rows, rows)), 0.0)
+        A += np.diag(1.0 + np.abs(A).sum(axis=1))
+        width = int((A != 0).sum(axis=1).max()) + 1
+        col = np.full((rows, width), rows + 1)     # a boundary column
+        coef = rng.uniform(-1, 1, (rows, width))
+        for i in range(rows):
+            nz = np.flatnonzero(A[i])
+            col[i, :nz.size] = nz
+            coef[i, :nz.size] = A[i, nz]
+        rhs = rng.standard_normal((rows, 2))
+        sol = _block_solve(col, coef, first, rhs)
+        assert np.allclose(sol, np.linalg.solve(A, rhs), rtol=0, atol=1e-12)
+
+    def test_singular_block_raises(self):
+        col = np.array([[0, 1], [1, 0]])
+        with pytest.raises(SolverDiverged):
+            _block_solve(col, np.zeros((2, 2)), np.array([0, 0]),
+                         np.ones((2, 1)))
 
 
 class TestConditions:

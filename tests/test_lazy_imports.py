@@ -1,8 +1,10 @@
-"""scipy is imported only by the Laplace assembly and the solve of a
-harmonic chart, so `import czmap`, the lemma battery and every run mode
-with declared radii never load it; only `czmap radius` and radii given
-as `estimate` do.  No run loads `scipy.interpolate`: grid interpolation
-is `CoordinateBox.interpolate`.
+"""No czmap command loads scipy.  `import czmap`, the lemma battery,
+every run mode with declared radii, `czmap radius` and radii given as
+`estimate` run on numpy alone: the harmonic chart's Dirichlet problem is
+a block LU solve, and only its iterative route above DIRECT_SOLVE_LIMIT
+interior points (which no fixture reaches) imports scipy.  Grid
+interpolation is `CoordinateBox.interpolate`, so no run loads
+`scipy.interpolate`.
 
 Each check runs in a fresh interpreter: the test process itself has
 long since imported scipy through other tests.
@@ -66,6 +68,16 @@ def test_lemma_battery_loads_no_scipy(tmp_path):
     ("run", "sphere-global"), ("run", "ball-estimate"),
     ("run", "sphere-immersion"), ("search", "saddle-search")])
 def test_runs_with_declared_radii_load_no_scipy(command, fixture, tmp_path):
+    argv = [command, "--scenario", fixture]
+    if command == "run":
+        argv += ["--out", str(tmp_path / fixture)]
+    assert _scipy_modules(*argv) == []
+
+
+@pytest.mark.parametrize("command, fixture", [
+    ("radius", "hyperbolic-map"), ("run", "halfplane-corollary")])
+def test_dirichlet_solves_load_no_scipy(command, fixture, tmp_path):
+    # czmap radius, and a run whose source radius is `estimate`
     argv = [command, "--scenario", fixture]
     if command == "run":
         argv += ["--out", str(tmp_path / fixture)]

@@ -582,6 +582,24 @@ class TestRunner:
         intro = run_scenario(load_scenario(fixture_path("sphere-immersion")))
         assert all(rep.certificates == [] for rep in intro)
 
+    def test_intro_resolves_no_harmonic_radius(self, tmp_path, monkeypatch):
+        # intro reads neither radius, so an estimated one costs no solve
+        import czmap.harmonic as harmonic
+        with open(fixture_path("sphere-immersion"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "mode = intro" in text and "r1_half = 0.3" in text
+        path = tmp_path / "sphere-estimate.scn"
+        path.write_text(text.replace("r1_half = 0.3", "r1_half = estimate"),
+                        encoding="utf-8")
+        scenario = load_scenario(str(path))
+        assert scenario.manifolds["sphere"].base_points
+        estimates = count_calls(monkeypatch, harmonic,
+                                "estimate_harmonic_radius")
+        reports = run_scenario(scenario)
+        assert estimates == []
+        assert reports and all(rep.error is None and rep.certificates == []
+                               for rep in reports)
+
     def test_lemma_battery_scenario(self):
         scenario = load_scenario(fixture_path("lemma-battery"))
         reports = run_scenario(scenario)
