@@ -70,13 +70,14 @@ class NotImmersion(CzmapError):
 
 
 class SolverDiverged(CzmapError):
-    """Iterative solve did not reach the requested residual."""
+    """A linear solve failed: an iterative solve did not reach the requested
+    residual, or ``reason`` says why a direct solve stopped."""
 
-    def __init__(self, residual_history):
+    def __init__(self, residual_history, reason: str | None = None):
         self.residual_history = list(residual_history)
         last = self.residual_history[-1] if self.residual_history else float("nan")
         super().__init__(
-            f"solver did not converge; final residual {last:.3e} "
+            reason or f"solver did not converge; final residual {last:.3e} "
             f"after {len(self.residual_history)} iterations"
         )
 

@@ -108,10 +108,16 @@ class MapModel:
             j = rng.integers(0, pts.shape[0], LIPSCHITZ_PAIRS)
             keep = i != j
             i, j = i[keep], j[keep]
-            num = segment_length(self.target_chart, self.values(pts[i]),
-                                 self.values(pts[j]))
-            den = segment_length(self.source_chart, pts[i], pts[j])
-            quotient = np.max(num / np.maximum(den, 1e-300))
+            # an overflowing length is reported below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                num = segment_length(self.target_chart, self.values(pts[i]),
+                                     self.values(pts[j]))
+                den = segment_length(self.source_chart, pts[i], pts[j])
+                quotient = np.max(num / np.maximum(den, 1e-300))
+            if not np.all(np.isfinite(num) & np.isfinite(den)):
+                raise LipschitzViolation(
+                    f"map {self.name}: a sampled segment length is not "
+                    f"finite, so the Lipschitz bound {L:.4g} cannot be checked")
             if quotient > L * (1.0 + LIPSCHITZ_TOL):
                 raise LipschitzViolation(
                     f"map {self.name}: sampled difference quotient {quotient:.4g} "

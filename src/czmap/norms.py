@@ -10,7 +10,6 @@ vertex sum, which makes region monotonicity exact.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,21 +71,12 @@ def lp_norm(req: NormRequest, box: CoordinateBox) -> float:
 
 
 _PAIR_CAP = 10 ** 6
-_PAIR_CHUNK = 1 << 16          # pairs per denominator block in PairTable
-
-
-@functools.lru_cache(maxsize=2)
-def _all_pairs(n: int):
-    """Read-only int32 ``triu_indices(n, k=1)``, shared by every table on n points."""
-    i, j = np.triu_indices(n, k=1)
-    i, j = i.astype(np.int32), j.astype(np.int32)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+_PAIR_CHUNK = 1 << 16          # pairs per block of PairTable.seminorms
 
 
 def _pair_indices(n: int, cap: int = _PAIR_CAP, seed: int = 20859):
-    if n * (n - 1) // 2 <= cap:
-        return _all_pairs(n)
+    """Seeded draw of ``cap`` ordered pairs, those with i == j dropped: the
+    pairs compared when the n(n-1)/2 pairs of n points exceed the cap."""
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=cap)
     j = rng.integers(0, n, size=cap)
@@ -95,12 +85,18 @@ def _pair_indices(n: int, cap: int = _PAIR_CAP, seed: int = 20859):
 
 
 class PairTable:
-    """Point pairs of one point set and their denominators ``|x-y|^alpha``.
+    """Hölder quotients ``|f(x)-f(y)| / |x-y|^alpha`` over the point pairs
+    of one point set.
 
     Chart-coordinate distances.  All pairs when their count fits under the
-    cap, otherwise a seeded subsample; either way :meth:`seminorm` is a
+    cap, otherwise a seeded subsample; either way :meth:`seminorms` is a
     lower bound of the true seminorm and grows under grid refinement.
-    Build one table per point set and alpha, then evaluate many fields.
+    A table keeps its points, alpha, cap and seed, no pair array.  The
+    pairs are walked in blocks of about ``_PAIR_CHUNK``: on the all-pairs
+    path, rows [a, b) of the strict upper triangle against columns (a, n);
+    on the capped path, consecutive slices of the draw.  Each block's
+    denominators are formed once and serve every field of one
+    :meth:`seminorms` call.
     """
 
     def __init__(self, points: np.ndarray, alpha: float,
@@ -110,22 +106,70 @@ class PairTable:
         points = np.asarray(points, dtype=float)
         if points.shape[0] < 2:
             raise ValueError("need at least two points")
+        self.points = points
+        self.alpha = alpha
         self.size = points.shape[0]
-        self.i, self.j = _pair_indices(self.size, pair_cap, seed)
-        self.den = np.empty(self.i.shape[0])
-        for start in range(0, self.den.shape[0], _PAIR_CHUNK):
-            block = slice(start, start + _PAIR_CHUNK)
-            self.den[block] = np.linalg.norm(
-                points[self.i[block]] - points[self.j[block]], axis=1) ** alpha
-        self.den.flags.writeable = False      # tables are shared by callers
+        self.pair_cap, self.seed = pair_cap, seed
+
+    def _denominators(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``|x-y|^alpha`` over the last axis, the squares summed in
+        coordinate order as ``np.linalg.norm`` sums them."""
+        total = None
+        for k in range(self.points.shape[1]):
+            d = x[..., k] - y[..., k]
+            d *= d
+            if total is None:
+                total = d
+            else:
+                total += d
+        np.sqrt(total, out=total)
+        total **= self.alpha
+        return total
+
+    def _blocks(self):
+        """Yield ``(rows, cols, lower)`` per block of about ``_PAIR_CHUNK``
+        pairs: ``f[rows] - f[cols]`` are a field's differences f(x) - f(y)
+        over the block, and ``lower``, unless None, indexes its entries
+        that pair no points (j <= i)."""
+        n = self.size
+        if n * (n - 1) // 2 > self.pair_cap:
+            i, j = _pair_indices(n, self.pair_cap, self.seed)
+            for start in range(0, i.size, _PAIR_CHUNK):
+                block = slice(start, start + _PAIR_CHUNK)
+                yield i[block], j[block], None
+            return
+        a = 0
+        while a < n - 1:
+            b = min(n - 1, a + max(1, _PAIR_CHUNK // (n - 1 - a)))
+            # rows [a, b) against columns (a, n): the j <= i entries lie
+            # in the leading square
+            lower = np.nonzero(np.tri(b - a, b - a - 1, k=-1, dtype=bool))
+            yield np.s_[a:b, None], np.s_[None, a + 1:], lower
+            a = b
+
+    def seminorms(self, fields) -> np.ndarray:
+        """max over the pairs of |f(x)-f(y)| / |x-y|^alpha for each field f,
+        a row of ``fields``; a nan quotient makes that field's value nan."""
+        fields = np.asarray(fields, dtype=float).reshape(-1, self.size)
+        maxima = []
+        for rows, cols, lower in self._blocks():
+            den = self._denominators(self.points[rows], self.points[cols])
+            if lower is not None:
+                den[lower] = 1.0          # no 0/0 on the diagonal
+            block = []
+            for f in fields:
+                quotient = f[rows] - f[cols]
+                if lower is not None:
+                    quotient[lower] = 0.0
+                np.abs(quotient, out=quotient)
+                quotient /= den
+                block.append(np.max(quotient))
+            maxima.append(block)
+        return np.max(np.array(maxima), axis=0)
 
     def seminorm(self, values: np.ndarray) -> float:
         """max over the pairs of |f(x)-f(y)| / |x-y|^alpha."""
-        values = np.asarray(values, dtype=float).reshape(self.size)
-        quotient = values[self.i] - values[self.j]
-        np.abs(quotient, out=quotient)
-        quotient /= self.den
-        return float(np.max(quotient))
+        return float(self.seminorms(values)[0])
 
 
 def holder_seminorm(points: np.ndarray, values: np.ndarray, alpha: float,

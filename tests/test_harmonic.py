@@ -165,7 +165,7 @@ class TestBlockSolve:
 
     def test_singular_block_raises(self):
         col = np.array([[0, 1], [1, 0]])
-        with pytest.raises(SolverDiverged):
+        with pytest.raises(SolverDiverged, match="block 0 .* is singular"):
             _block_solve(col, np.zeros((2, 2)), np.array([0, 0]),
                          np.ones((2, 1)))
 

@@ -32,15 +32,17 @@ def brute_coefficient_seminorm(spec, points):
 
 
 def counted_seminorm_calls(monkeypatch) -> list:
-    """The tables ``PairTable.seminorm`` is called on, one entry per call."""
+    """The table of each field a ``PairTable`` evaluates, one entry per
+    field: ``seminorms`` takes every evaluation, ``seminorm`` included."""
     calls = []
-    seminorm = PairTable.seminorm
+    seminorms = PairTable.seminorms
 
-    def counted(self, values):
-        calls.append(self)
-        return seminorm(self, values)
+    def counted(self, fields):
+        fields = np.asarray(fields, dtype=float).reshape(-1, self.size)
+        calls.extend([self] * len(fields))
+        return seminorms(self, fields)
 
-    monkeypatch.setattr(PairTable, "seminorm", counted)
+    monkeypatch.setattr(PairTable, "seminorms", counted)
     return calls
 
 

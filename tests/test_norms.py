@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,21 +138,47 @@ class TestHolderSeminorm:
     def test_pair_table_matches_direct_formula(self, n, dim, alpha, capped,
                                                cap, seed):
         # bit-identical to the one-shot formula on the same pairs, on the
-        # all-pairs path and on the capped, seeded path
+        # all-pairs path and on the capped, seeded path; each field of a
+        # batch, a constant one and one holding a nan among them, equals
+        # its one-field value
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-2.0, 2.0, size=(n, dim))
         vals = rng.normal(size=n)
         pair_cap = cap if capped else 10 ** 6
-        i, j = _pair_indices(n, pair_cap, seed)
         if n * (n - 1) // 2 <= pair_cap:
-            assert all(np.array_equal(a, b)
-                       for a, b in zip((i, j), np.triu_indices(n, k=1)))
+            i, j = np.triu_indices(n, k=1)
+        else:
+            i, j = _pair_indices(n, pair_cap, seed)
         den = np.linalg.norm(pts[i] - pts[j], axis=1) ** alpha
         table = PairTable(pts, alpha, pair_cap, seed)
-        assert np.array_equal(table.den, den)
         expected = np.max(np.abs(vals[i] - vals[j]) / den)
         assert table.seminorm(vals) == expected
         assert holder_seminorm(pts, vals, alpha, pair_cap, seed) == expected
+        holed = rng.normal(size=n)
+        holed[i[0]] = np.nan                  # a point of a compared pair
+        fields = np.stack([vals, np.full(n, 0.75), holed])
+        batch = table.seminorms(fields)
+        # equal bits, nan matching nan
+        np.testing.assert_array_equal(
+            batch, [table.seminorm(field) for field in fields])
+        assert batch[0] == expected and batch[1] == 0.0
+        assert np.isnan(batch[2])
+
+    def test_all_pairs_seminorm_stores_no_pair_table(self):
+        # 1400 points, 979300 pairs: just under the cap, so every pair is
+        # compared; the stored int32 indices and float64 denominators
+        # would take about 15 MiB
+        g = np.linspace(0.0, 1.0, 40)
+        pts = np.stack(np.meshgrid(g[:35], g), axis=-1).reshape(-1, 2)
+        vals = np.sin(3.0 * pts[:, 0]) * pts[:, 1]
+        assert pts.shape[0] * (pts.shape[0] - 1) // 2 <= 10 ** 6
+        tracemalloc.start()
+        try:
+            holder_seminorm(pts, vals, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestDistanceField:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +441,28 @@ class TestMutatedFixtures:
         with pytest.raises(ScenarioError) as err:
             load_scenario(str(path))
         assert err.value.issues[0].line == index + 1
+
+    @pytest.mark.parametrize("key, value", [("lower", "-1e300"),
+                                            ("upper", "1e300")])
+    def test_overflowing_lipschitz_check_is_located(self, tmp_path, key,
+                                                    value):
+        # a source box this wide overflows the sampled segment lengths;
+        # inf/inf quotients are nan and must not pass the Lipschitz check
+        with open(fixture_path("sphere-global"), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        index = next(i for i, line in enumerate(lines)
+                     if line.startswith(f"{key} ="))      # the source patch
+        lines[index] = f"{key} = {value}"
+        path = tmp_path / "overflow.scn"
+        path.write_text("\n".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ScenarioError) as err:
+                load_scenario(str(path))
+        issue = err.value.issues[0]
+        assert issue.invariant == "LipschitzViolation"
+        assert issue.line == lines.index("[map immersion]") + 1
+        assert "not finite" in issue.detail
 
     @pytest.mark.parametrize("name, key, misspelt", [
         ("flat-identity", "resolution_ladder", "resolution_laddr"),
