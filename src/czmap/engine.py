@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -713,14 +714,16 @@ def verify_euclidean_corollaries(map_model: MapModel, p: float,
 
 
 def image_diameter(map_model: MapModel) -> float:
-    """Lower bound on diam(u(M)): max length over sampled image pairs."""
+    """Lower bound on diam(u(M)): max length over the ordered pairs of
+    image points, all of them up to ``DIAMETER_SAMPLES`` points, else a
+    seeded sample of that many."""
     values = map_model.values_on_grid()
-    rng = np.random.default_rng(DIAMETER_SEED)
-    count = min(DIAMETER_SAMPLES, values.shape[0])
-    sub = values[rng.choice(values.shape[0], size=count, replace=False)]
+    if values.shape[0] > DIAMETER_SAMPLES:
+        values = values[random.Random(DIAMETER_SEED).sample(
+            range(values.shape[0]), DIAMETER_SAMPLES)]
     diam = 0.0
-    for i in range(0, count, 256):
-        d = segment_length(map_model.target_chart, sub[i:i + 256, None, :],
-                           sub[None, :, :])
+    for i in range(0, values.shape[0], 256):
+        d = segment_length(map_model.target_chart, values[i:i + 256, None, :],
+                           values[None, :, :])
         diam = max(diam, float(d.max()))
     return diam

@@ -38,7 +38,7 @@ from . import fd
 from .errors import LipschitzViolation, NotImmersion, TargetEscape
 from .geodesics import metric_ball, segment_length
 from .geometry import MetricChart, _is_zero
-from .norms import DistanceEvaluator
+from .norms import DistanceEvaluator, sample_pairs
 
 RANK_THRESHOLD = 1e-8
 # MapModel.validate: sampled pairs, slack over the declared bound, seed
@@ -98,16 +98,18 @@ class MapModel:
         return self.memo("jet", lambda: generalized_hessian(self))
 
     def validate(self) -> "MapModel":
-        """Target containment plus sampled Lipschitz difference quotients."""
+        """Target containment plus sampled Lipschitz difference quotients.
+
+        The quotients are taken over ``LIPSCHITZ_PAIRS`` pairs of source
+        grid points drawn by :func:`norms.sample_pairs` with
+        ``LIPSCHITZ_SEED``, in one block.
+        """
         self.values_on_grid()
         L = self.lipschitz_bound
         if np.isfinite(L):
             pts = self.source_chart.box.points()
-            rng = np.random.default_rng(LIPSCHITZ_SEED)
-            i = rng.integers(0, pts.shape[0], LIPSCHITZ_PAIRS)
-            j = rng.integers(0, pts.shape[0], LIPSCHITZ_PAIRS)
-            keep = i != j
-            i, j = i[keep], j[keep]
+            i, j = next(sample_pairs(pts.shape[0], LIPSCHITZ_PAIRS,
+                                     LIPSCHITZ_SEED, chunk=LIPSCHITZ_PAIRS))
             # an overflowing length is reported below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
                 num = segment_length(self.target_chart, self.values(pts[i]),

@@ -10,6 +10,7 @@ vertex sum, which makes region monotonicity exact.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +75,25 @@ _PAIR_CAP = 10 ** 6
 _PAIR_CHUNK = 1 << 16          # pairs per block of PairTable.seminorms
 
 
-def _pair_indices(n: int, cap: int = _PAIR_CAP, seed: int = 20859):
-    """Seeded draw of ``cap`` ordered pairs, those with i == j dropped: the
-    pairs compared when the n(n-1)/2 pairs of n points exceed the cap."""
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, n, size=cap)
-    j = rng.integers(0, n, size=cap)
-    keep = i != j
-    return i[keep], j[keep]
+def sample_pairs(n: int, count: int, seed: int, chunk: int = _PAIR_CHUNK):
+    """Yield ``(i, j)`` index blocks of a seeded draw of ``count`` ordered
+    pairs of n points, at most ``chunk`` draws per block, the pairs with
+    i == j dropped.
+
+    Every block comes from one ``random.Random(seed)``: a pair is two
+    little-endian uint32 words of ``randbytes``, each mapped to [0, n) by
+    multiply-shift (exact in uint64 for n < 2**32), so the draw is the same
+    however it is cut into blocks.
+    """
+    rng = random.Random(seed)
+    for start in range(0, count, chunk):
+        size = min(chunk, count - start)
+        words = np.frombuffer(rng.randbytes(8 * size), "<u4").astype(np.uint64)
+        words *= n
+        words >>= 32
+        i, j = words.view(np.int64).reshape(size, 2).T
+        keep = i != j
+        yield i[keep], j[keep]
 
 
 class PairTable:
@@ -89,12 +101,13 @@ class PairTable:
     of one point set.
 
     Chart-coordinate distances.  All pairs when their count fits under the
-    cap, otherwise a seeded subsample; either way :meth:`seminorms` is a
-    lower bound of the true seminorm and grows under grid refinement.
-    A table keeps its points, alpha, cap and seed, no pair array.  The
-    pairs are walked in blocks of about ``_PAIR_CHUNK``: on the all-pairs
-    path, rows [a, b) of the strict upper triangle against columns (a, n);
-    on the capped path, consecutive slices of the draw.  Each block's
+    cap, otherwise ``pair_cap`` pairs drawn by :func:`sample_pairs`; either
+    way :meth:`seminorms` is a lower bound of the true seminorm and grows
+    under grid refinement.  A table keeps its points, alpha, cap and seed,
+    no pair array.  The pairs are walked in blocks of about
+    ``_PAIR_CHUNK``: on the all-pairs path, rows [a, b) of the strict upper
+    triangle against columns (a, n); on the capped path, the blocks of the
+    draw as they are made, so no whole sample is held.  Each block's
     denominators are formed once and serve every field of one
     :meth:`seminorms` call.
     """
@@ -133,10 +146,8 @@ class PairTable:
         that pair no points (j <= i)."""
         n = self.size
         if n * (n - 1) // 2 > self.pair_cap:
-            i, j = _pair_indices(n, self.pair_cap, self.seed)
-            for start in range(0, i.size, _PAIR_CHUNK):
-                block = slice(start, start + _PAIR_CHUNK)
-                yield i[block], j[block], None
+            for i, j in sample_pairs(n, self.pair_cap, self.seed):
+                yield i, j, None
             return
         a = 0
         while a < n - 1:

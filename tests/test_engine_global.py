@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from czmap.engine import (HarmonicRadii, build_cover, compute_r_hat,
-                          omega_decomposition, verify_ball_estimate,
-                          verify_euclidean_corollaries, verify_global_estimate)
+import czmap.engine as engine
+from czmap.engine import (DIAMETER_SAMPLES, HarmonicRadii, build_cover,
+                          compute_r_hat, image_diameter, omega_decomposition,
+                          verify_ball_estimate, verify_euclidean_corollaries,
+                          verify_global_estimate)
 from czmap.errors import (CertificateRequired, DegenerateRadius,
                           PreconditionFailed, ResolutionTooCoarse)
 from czmap.expressions import Expression
@@ -476,6 +478,31 @@ class TestEuclideanCorollaries:
         psi = sphere_immersion(resolution=17)
         with pytest.raises(CertificateRequired):
             verify_euclidean_corollaries(psi, 2.0, mode="corollaryA")
+
+
+def brute_force_diameter(map_model) -> float:
+    """max of segment_length over every ordered pair of image points."""
+    values = map_model.values_on_grid()
+    return float(segment_length(map_model.target_chart, values[:, None, :],
+                                values[None, :, :]).max())
+
+
+class TestImageDiameter:
+    @pytest.mark.parametrize("build", [
+        lambda: sphere_immersion(resolution=17),
+        lambda: flat_to_sphere_map(resolution=33)],
+        ids=["sphere-immersion", "flat-to-sphere"])
+    def test_every_image_pair_under_the_cap(self, build):
+        model = build()
+        assert model.values_on_grid().shape[0] <= DIAMETER_SAMPLES
+        assert image_diameter(model) == brute_force_diameter(model)
+
+    def test_seeded_sample_above_the_cap(self, monkeypatch):
+        model = flat_to_sphere_map(resolution=17)
+        monkeypatch.setattr(engine, "DIAMETER_SAMPLES", 40)
+        sampled = image_diameter(model)
+        assert image_diameter(model) == sampled
+        assert 0.0 < sampled <= brute_force_diameter(model)
 
 
 class TestDistanceFieldReuse:

@@ -6,10 +6,19 @@ interior points (which no fixture reaches) imports scipy.  Grid
 interpolation is `CoordinateBox.interpolate`, so no run loads
 `scipy.interpolate`.
 
+Nor do `czmap run`, `validate` and `radius` load `numpy.random`, whose
+first use also loads OpenSSL (`_hashlib`, through `secrets`): the
+sampled Lipschitz pairs, the capped Hölder pairs and the diameter sample
+come from the stdlib `random`, which `import czmap.cli` already loads.
+`czmap search` is exempt: its restart points come from
+`np.random.default_rng`, and search reports record them.
+
 Each check runs in a fresh interpreter: the test process itself has
-long since imported scipy through other tests.
+long since imported scipy through other tests.  A command's module set
+is taken once and shared by the checks that read it.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -33,10 +42,14 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 COMMAND_RUN = """
 import json
 import sys
+import tempfile
 from czmap import cli
-status = cli.main(sys.argv[1:])
-print(json.dumps([status, sorted(name for name in sys.modules
-                                 if name.split(".")[0] == "scipy")]))
+argv = sys.argv[1:]
+with tempfile.TemporaryDirectory() as out:
+    if argv[0] == "run":
+        argv += ["--out", out + "/run"]
+    status = cli.main(argv)
+print(json.dumps([status, sorted(sys.modules)]))
 """
 
 
@@ -48,13 +61,19 @@ def _run(script, *args):
                           capture_output=True, text=True, timeout=300)
 
 
-def _scipy_modules(*argv) -> list:
-    """The scipy modules a `czmap` command loaded; it must exit 0."""
+@functools.cache
+def _loaded_modules(*argv) -> frozenset:
+    """The modules a `czmap` command loaded; it must exit 0."""
     out = _run(COMMAND_RUN, *argv)
     assert out.returncode == 0, out.stderr
     status, modules = json.loads(out.stdout.strip().splitlines()[-1])
     assert status == 0
-    return modules
+    return frozenset(modules)
+
+
+def _scipy_modules(*argv) -> list:
+    return sorted(name for name in _loaded_modules(*argv)
+                  if name.split(".")[0] == "scipy")
 
 
 def test_lemma_battery_loads_no_scipy(tmp_path):
@@ -67,21 +86,15 @@ def test_lemma_battery_loads_no_scipy(tmp_path):
 @pytest.mark.parametrize("command, fixture", [
     ("run", "sphere-global"), ("run", "ball-estimate"),
     ("run", "sphere-immersion"), ("search", "saddle-search")])
-def test_runs_with_declared_radii_load_no_scipy(command, fixture, tmp_path):
-    argv = [command, "--scenario", fixture]
-    if command == "run":
-        argv += ["--out", str(tmp_path / fixture)]
-    assert _scipy_modules(*argv) == []
+def test_runs_with_declared_radii_load_no_scipy(command, fixture):
+    assert _scipy_modules(command, "--scenario", fixture) == []
 
 
 @pytest.mark.parametrize("command, fixture", [
     ("radius", "hyperbolic-map"), ("run", "halfplane-corollary")])
-def test_dirichlet_solves_load_no_scipy(command, fixture, tmp_path):
+def test_dirichlet_solves_load_no_scipy(command, fixture):
     # czmap radius, and a run whose source radius is `estimate`
-    argv = [command, "--scenario", fixture]
-    if command == "run":
-        argv += ["--out", str(tmp_path / fixture)]
-    assert _scipy_modules(*argv) == []
+    assert _scipy_modules(command, "--scenario", fixture) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -90,3 +103,14 @@ def test_dirichlet_solves_load_no_scipy(command, fixture, tmp_path):
 def test_runs_load_no_scipy_interpolate(argv):
     assert not [name for name in _scipy_modules(*argv)
                 if name.startswith("scipy.interpolate")]
+
+
+@pytest.mark.parametrize("command, fixture", [
+    ("run", "sphere-global"), ("run", "ball-estimate"),
+    ("run", "sphere-immersion"), ("run", "halfplane-corollary"),
+    ("validate", "sphere-global"), ("radius", "hyperbolic-map")])
+def test_chart_paths_load_no_numpy_random(command, fixture):
+    # halfplane-corollary reaches image_diameter; every run and validate
+    # checks the map's Lipschitz bound on sampled pairs
+    loaded = _loaded_modules(command, "--scenario", fixture)
+    assert not loaded & {"numpy.random", "_hashlib"}

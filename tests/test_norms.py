@@ -11,13 +11,19 @@ from czmap.errors import UnsupportedExponent
 from czmap.expressions import Expression
 from builders import flat_chart, sphere_immersion
 from czmap.geometry import CoordinateBox
-from czmap.norms import (NormRequest, PairTable, _pair_indices,
+from czmap.norms import (_PAIR_CHUNK, NormRequest, PairTable,
                          dist_to_basepoint_field, holder_seminorm, lp_norm,
-                         lp_norm_on, quadrature_weights)
+                         lp_norm_on, quadrature_weights, sample_pairs)
 
 
 def unit_square(res=41):
     return make_flat(0.0, 1.0, res)
+
+
+def drawn_pairs(n, count, seed, chunk=_PAIR_CHUNK):
+    """The blocks of ``sample_pairs`` joined into one ``(i, j)``."""
+    i, j = zip(*sample_pairs(n, count, seed, chunk))
+    return np.concatenate(i), np.concatenate(j)
 
 
 class TestLpNorm:
@@ -148,7 +154,7 @@ class TestHolderSeminorm:
         if n * (n - 1) // 2 <= pair_cap:
             i, j = np.triu_indices(n, k=1)
         else:
-            i, j = _pair_indices(n, pair_cap, seed)
+            i, j = drawn_pairs(n, pair_cap, seed)
         den = np.linalg.norm(pts[i] - pts[j], axis=1) ** alpha
         table = PairTable(pts, alpha, pair_cap, seed)
         expected = np.max(np.abs(vals[i] - vals[j]) / den)
@@ -179,6 +185,45 @@ class TestHolderSeminorm:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    def test_capped_seminorm_streams_its_draw(self):
+        # 2500 points, 3123750 pairs: over the cap, so 10^6 pairs are
+        # drawn; two int64 index arrays of the whole draw would take
+        # 15 MiB before the filter copies them
+        g = np.linspace(0.0, 1.0, 50)
+        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        vals = np.sin(3.0 * pts[:, 0]) * pts[:, 1]
+        assert pts.shape[0] * (pts.shape[0] - 1) // 2 > 10 ** 6
+        tracemalloc.start()
+        try:
+            holder_seminorm(pts, vals, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+
+
+class TestSamplePairs:
+    @pytest.mark.parametrize("n", [2, 3, 2500, 2 ** 31 - 1])
+    def test_draw_does_not_depend_on_the_blocks(self, n):
+        count = 3 * _PAIR_CHUNK + 11
+        i, j = drawn_pairs(n, count, 20859)
+        for chunk in (7, 1000):
+            ci, cj = drawn_pairs(n, count, 20859, chunk)
+            np.testing.assert_array_equal(ci, i)
+            np.testing.assert_array_equal(cj, j)
+        assert i.min() >= 0 and j.min() >= 0
+        assert i.max() < n and j.max() < n
+        assert not np.any(i == j)
+
+    def test_same_seed_same_pairs(self):
+        count = 2 * _PAIR_CHUNK + 1
+        sizes = [i.size for i, _ in sample_pairs(50, count, 7)]
+        assert len(sizes) == 3 and max(sizes) <= _PAIR_CHUNK
+        np.testing.assert_array_equal(drawn_pairs(50, count, 7),
+                                      drawn_pairs(50, count, 7))
+        assert not np.array_equal(drawn_pairs(50, count, 8)[0],
+                                  drawn_pairs(50, count, 7)[0])
 
 
 class TestDistanceField:
