@@ -40,9 +40,7 @@ def _apply_overrides(scenario, args):
     malformed or out-of-range flag, else None."""
     if args.mode:
         scenario.run.mode = args.mode
-    if args.seed is not None:
-        scenario.run.seed = args.seed
-    return scenario.override_run(args.p, args.resolution)
+    return scenario.override_run(args.p, args.resolution, args.seed)
 
 
 def _load(args):
@@ -149,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", help="comma-separated exponents, e.g. 1.5,2,4")
         p.add_argument("--resolution",
                        help="comma-separated source grid ladder, e.g. 33,65")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", help="restart seed of a search, a whole "
+                                       "number >= 0")
         p.add_argument("--out", help="report path prefix")
 
     pv = sub.add_parser("validate", help="validate a scenario file")

@@ -31,6 +31,7 @@ partials and always contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -188,6 +189,23 @@ def _norm(sq: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0))
 
 
+def _term_sum(shape: tuple, terms) -> np.ndarray:
+    """Sum over ``terms``, each a tuple of grid arrays multiplied left to
+    right, added in order to zeros.  That is how ``np.einsum`` (no
+    ``optimize``) forms a full contraction over the tensor axes of
+    C-ordered operands on a grid of three points or more (every chart
+    grid), so the bits are einsum's when ``terms`` come in its label
+    order."""
+    acc = np.zeros(shape)
+    term = np.empty(shape)
+    for first, second, *rest in terms:
+        np.multiply(first, second, out=term)
+        for factor in rest:
+            term *= factor
+        acc += term
+    return acc
+
+
 def component_derivatives(map_model: MapModel) -> tuple:
     """(u^a, d_i u^a, d_i d_j u^a) on the source grid, shapes
     ``(*grid, n)``, ``(*grid, n, m)`` and ``(*grid, n, m, m)``."""
@@ -229,12 +247,22 @@ def generalized_hessian(map_model: MapModel) -> JetField:
                                 du, du)
     ginv = source.grid_inverse()
     laplacian = np.einsum("...ij,...aij->...a", ginv, hess)
+    # |du|^2 and |Hess|^2 term by term on strided views, in the order of
+    # np.einsum("...ij,...ab,...ai,...bj->...") (labels a, b, i, j) and
+    # of np.einsum("...aij,...blk,...ik,...jl,...ab->...") (a, b, i, j, l, k)
+    n, m = du.shape[-2:]
+    grid = du.shape[:-2]
+    sq_du = _term_sum(grid, (
+        (ginv[..., i, j], h_at_u[..., a, b], du[..., a, i], du[..., b, j])
+        for a, b, i, j in product(range(n), range(n), range(m), range(m))))
+    sq_hess = _term_sum(grid, (
+        (hess[..., a, i, j], hess[..., b, l, k], ginv[..., i, k],
+         ginv[..., j, l], h_at_u[..., a, b])
+        for a, b, i, j, l, k in product(range(n), range(n), range(m),
+                                        range(m), range(m), range(m))))
     return JetField(
         du=du, hess=hess, laplacian=laplacian, target_metric=h_at_u,
-        norm_du=_norm(np.einsum("...ij,...ab,...ai,...bj->...",
-                                ginv, h_at_u, du, du)),
-        norm_hess=_norm(np.einsum("...aij,...blk,...ik,...jl,...ab->...",
-                                  hess, hess, ginv, ginv, h_at_u)),
+        norm_du=_norm(sq_du), norm_hess=_norm(sq_hess),
         norm_laplacian=_norm(np.einsum("...ab,...a,...b->...",
                                        h_at_u, laplacian, laplacian)))
 

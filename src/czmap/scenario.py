@@ -276,15 +276,18 @@ class Scenario:
             raise CzmapError(f"scenario {self.name} declares no map")
         return next(iter(self.maps.values()))
 
-    def override_run(self, p: str | None, resolution: str | None):
-        """Replace the p list and the resolution ladder by command-line
-        text under the rules of the ``p`` and ``resolution_ladder`` keys.
-        Returns None, or the issue of the first flag that breaks a rule:
-        line 0 of the scenario file, the flag and its text in the detail."""
+    def override_run(self, p: str | None, resolution: str | None,
+                     seed: str | None = None):
+        """Replace the p list, the resolution ladder and the seed by
+        command-line text under the rules of the ``p``,
+        ``resolution_ladder`` and ``seed`` keys.  Returns None, or the
+        issue of the first flag that breaks a rule: line 0 of the scenario
+        file, the flag and its text in the detail."""
         run = self.run
         for flag, text, attr, convert in (
                 ("--p", p, "p_list", _floats),
-                ("--resolution", resolution, "resolution_ladder", _ladder)):
+                ("--resolution", resolution, "resolution_ladder", _ladder),
+                ("--seed", seed, "seed", _seed)):
             if text is None:
                 continue
             try:
@@ -292,9 +295,12 @@ class Scenario:
             except (ValueError, OverflowError) as exc:
                 issue = ValidationIssue(self.path, 0, "NumberFormat", str(exc))
             else:
-                issue = (run.validate_issue(self.path, 0, 0) if flag == "--p"
-                         else _ladder_issue(run, self.manifolds, self.maps,
-                                            self.path, 0))
+                issue = None
+                if flag == "--p":
+                    issue = run.validate_issue(self.path, 0, 0)
+                elif flag == "--resolution":
+                    issue = _ladder_issue(run, self.manifolds, self.maps,
+                                          self.path, 0)
             if issue:
                 issue.detail = f"{flag} {text}: {issue.detail}"
                 return issue
@@ -598,6 +604,14 @@ def _ladder(text: str) -> list:
     return ladder
 
 
+def _seed(text: str) -> int:
+    """A restart seed: one whole number >= 0, of any size."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("seed must be a whole number >= 0")
+    return seed
+
+
 def _grid_count(text: str) -> int:
     """One grid point count per axis, as a ``[manifold] resolution`` entry."""
     ladder = _ladder(text)
@@ -642,7 +656,7 @@ def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
     cfg.basepoint = number("basepoint", cfg.basepoint)
     cfg.resolution_ladder = number("resolution_ladder", cfg.resolution_ladder,
                                    _ladder)
-    cfg.seed = number("seed", cfg.seed, int)
+    cfg.seed = number("seed", cfg.seed, _seed)
     for key, convert in (("center", _floats), ("target_center", _floats),
                          ("r", _positive),
                          ("R", partial(_positive, finite=False))):

@@ -6,12 +6,12 @@ interior points (which no fixture reaches) imports scipy.  Grid
 interpolation is `CoordinateBox.interpolate`, so no run loads
 `scipy.interpolate`.
 
-Nor do `czmap run`, `validate` and `radius` load `numpy.random`, whose
-first use also loads OpenSSL (`_hashlib`, through `secrets`): the
-sampled Lipschitz pairs, the capped Hölder pairs and the diameter sample
-come from the stdlib `random`, which `import czmap.cli` already loads.
-`czmap search` is exempt: its restart points come from
-`np.random.default_rng`, and search reports record them.
+Nor does any `czmap run`, `validate`, `radius` or `search` load
+`numpy.random`, whose first use also loads OpenSSL (`_hashlib`, through
+`secrets`): the sampled Lipschitz pairs, the capped Hölder pairs and the
+diameter sample come from the stdlib `random`, which `import czmap.cli`
+already loads, and a search's restart points are numpy's
+`default_rng(seed).random()` stream reproduced in plain Python.
 
 Each check runs in a fresh interpreter: the test process itself has
 long since imported scipy through other tests.  A command's module set
@@ -108,9 +108,11 @@ def test_runs_load_no_scipy_interpolate(argv):
 @pytest.mark.parametrize("command, fixture", [
     ("run", "sphere-global"), ("run", "ball-estimate"),
     ("run", "sphere-immersion"), ("run", "halfplane-corollary"),
-    ("validate", "sphere-global"), ("radius", "hyperbolic-map")])
+    ("validate", "sphere-global"), ("radius", "hyperbolic-map"),
+    ("search", "saddle-search"), ("search", "sine-search")])
 def test_chart_paths_load_no_numpy_random(command, fixture):
     # halfplane-corollary reaches image_diameter; every run and validate
-    # checks the map's Lipschitz bound on sampled pairs
+    # checks the map's Lipschitz bound on sampled pairs; a search draws
+    # its restart points
     loaded = _loaded_modules(command, "--scenario", fixture)
     assert not loaded & {"numpy.random", "_hashlib"}

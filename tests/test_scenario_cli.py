@@ -217,7 +217,7 @@ class TestLoader:
                    for i in err.value.issues)
 
     @pytest.mark.parametrize("key,bad", [
-        ("seed", "abc"), ("uc_radius", "q"), ("ball_r", "z"),
+        ("seed", "abc"), ("seed", "-1"), ("uc_radius", "q"), ("ball_r", "z"),
         ("ricci_lower_bound", "abc"),
         ("lower", "nan"), ("resolution_ladder", "2.5"), ("lipschitz", "nan"),
         ("basepoint", "0"), ("p", "nan"), ("p", "inf"), ("resolution", "1e300"),
@@ -764,6 +764,18 @@ class TestCli:
         issue, = captured.err.strip().split("\n")
         assert f"[{invariant}] {flag} {value}:" in issue
         assert issue.startswith(fixture_path("flat-identity") + ":0: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "-1"], ["--seed=-1"], ["--seed", "abc"]])
+    def test_bad_search_seed_is_one_issue(self, capsys, argv):
+        # checked before the search starts; the draw needs a seed >= 0
+        assert main(["search", "--scenario", "saddle-search", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        issue, = captured.err.strip().split("\n")
+        value = argv[-1].removeprefix("--seed=")
+        assert f"[NumberFormat] --seed {value}:" in issue
+        assert issue.startswith(fixture_path("saddle-search") + ":0: ")
 
     @pytest.mark.parametrize("flag, value, invariant", [
         ("--resolution", "2", "NumberFormat"),

@@ -9,14 +9,16 @@ checkout's ``src``).  For each tree and each fixture in that tree's
 1.5,2,4`` (the work shared across exponents shows only in a run at
 several), ``czmap report <prefix>.jsonl`` on the first run's records,
 ``czmap validate --scenario <fixture>`` and ``czmap radius --scenario
-<fixture>`` in a fresh interpreter with the tree on PYTHONPATH.  It then
-compares
+<fixture>`` in a fresh interpreter with the tree on PYTHONPATH.  A
+fixture whose mode is ``search`` (as ``validate`` prints it) also runs at
+each of ``SEARCH_SEEDS``, so restart points beyond the fixture's own seed
+are compared.  It then compares
 
-* the JSONL records of both runs, parsed, with the wall-clock key
+* the JSONL records of every run, parsed, with the wall-clock key
   ``timing_seconds`` removed;
-* the TSV files of both runs, byte for byte;
+* the TSV files of every run, byte for byte;
 * the ``report``, ``validate`` and ``radius`` stdout, byte for byte;
-* the exit codes of all five commands.
+* the exit codes of all commands.
 
 It prints every difference and exits 1 if there is one, else 0.  Only
 the standard library is used; fixtures run one at a time.
@@ -54,6 +56,7 @@ def _read(path: str):
 
 
 MULTI_P = "1.5,2,4"
+SEARCH_SEEDS = ("1", "99999999999999999999999")
 
 
 def _run(src: str, fixture: str, prefix: str, *flags) -> dict:
@@ -76,7 +79,7 @@ def outputs(src: str, fixture: str, workdir: str) -> dict:
     radius = _czmap(src, ["radius", "--scenario", fixture])
     first = _run(src, fixture, prefix)
     report = _czmap(src, ["report", prefix + ".jsonl"])
-    return {
+    found = {
         **first,
         "report exit code": report.returncode,
         "report stdout": report.stdout,
@@ -86,6 +89,11 @@ def outputs(src: str, fixture: str, workdir: str) -> dict:
         "radius exit code": radius.returncode,
         "radius stdout": radius.stdout,
     }
+    if validate.stdout.rstrip().endswith(b"mode search)"):
+        for seed in SEARCH_SEEDS:
+            found.update(_run(src, fixture, f"{prefix}-seed-{seed}",
+                              "--seed", seed))
+    return found
 
 
 def fixtures(src: str) -> list:
@@ -112,8 +120,8 @@ def main(argv=None) -> int:
                 os.makedirs(workdir, exist_ok=True)
                 sides.append(outputs(src, name, workdir))
             found = [f"{name}: {what} differ"
-                     for what, before in sides[0].items()
-                     if before != sides[1][what]]
+                     for what in {**sides[0], **sides[1]}
+                     if sides[0].get(what) != sides[1].get(what)]
             print(f"{name}: {'differs' if found else 'identical'}", flush=True)
             differences.extend(found)
     for line in differences:
