@@ -42,7 +42,6 @@ from .norms import (PairTable, dist_to_basepoint_field, lp_norm_on,
 COMPLETENESS_CAVEAT = ("chart model is a bounded box; estimates are verified "
                       "on interior balls only")
 COVER_WINDOW_MARGIN = 1.05     # coordinate window slack, see build_cover
-CHECK_BLOCK = 32               # cover centers per target-side regime check
 OMEGA_SLACK = 1e-9             # relative slack of the far-regime comparison
 DIAMETER_SAMPLES = 1500        # image points sampled for diam(u(M))
 DIAMETER_SEED = 20859
@@ -414,23 +413,27 @@ def omega_decomposition(map_model: MapModel, o, r1N: float) -> OmegaDecompositio
 class Cover:
     """Greedy r_hat/8-separated centers and their ring table.
 
-    Row c of the CSR table lists center c's grid points in increasing
-    order, ``indices[indptr[c]:indptr[c + 1]]``, with int8 ring codes in
-    ``codes``: 3 within r_hat/8 of the center, 2 within r_hat and 1
-    within 2 r_hat; farther points are not stored.
+    ``rings[k, c]`` is the int8 ring code of center c and its partner
+    ``center_indices[c] + shifts[k]``: 3 within r_hat/8, 2 within r_hat,
+    1 within 2 r_hat and 0 farther (or off the grid).  No row is all zero.
     """
 
     chart: MetricChart
     r_hat: float
     center_indices: np.ndarray    # (C,), flat grid indices
-    indptr: np.ndarray            # (C + 1,) int32
-    indices: np.ndarray           # int32 flat grid indices
-    codes: np.ndarray             # int8 ring codes
+    shifts: np.ndarray            # (K,), flat index shift of each offset
+    rings: np.ndarray             # (K, C) int8 ring codes
 
     def __post_init__(self):
-        cols, n = self.indices, self.chart.box.num_points
-        self.count_eighth = np.bincount(cols[self.codes == 3], minlength=n)
-        self.count_full = np.bincount(cols[self.codes >= 2], minlength=n)
+        n = self.chart.box.num_points
+        self.count_eighth = np.zeros(n, dtype=np.int64)
+        self.count_full = np.zeros(n, dtype=np.int64)
+        # within one offset the partners are distinct, so += is exact
+        for shift, ring in zip(self.shifts, self.rings):
+            rows = np.flatnonzero(ring)
+            cols = self.center_indices[rows] + shift
+            self.count_eighth[cols] += ring[rows] == 3
+            self.count_full[cols] += ring[rows] >= 2
         self.multiplicity = int(self.count_full.max())
 
     @property
@@ -474,46 +477,38 @@ def build_cover(chart: MetricChart, r_hat: float) -> Cover:
     offsets = [off for off in itertools.product(*(range(-s, s + 1) for s in span))
                if np.linalg.norm(np.multiply(off, box.steps)) <= reach]
     rings = np.zeros((len(offsets), n), dtype=np.int8)  # [offset, source]
-    for ring, off in zip(rings, offsets):
+    shifts = []
+    for off in offsets:
         a, b = offset_slices(off, box.shape)
         src = idx[a].reshape(-1)
         d = segment_length(chart, pts[src], pts[idx[b].reshape(-1)])
+        ring = rings[len(shifts)]
         ring[src] = ((d <= 2.0 * r_hat).astype(np.int8) + (d <= r_hat)
                      + (d <= r_hat / 8.0))
+        if ring.any():              # else the next offset reuses the row
+            shifts.append(np.dot(off, idx.strides) // idx.itemsize)
+    shifts, rings = np.array(shifts, dtype=np.int64), rings[:len(shifts)]
 
-    # scatter into a preallocated N-row CSR table; lexicographic offsets
-    # keep each row's columns sorted
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum((rings > 0).sum(axis=0), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    codes = np.empty(indptr[-1], dtype=np.int8)
-    fill = indptr[:-1].copy()
-    for ring, shift in zip(rings, np.dot(offsets, idx.strides) // idx.itemsize):
-        src = np.flatnonzero(ring)
-        indices[fill[src]] = src + shift
-        codes[fill[src]] = ring[src]
-        fill[src] += 1
-
-    # each point's zero offset has d = 0, code 3; when no other entry has
+    # each point's zero offset has d = 0, code 3; when no other offset has
     # code 3, no point covers another and the greedy pass picks them all
-    if np.count_nonzero(codes == 3) == n:
+    near = np.flatnonzero([np.any(ring == 3) for ring in rings])
+    if len(near) == 1:
         centers = np.arange(n)
     else:
+        eighth = np.ascontiguousarray((rings[near] == 3).T)   # (N, K_8)
+        near_shifts = shifts[near]
         covered = np.zeros(n, dtype=bool)
         is_center = np.zeros(n, dtype=bool)
         for c in range(n):
             if not covered[c]:
                 is_center[c] = True
-                row = slice(indptr[c], indptr[c + 1])
-                covered[indices[row][codes[row] == 3]] = True
+                covered[c + near_shifts[eighth[c]]] = True
         centers = np.flatnonzero(is_center)
-    if len(centers) < n:            # keep the centers' rows only
-        lengths = np.diff(indptr)
-        kept = np.repeat(is_center, lengths)
-        indptr = np.cumsum(np.r_[0, lengths[centers]], dtype=np.int32)
-        indices, codes = indices[kept], codes[kept]
+        rings = rings[:, centers]   # keep the centers' columns
+        kept = rings.any(axis=1)
+        shifts, rings = shifts[kept], rings[kept]
     return Cover(chart=chart, r_hat=float(r_hat), center_indices=centers,
-                 indptr=indptr, indices=indices, codes=codes)
+                 shifts=shifts, rings=rings)
 
 
 # ---------------------------------------------------------------------------
@@ -581,22 +576,20 @@ def verify_global_estimate(map_model: MapModel, o, p: float,
     dist_p = np.abs(dist_o) ** p * wflat
 
     # regime checks on each center's double ball, straight-segment
-    # estimator on the target, CHECK_BLOCK centers per call.  r1N > 0 is
-    # not nan here (compute_r_hat and the uniform-continuity test reject
-    # it).  At r1N = +inf every center is in Omega and the near and
-    # Lipschitz conditions hold trivially, so the far test is never read
-    # and the dichotomy holds without a single target distance.  Nothing
-    # in it depends on p: the map keeps the verdict.
+    # estimator on the target, one call per ring offset.  r1N > 0 is not
+    # nan here (compute_r_hat and the uniform-continuity test reject it).
+    # At r1N = +inf every center is in Omega and the near and Lipschitz
+    # conditions hold trivially, so the far test is never read and the
+    # dichotomy holds without a single target distance.  Nothing in it
+    # depends on p: the map keeps the verdict.
     def dichotomy() -> bool:
         center_idx = cover.center_indices
         in_omega = omega.mask.reshape(-1)[center_idx]
         ok = True
-        blocks = range(0, cover.size, CHECK_BLOCK) if np.isfinite(r1N) else ()
-        for b0 in blocks:
-            b1 = min(b0 + CHECK_BLOCK, cover.size)
-            rows = np.repeat(np.arange(b0, b1),
-                             np.diff(cover.indptr[b0:b1 + 1]))
-            cols = cover.indices[cover.indptr[b0]:cover.indptr[b1]]
+        pairs = zip(cover.shifts, cover.rings) if np.isfinite(r1N) else ()
+        for shift, ring in pairs:
+            rows = np.flatnonzero(ring)
+            cols = center_idx[rows] + shift
             img_d = segment_length(map_model.target_chart,
                                    values[center_idx[rows]], values[cols])
             d_o = dist_o[cols]

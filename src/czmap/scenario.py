@@ -50,7 +50,8 @@ from .maps import MapModel
 
 MODES = ("lemma", "ball", "global", "intro", "corollaryA", "search")
 FIXTURE_ENV_VAR = "CZMAP_FIXTURES"
-# the cover's ring table indexes grid points with int32
+# checked at parse time, so an oversized grid is one located issue and not
+# a MemoryError: at this size its points alone take 16 GiB per axis
 MAX_GRID_POINTS = np.iinfo(np.int32).max
 # the keys each section parser reads; an entry ending in "." names a family
 SECTION_KEYS = {

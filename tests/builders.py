@@ -12,7 +12,8 @@ two-array RK4 shot that ``geodesics.shoot`` must match, and
 ``geodesic_distance`` refines a graph distance by one shooting pass.  The
 derivative-decay experiment samples the harmonic solver at a ladder of
 radii.  ``count_calls`` counts the calls of a czmap function, and
-``verified_cover`` reads the cover a global verification used.
+``verified_cover`` reads the cover a global verification used, and
+``ring_table`` spreads a cover's ring codes into a dense table.
 """
 
 from __future__ import annotations
@@ -417,3 +418,13 @@ def verified_cover(map_model, radii):
     source = map_model.source_chart
     r_hat = compute_r_hat(radii.r1M, radii.r1N, map_model.lipschitz_bound)
     return source.memo(("cover", r_hat), lambda: build_cover(source, r_hat))
+
+
+def ring_table(cover) -> np.ndarray:
+    """The cover's ring codes as a dense (C, N) table: row c holds the
+    code of center c at every grid point, 0 where it stores none."""
+    table = np.zeros((cover.size, cover.chart.box.num_points), dtype=int)
+    for shift, ring in zip(cover.shifts, cover.rings):
+        rows = np.flatnonzero(ring)
+        table[rows, cover.center_indices[rows] + shift] = ring[rows]
+    return table

@@ -15,7 +15,8 @@ from czmap.errors import (CertificateRequired, DegenerateRadius,
 from czmap.expressions import Expression
 from builders import (count_calls, flat_chart, flat_to_sphere_map,
                       graph_immersion, hyperbolic_chart, identity_map,
-                      sphere_chart, sphere_immersion, verified_cover)
+                      ring_table, sphere_chart, sphere_immersion,
+                      tilted_chart_3d, verified_cover)
 from czmap.geodesics import segment_length
 from czmap.harmonic import declared_certificate
 from czmap.maps import MapModel
@@ -130,18 +131,23 @@ class TestCover:
         assert counts.max() == cover.multiplicity
 
     @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(["flat", "scaled", "sphere", "hyperbolic"]),
+    @given(kind=st.sampled_from(["flat", "scaled", "sphere", "hyperbolic",
+                                 "flat-3d", "tilted-3d"]),
            resolution=st.tuples(st.integers(3, 12), st.integers(3, 12)),
            factor=st.floats(1.05, 30.0))
     def test_ring_table_matches_full_rows(self, kind, resolution, factor):
         # factor spans grid-limited covers (C == N), separated ones
-        # (r_hat / 8 above the step) and windows wider than the box
+        # (r_hat / 8 above the step) and windows wider than the box; the
+        # uneven 3-D box would show a flat shift that wraps across rows
         chart = {
             "flat": lambda: flat_chart([0.0, 0.0], [1.0, 0.7], resolution),
             "scaled": lambda: flat_chart([0.0, 0.0], [1.0, 0.7], resolution,
                                          scale=2.5),
             "sphere": lambda: sphere_chart((0.7, 2.4), (0.0, 1.4), resolution),
             "hyperbolic": lambda: hyperbolic_chart(resolution=resolution),
+            "flat-3d": lambda: flat_chart([0.0] * 3, [0.8, 1.0, 1.2],
+                                          [5, 6, 7]),
+            "tilted-3d": tilted_chart_3d,
         }[kind]()
         step_len = chart.box.steps.max() * np.sqrt(chart.ellipticity_range()[1])
         r_hat = factor * step_len
@@ -162,15 +168,9 @@ class TestCover:
         codes = sum((rows <= t).astype(int)
                     for t in (2.0 * r_hat, r_hat, r_hat / 8.0))
         assert np.array_equal(cover.center_indices, centers)
-        assert cover.indptr.shape == (cover.size + 1,)
-        assert cover.indptr[-1] == cover.indices.size == cover.codes.size
-        table = np.zeros((cover.size, len(pts)), dtype=int)
-        for c in range(cover.size):
-            row = slice(cover.indptr[c], cover.indptr[c + 1])
-            assert np.all(np.diff(cover.indices[row]) > 0)
-            table[c, cover.indices[row]] = cover.codes[row]
-        assert np.array_equal(table, codes)
-        assert np.all(cover.codes > 0)
+        assert cover.rings.shape == (len(cover.shifts), cover.size)
+        assert cover.rings.any(axis=1).all()
+        assert np.array_equal(ring_table(cover), codes)
         assert np.array_equal(cover.count_eighth, (codes == 3).sum(axis=0))
         assert np.array_equal(cover.count_full, (codes >= 2).sum(axis=0))
         assert cover.multiplicity == (codes >= 2).sum(axis=0).max()
@@ -302,13 +302,17 @@ class TestGlobalEstimate:
         assert omega_decomposition(psi, o, np.inf).mask.reshape(-1)[
             cover.center_indices].all()
         assert inst.checks["regime_dichotomy"]
-        # a finite radius as large checks the same cover pair by pair
+        # a finite radius as large checks the same cover pair by pair,
+        # one call per ring offset
         del calls[:]
         finite = verify_global_estimate(psi, o, 2.0,
                                         HarmonicRadii(np.inf, 1e6))
         assert len(builds) == 1
-        assert len(target_calls(calls, psi)) == 1 + math.ceil(
-            inst.cover_stats["centers"] / 32)
+        shapes = target_calls(calls, psi)
+        assert len(shapes) == 1 + len(cover.shifts)
+        assert shapes[0] == ((1, 2), (17 * 17, 2))
+        assert sum(math.prod(a[:-1]) for a, _ in shapes[1:]) == (
+            np.count_nonzero(cover.rings))
         assert finite.checks["regime_dichotomy"]
 
     def test_nan_target_radius_rejected_before_the_regime_check(
