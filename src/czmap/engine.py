@@ -45,6 +45,8 @@ COVER_WINDOW_MARGIN = 1.05     # coordinate window slack, see build_cover
 OMEGA_SLACK = 1e-9             # relative slack of the far-regime comparison
 DIAMETER_SAMPLES = 1500        # image points sampled for diam(u(M))
 DIAMETER_SEED = 20859
+LEMMA_DIMENSION = 2            # the lemma's balls lie in the plane
+LEMMA_ALPHA = 0.5              # Hölder exponent of the coefficient bound
 
 
 # ---------------------------------------------------------------------------
@@ -52,35 +54,34 @@ DIAMETER_SEED = 20859
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4)
-def _ball_pairs(dimension: int, resolution: int, s: float,
-                alpha: float) -> PairTable:
+def _ball_pairs(resolution: int, s: float) -> PairTable:
     """Pair table of the lemma grid points in B_2s (the reference grid on
-    [-2, 2]^m scaled by s), shared by every spec on that grid."""
-    ref = CoordinateBox([-2.0] * dimension, [2.0] * dimension,
-                        [resolution] * dimension).points()
-    return PairTable(s * ref[np.linalg.norm(ref, axis=1) <= 2.0], alpha)
+    [-2, 2]^2 scaled by s), shared by every spec on that grid."""
+    ref = CoordinateBox([-2.0] * LEMMA_DIMENSION, [2.0] * LEMMA_DIMENSION,
+                        [resolution] * LEMMA_DIMENSION).points()
+    return PairTable(s * ref[np.linalg.norm(ref, axis=1) <= 2.0], LEMMA_ALPHA)
 
 
 class EllipticOperatorSpec:
-    """Second-order operator P = a^{ij} d_i d_j on the Euclidean ball B_2s.
+    """Second-order operator P = a^{ij} d_i d_j on the Euclidean ball B_2s
+    of the plane.
 
     ``coefficients``: symmetric nested sequence of scalar callables.
     Hypotheses checked by :meth:`validate`: (a^{ij}) >= 1/2 as bilinear
     forms on the grid, sup |a^{ij}| <= Lambda, and the Hölder bound
-    [a^{ij}]_alpha <= Lambda s^-alpha.  None of them involves the norm
-    exponent, which the verifiers take per call.
+    [a^{ij}]_alpha <= Lambda s^-alpha, alpha = ``LEMMA_ALPHA``.  None of
+    them involves the norm exponent, which the verifiers take per call.
     """
 
+    alpha = LEMMA_ALPHA
+    dimension = LEMMA_DIMENSION
+
     def __init__(self, s: float, coefficients, Lambda: float,
-                 alpha: float = 0.5, dimension: int = 2, resolution: int = 33):
+                 resolution: int = 33):
         if not (0.0 < s <= 1.0):
             raise ValueError("s must lie in (0, 1]")
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
         self.s = float(s)
-        self.alpha = float(alpha)
         self.Lambda = float(Lambda)
-        self.dimension = int(dimension)
         self.resolution = int(resolution)
         m = self.dimension
         self.coefficients = [[coefficients[min(i, j)][max(i, j)]
@@ -110,12 +111,12 @@ class EllipticOperatorSpec:
                 out[..., i, j] = out[..., j, i] = self.coefficients[i][j](points)
         return out
 
-    def field_samples(self, u, mode: str) -> "ScalarFieldSamples":
-        """The samples of ``u`` on this spec's grid, built once per
-        (field, mode) for every exponent."""
-        if (u, mode) not in self._samples:
-            self._samples[u, mode] = ScalarFieldSamples(self, u, mode)
-        return self._samples[u, mode]
+    def field_samples(self, u) -> "ScalarFieldSamples":
+        """The samples of ``u`` on this spec's grid, built once per field
+        for every exponent."""
+        if u not in self._samples:
+            self._samples[u] = ScalarFieldSamples(self, u)
+        return self._samples[u]
 
     def validate(self) -> "EllipticOperatorSpec":
         if self._validated:
@@ -159,7 +160,7 @@ class EllipticOperatorSpec:
                    if not np.all(a[:, i, j] == a[0, i, j])]
         worst = 0.0
         if varying:
-            pairs = _ball_pairs(m, self.resolution, scale, self.alpha)
+            pairs = _ball_pairs(self.resolution, scale)
             for value in pairs.seminorms(varying):
                 worst = max(worst, float(value))
         return worst
@@ -172,44 +173,41 @@ class ScalarFieldSamples:
     three dilation identities (see :func:`verify_scaling_identities`).
     The jets they come from are not kept."""
 
-    def __init__(self, spec: EllipticOperatorSpec, u, mode: str):
+    def __init__(self, spec: EllipticOperatorSpec, u):
         s, box, mask = spec.s, spec.reference_box, spec.mask_outer
         pts = spec.scaled_points()
         self.values = np.asarray(u(pts), dtype=float).reshape(box.shape)
-        grad, hess = field_jet(u, self.values, pts, box.steps * s, mode)
+        grad, hess = field_jet(u, self.values, pts, box.steps * s, "analytic")
         self.grad_norm = np.sqrt(np.sum(grad ** 2, axis=0))
         self.hess_norm = np.sqrt(np.sum(hess ** 2, axis=(0, 1)))
         a = spec.grid_coefficients
         self.pu = np.einsum("...ij,ij...->...", a, hess)
         # the dilated field tu(z) = u(sz) on the reference grid
-        grad_t, hess_t = field_jet(u.dilated(s) if mode == "analytic" else None,
-                                   self.values, spec.reference_points,
-                                   box.steps, mode)
+        grad_t, hess_t = field_jet(u.dilated(s), self.values,
+                                   spec.reference_points, box.steps, "analytic")
         self.dev_gradient = float(np.abs(grad_t - s * grad)[:, mask].max())
         self.dev_hessian = float(np.abs(hess_t - s * s * hess)[:, :, mask].max())
         p_tilde_u = np.einsum("...ij,ij...->...", a, hess_t)
         self.dev_operator = float(np.abs(p_tilde_u - s * s * self.pu)[mask].max())
 
 
-def verify_scaling_identities(spec: EllipticOperatorSpec, u, q: float,
-                              mode: str = "analytic") -> dict:
+def verify_scaling_identities(spec: EllipticOperatorSpec, u, q: float) -> dict:
     """Check the dilation identities of the elliptic lemma.
 
     With tu(z) = u(sz): P~ tu = s^2 (Pu)~, d_i d_j tu = s^2 (d_i d_j u)~,
     d_i tu = s (d_i u)~, and the L^q norm picks up s^{-m/q}.  Also checks
     that the hypothesis bounds transfer to the scaled coefficients.
 
-    In analytic mode the dilated field is built by substituting x -> s x
-    into the expression and differentiating THAT symbolically, so the two
-    sides of each identity come from independent symbolic routes.  In fd
-    mode both sides are grid stencils at mirrored steps.
+    The dilated field is built by substituting x -> s x into the
+    expression and differentiating THAT symbolically, so the two sides of
+    each identity come from independent symbolic routes.
     """
     if not (1.0 < q < np.inf):
         raise UnsupportedExponent(q)
     spec.validate()
     s, m = spec.s, spec.dimension
     box = spec.reference_box
-    samples = spec.field_samples(u, mode)
+    samples = spec.field_samples(u)
     mask = spec.mask_outer
 
     # norm scaling on u and Pu over the outer ball
@@ -225,20 +223,19 @@ def verify_scaling_identities(spec: EllipticOperatorSpec, u, q: float,
     transfer = spec.holder_transfer()
     transfer_ok = transfer <= spec.Lambda + 1e-10
 
-    tol = 1e-10 if mode == "analytic" else 1e-6
+    tol = 1e-10
     devs = {"dev_operator": samples.dev_operator,
             "dev_hessian": samples.dev_hessian,
             "dev_gradient": samples.dev_gradient, "dev_norm": float(dev_norm)}
     return {
-        "s": s, "q": q, "mode": mode, **devs,
+        "s": s, "q": q, **devs,
         "holder_transfer": transfer, "holder_transfer_ok": bool(transfer_ok),
         "tolerance": tol,
         "passed": bool(max(devs.values()) <= tol and transfer_ok),
     }
 
 
-def verify_interior_estimate(spec: EllipticOperatorSpec, u, q: float,
-                             mode: str = "analytic") -> dict:
+def verify_interior_estimate(spec: EllipticOperatorSpec, u, q: float) -> dict:
     """Interior a-priori estimate: L^q norms of u, grad u, second
     derivatives on B_s against ||Pu|| + s^-2 ||u|| on B_2s; reports the
     empirical ratio.
@@ -249,7 +246,7 @@ def verify_interior_estimate(spec: EllipticOperatorSpec, u, q: float,
     box = spec.reference_box
     s = spec.s
     scaled_box = CoordinateBox(box.lower * s, box.upper * s, box.resolution)
-    samples = spec.field_samples(u, mode)
+    samples = spec.field_samples(u)
     ones = np.ones(box.shape)
     inner = spec.mask_inner
     outer = spec.mask_outer

@@ -23,20 +23,6 @@ class DegenerateMetric(CzmapError):
         )
 
 
-class ShrinkDomain(CzmapError):
-    """A finite-difference stencil would leave the chart box."""
-
-    def __init__(self, point, axis: int, suggested_margin: float):
-        self.point = tuple(float(c) for c in point)
-        self.axis = int(axis)
-        self.suggested_margin = float(suggested_margin)
-        super().__init__(
-            f"difference stencil exits the box at {self.point} along axis "
-            f"{self.axis}; shrink the working domain by at least "
-            f"{self.suggested_margin:.3e}"
-        )
-
-
 class Unreachable(CzmapError):
     """No grid path connects two points."""
 

@@ -241,7 +241,7 @@ def to_string(node: Node) -> str:
     """Canonical text form; ``parse(to_string(n))`` reproduces ``n``."""
     if isinstance(node, Num):
         v = node.value
-        if v == int(v) and abs(v) < 1e16:
+        if abs(v) < 1e16 and v == int(v):       # int() refuses inf and nan
             return str(int(v))
         return repr(v)
     if isinstance(node, Var):

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShrinkDomain
-
 
 def diff1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """First derivative of grid samples along ``axis`` with step ``h``.
@@ -101,13 +99,10 @@ def point_diff1(f, x: np.ndarray, axis: int, h: float, lower, upper) -> np.ndarr
     """First derivative of a point-evaluable scalar function at ``x``.
 
     Central difference with step ``h``; near the box faces the three-point
-    stencil slides inward (stays second order).  Raises ShrinkDomain if the
-    box is thinner than ``2h`` along the axis.
+    stencil slides inward (stays second order).  The box must be at least
+    ``2h`` wide along the axis, as it is when ``h`` is its grid step.
     """
     x = np.asarray(x, dtype=float)
-    if upper[axis] - lower[axis] < 2.0 * h:
-        raise ShrinkDomain(x.reshape(-1, x.shape[-1])[0], axis,
-                           2.0 * h - (upper[axis] - lower[axis]))
     shift = _stencil_shift(x, axis, h, lower, upper)
     e = np.zeros(x.shape[-1])
     e[axis] = 1.0

@@ -53,10 +53,8 @@ SHOOTING_TOL = 1e-10          # endpoint tolerance relative to the offset
 
 
 def _metric_is_constant(chart: MetricChart) -> bool:
-    """Exact test: every component is an expression without a variable.
-
-    Any other component callable counts as non-constant.
-    """
+    """Exact test: every component is an expression without a variable,
+    which :meth:`MetricChart.oracles` stores as its float."""
     return all(isinstance(g, float) for _, _, g, _ in chart.oracles())
 
 

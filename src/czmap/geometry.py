@@ -229,21 +229,18 @@ class MetricChart:
     """Metric component oracles over a coordinate box.
 
     derivative_mode "analytic" uses the components' ``partial(axis)``
-    method (expressions provide it) or explicit entries in
-    ``derivative_oracles[(i, j, k)]``; "fd" uses central differences with
-    per-axis step ``fd_step`` (the grid step unless reassigned).
+    method (expressions provide it); "fd" uses central differences with
+    the grid step of each axis.
     """
 
     def __init__(self, box: CoordinateBox, components, derivative_mode="analytic",
-                 derivative_oracles=None, name="chart"):
+                 name="chart"):
         self.box = box
         m = box.dimension
         self.components = _symmetrize(components, m)
         if derivative_mode not in ("analytic", "fd"):
             raise ValueError(f"unknown derivative_mode {derivative_mode!r}")
         self.derivative_mode = derivative_mode
-        self.fd_step = box.steps.copy()
-        self.derivative_oracles = dict(derivative_oracles or {})
         self.name = name
         self._cache: dict = {}
 
@@ -263,9 +260,8 @@ class MetricChart:
         """``(i, j, g_ij, [d_k g_ij for each k])`` for every i <= j, built once.
 
         An expression without a variable is stored as its float.  A
-        partial is an explicit derivative oracle, else the component's
-        ``partial(k)`` ("analytic") or a central difference that reads
-        ``fd_step`` when called ("fd").  Expressions with equal text and
+        partial is the component's ``partial(k)`` ("analytic") or a central
+        difference at the grid step ("fd").  Expressions with equal text and
         variables become one object, so equal entries share their oracle
         and their analytic partials, and an evaluator calls each once;
         other callables are shared only where they are the same object.
@@ -280,28 +276,17 @@ class MetricChart:
                         comp = shared.setdefault((comp.text, comp.variables), comp)
                     comps[i, j] = comp
             return [(i, j, _constant_or_oracle(comp),
-                     [_constant_or_oracle(self._partial_oracle(comp, i, j, k))
+                     [_constant_or_oracle(self._partial_oracle(comp, k))
                       for k in range(m)])
                     for (i, j), comp in comps.items()]
         return self.memo("oracles", build)
 
-    def _partial_oracle(self, comp, i: int, j: int, k: int):
-        oracle = self.derivative_oracles.get((i, j, k)) \
-            or self.derivative_oracles.get((j, i, k))
-        if oracle is not None:
-            return oracle
-        if self.derivative_mode == "fd":
-            return lambda points: fd.point_diff1(
-                comp, points, k, float(self.fd_step[k]),
-                self.box.lower, self.box.upper)
-        if hasattr(comp, "partial"):
+    def _partial_oracle(self, comp, k: int):
+        if self.derivative_mode == "analytic":
             return comp.partial(k)
-
-        def missing(points):
-            raise TypeError(f"component g[{i}][{j}] of {self.name} has no "
-                            "analytic partials; use derivative_mode='fd' or "
-                            "pass derivative_oracles")
-        return missing
+        return lambda points: fd.point_diff1(
+            comp, points, k, float(self.box.steps[k]),
+            self.box.lower, self.box.upper)
 
     def metric(self, points) -> np.ndarray:
         """Metric matrices ``(..., m, m)`` at arbitrary points."""
@@ -373,7 +358,7 @@ class MetricChart:
         """:func:`_acceleration` traced into one function ``(p, v) -> acc``
         over the points ``p`` and velocities ``v``, built on first use; None
         unless every oracle is a float or a compilable expression (fd mode
-        and plain-callable derivative oracles keep the per-oracle route)."""
+        keeps the per-oracle route)."""
         def build():
             oracles = [o for _, _, g, partials in self.oracles()
                        for o in [g] + partials if not isinstance(o, float)]
@@ -395,7 +380,7 @@ class MetricChart:
         def build():
             g = self.metric(self.box.points()).reshape(self.box.shape + (self.dimension,) * 2)
             eig = np.linalg.eigvalsh(g)
-            bad = eig[..., 0] <= SPD_EIGENVALUE_FLOOR
+            bad = ~(eig[..., 0] > SPD_EIGENVALUE_FLOOR)     # nan is bad too
             if np.any(bad):
                 flat = np.argmin(eig[..., 0])
                 idx = np.unravel_index(flat, self.box.shape)

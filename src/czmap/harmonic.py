@@ -12,7 +12,8 @@ g~^{ab} = J g^{ij} J^T (J the Jacobian of phi):
 * hr1, the ellipticity sandwich  1/2 <= g~ <= 2  as bilinear forms;
 * hr2, the weighted bound  r sup |d g~^{ab}| + r^{1+alpha} [d g~^{ab}]_alpha
   <= 1 per component pair (a, b), summed over the derivative directions
-  (the C^{1,alpha} conditions, k = 1).
+  (the C^{1,alpha} conditions, k = 1, with alpha = HOLDER_ALPHA = 1/2:
+  the certified radius is r_{1,1/2}).
 
 The radius estimator bisects on the verdict; certificates under-claim by
 construction (ties resolve downward).
@@ -35,6 +36,7 @@ DIRECT_SOLVE_LIMIT = 20000
 ITERATIVE_TOL = 1e-8
 ITERATIVE_MAXITER = 10000
 JACOBIAN_DET_FLOOR = 1e-6
+HOLDER_ALPHA = 0.5             # the certified radius is r_{1,1/2}
 # the Dirichlet problem is solved on the padded ball B_{(1+pad) r} so that
 # every certified sample of B_r sits compactly inside the solve domain,
 # away from the staircase-boundary layer where discrete second derivatives
@@ -47,7 +49,6 @@ class RadiusCertificate:
     """Outcome of the harmonic-radius conditions at one radius."""
 
     r: float
-    alpha: float
     hr1_margin: float
     hr2_value: float
     verdict: str                      # holds | fails | exceeds-grid
@@ -59,15 +60,15 @@ class RadiusCertificate:
         return self.verdict == "holds"
 
     def as_record(self) -> dict:
-        return {"r": self.r, "alpha": self.alpha, "k": 1,
+        return {"r": self.r, "alpha": HOLDER_ALPHA, "k": 1,
                 "residual": self.laplace_residual,
                 "hr1_margin": self.hr1_margin, "hr2_value": self.hr2_value,
                 "verdict": self.verdict, "source": self.source}
 
 
-def declared_certificate(r: float, alpha: float = 0.5) -> RadiusCertificate:
+def declared_certificate(r: float) -> RadiusCertificate:
     """Certificate backed by a scenario declaration instead of a solve."""
-    return RadiusCertificate(r=float(r), alpha=alpha, hr1_margin=np.nan,
+    return RadiusCertificate(r=float(r), hr1_margin=np.nan,
                              hr2_value=np.nan, verdict="holds", source="declared")
 
 
@@ -376,16 +377,13 @@ def _pushed_derivatives(candidate: HarmonicChartCandidate):
     return dz, ok_all
 
 
-def check_hr_conditions(candidate: HarmonicChartCandidate,
-                        alpha: float = 0.5) -> RadiusCertificate:
+def check_hr_conditions(candidate: HarmonicChartCandidate) -> RadiusCertificate:
     """Evaluate the two harmonic-radius conditions on a candidate."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
     m = candidate.chart.dimension
     r = candidate.radius
     mask = candidate.jet_mask
     if mask.sum() < 3:
-        return RadiusCertificate(r=r, alpha=alpha, hr1_margin=np.nan,
+        return RadiusCertificate(r=r, hr1_margin=np.nan,
                                  hr2_value=np.nan, verdict="exceeds-grid",
                                  laplace_residual=candidate.laplace_residual)
     pushed = candidate.pushed_inverse[mask]        # (count, m, m)
@@ -394,22 +392,22 @@ def check_hr_conditions(candidate: HarmonicChartCandidate,
 
     dz, dmask = _pushed_derivatives(candidate)
     if dmask.sum() < 3:
-        return RadiusCertificate(r=r, alpha=alpha, hr1_margin=hr1_margin,
+        return RadiusCertificate(r=r, hr1_margin=hr1_margin,
                                  hr2_value=np.nan, verdict="exceeds-grid",
                                  laplace_residual=candidate.laplace_residual)
     samples = np.stack([dz[..., a, b, c][dmask] for a in range(m)
                         for b in range(a, m) for c in range(m)])
     seminorms = PairTable(candidate.image_points(dmask),
-                          alpha).seminorms(samples)
+                          HOLDER_ALPHA).seminorms(samples)
     hr2 = 0.0
     for k in range(0, len(samples), m):       # the m samples of one a <= b
         total = 0.0
         for c in range(k, k + m):
             total += r * float(np.abs(samples[c]).max())
-            total += r ** (1 + alpha) * float(seminorms[c])
+            total += r ** (1 + HOLDER_ALPHA) * float(seminorms[c])
         hr2 = max(hr2, total)
     verdict = "holds" if (hr1_margin >= 0.0 and hr2 <= 1.0) else "fails"
-    return RadiusCertificate(r=r, alpha=alpha, hr1_margin=hr1_margin,
+    return RadiusCertificate(r=r, hr1_margin=hr1_margin,
                              hr2_value=float(hr2), verdict=verdict,
                              laplace_residual=candidate.laplace_residual)
 
@@ -443,8 +441,7 @@ def default_r_max(chart: MetricChart, x) -> float:
     return 0.7 * margin * float(np.sqrt(lam_min))
 
 
-def estimate_harmonic_radius(chart: MetricChart, x,
-                             alpha: float = 0.5, r_max: float = 1.0,
+def estimate_harmonic_radius(chart: MetricChart, x, r_max: float = 1.0,
                              bisection_steps: int = 12) -> RadiusEstimate:
     """Bisection on the harmonic-radius verdict over (0, r_max].
 
@@ -456,13 +453,13 @@ def estimate_harmonic_radius(chart: MetricChart, x,
     def verdict_at(r: float) -> RadiusCertificate:
         try:
             cand = solve_harmonic_chart(chart, x, r)
-            cert = check_hr_conditions(cand, alpha=alpha)
+            cert = check_hr_conditions(cand)
         except PreconditionFailed:
-            cert = RadiusCertificate(r=r, alpha=alpha, hr1_margin=np.nan,
-                                     hr2_value=np.nan, verdict="exceeds-grid")
+            cert = RadiusCertificate(r=r, hr1_margin=np.nan, hr2_value=np.nan,
+                                     verdict="exceeds-grid")
         except NotDiffeomorphic:
-            cert = RadiusCertificate(r=r, alpha=alpha, hr1_margin=np.nan,
-                                     hr2_value=np.nan, verdict="fails")
+            cert = RadiusCertificate(r=r, hr1_margin=np.nan, hr2_value=np.nan,
+                                     verdict="fails")
         tested.append(cert)
         return cert
 

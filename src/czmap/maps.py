@@ -24,8 +24,7 @@ wherever du is finite, and adding it changes no value, only perhaps the
 sign of a zero, which no norm and no report reads.  The jet skips a flat
 chart's symbols and their contraction unless du is not finite at some
 grid point: then it keeps both, so that 0 * inf = nan still reaches the
-norms.  fd-mode charts and explicit derivative oracles give callable
-partials and always contract.
+norms.  fd-mode charts give callable partials and always contract.
 """
 
 from __future__ import annotations

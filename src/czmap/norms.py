@@ -178,16 +178,12 @@ class PairTable:
             maxima.append(block)
         return np.max(np.array(maxima), axis=0)
 
-    def seminorm(self, values: np.ndarray) -> float:
-        """max over the pairs of |f(x)-f(y)| / |x-y|^alpha."""
-        return float(self.seminorms(values)[0])
-
 
 def holder_seminorm(points: np.ndarray, values: np.ndarray, alpha: float,
                     pair_cap: int = _PAIR_CAP, seed: int = 20859) -> float:
     """max over sampled point pairs of |f(x)-f(y)| / |x-y|^alpha; one
     field on a one-off :class:`PairTable`."""
-    return PairTable(points, alpha, pair_cap, seed).seminorm(values)
+    return float(PairTable(points, alpha, pair_cap, seed).seminorms(values)[0])
 
 
 class DistanceEvaluator:

@@ -307,7 +307,7 @@ def run_search(scenario: Scenario) -> list:
         map_model = ctx.build_map(dict(zip(cfg.parameters, params)))
         return ctx.verify_global(map_model, p).ratio
 
-    family = MapFamily(cfg.lower, cfg.upper, evaluate, name=scenario.name)
+    family = MapFamily(cfg.lower, cfg.upper, evaluate)
     result = extremal_ratio_search(family, seed=scenario.run.seed)
     rep = InequalityReport(
         scenario=scenario.name, mode="search", p=p,

@@ -117,7 +117,7 @@ class MapFamily:
     the search.
     """
 
-    def __init__(self, lower, upper, evaluate, name="family"):
+    def __init__(self, lower, upper, evaluate):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
@@ -125,7 +125,6 @@ class MapFamily:
         if not np.all(self.lower < self.upper):
             raise ValueError("need lower < upper parameter bounds")
         self._evaluate = evaluate
-        self.name = name
 
     @property
     def dimension(self) -> int:

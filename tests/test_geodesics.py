@@ -161,20 +161,6 @@ class TestSegmentsAndLogMap:
         assert np.array_equal(oks, expected[1])
 
 
-def _explicit_half_plane() -> MetricChart:
-    """The half-plane with explicit derivative oracles, one a plain
-    callable; equal texts in separate objects."""
-    v = ("x", "y")
-    comps = [[Expression("1/(y*y)", v), Expression("0", v)],
-             [Expression("0", v), Expression("1/(y*y)", v)]]
-    dy = Expression("-2/(y*y*y)", v)
-    oracles = {(0, 0, 0): Expression("0", v), (0, 0, 1): dy,
-               (1, 1, 0): Expression("0", v),
-               (1, 1, 1): lambda p: Expression("-2/(y*y*y)", v)(p)}
-    return MetricChart(CoordinateBox([-0.8, 0.7], [0.8, 2.3], [9, 9]), comps,
-                       derivative_oracles=oracles, name="explicit")
-
-
 def _tilted_chart_2d() -> MetricChart:
     """A varying metric with an off-diagonal entry (the elimination step)."""
     v = ("x", "y")
@@ -188,7 +174,6 @@ SHOT_CHARTS = {
     "sphere": sphere_chart(), "half-plane": hyperbolic_chart(),
     "tilted-2d": _tilted_chart_2d(), "tilted-3d": tilted_chart_3d(),
     "half-plane-fd": hyperbolic_chart(mode="fd"),
-    "explicit": _explicit_half_plane(),
     "constant-tilted": constant_tilted_chart()}
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import (constant_tilted_chart, reference_acceleration,
-                      tilted_chart_3d)
+                      sphere_chart, tilted_chart_3d)
 from conftest import make_flat, make_hyperbolic, make_sphere
 from czmap.errors import DegenerateMetric, EvalError
 from czmap.expressions import Expression
@@ -86,35 +86,31 @@ class TestChristoffel:
                            atol=5e-3)
 
     def test_fd_error_halves_at_second_order(self):
+        # the fd step is the grid step: 0.02, then 0.01 on both axes
         an = make_sphere()
         pts = an.box.points()[200:260]
         errs = []
-        for h in (0.02, 0.01):
-            fdc = make_sphere(mode="fd")
-            fdc.fd_step = np.array([h, h])
+        for res in ((81, 71), (161, 141)):
+            fdc = sphere_chart((0.7, 2.3), (0.0, 1.4), res, mode="fd")
+            assert np.allclose(fdc.box.steps, 1.6 / (res[0] - 1))
             errs.append(np.abs(fdc.metric_derivative(pts)
                                - an.metric_derivative(pts)).max())
         factor = errs[0] / errs[1]
         assert 3.5 <= factor <= 4.5
 
-    def test_fd_christoffel_follows_reassigned_step(self):
-        pt = np.array([math.pi / 3, 0.2])
-        chart = make_sphere(mode="fd")
-        before = chart.christoffel_at(pt)
-        chart.fd_step = np.array([0.01, 0.01])
-        fresh = make_sphere(mode="fd")
-        fresh.fd_step = np.array([0.01, 0.01])
-        after = chart.christoffel_at(pt)
-        assert not np.array_equal(after, before)
-        assert after.tobytes() == fresh.christoffel_at(pt).tobytes()
-
-    def test_oversized_fd_step_asks_to_shrink_domain(self):
-        from czmap.errors import ShrinkDomain
-        chart = make_sphere(mode="fd")
-        chart.fd_step = np.array([5.0, 5.0])  # wider than the box
-        with pytest.raises(ShrinkDomain) as err:
-            chart.christoffel_at(np.array([math.pi / 2, 0.5]))
-        assert err.value.suggested_margin > 0
+    def test_fd_stencil_fits_a_three_point_axis(self):
+        # the stencil spans the whole axis and slides to fit at the faces;
+        # a three-point fit of a quadratic is exact
+        v = ("x", "y")
+        comps = [[Expression("1 + x*x", v), Expression("0", v)],
+                 [Expression("0", v), Expression("1", v)]]
+        chart = MetricChart(CoordinateBox([-0.5, 0.0], [1.5, 1.0], [3, 4]),
+                            comps, derivative_mode="fd")
+        x = np.array([-0.5, 0.5, 1.5, -0.5, 1.5, 0.1])
+        y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 0.7])
+        dg = chart.metric_derivative(np.stack([x, y], axis=-1))
+        assert np.abs(dg[:, 0, 0, 0] - 2.0 * x).max() <= 1e-12
+        assert np.abs(dg[:, 0, 0, 1]).max() <= 1e-12
 
 
 class TestRicci:
@@ -191,22 +187,10 @@ class TestScalingLaws:
         assert np.abs(ratio - 4.0).max() < 1e-12
 
 
-def _explicit_half_plane():
-    v = ("x", "y")
-    comps = [[Expression("1/(y*y)", v), Expression("0", v)],
-             [Expression("0", v), Expression("1/(y*y)", v)]]
-    dy = Expression("-2/(y*y*y)", v)
-    oracles = {(0, 0, 0): Expression("0", v), (0, 0, 1): dy,
-               (1, 1, 0): Expression("0", v), (1, 1, 1): lambda p: dy(p)}
-    return MetricChart(CoordinateBox([-0.8, 0.7], [0.8, 2.3], [9, 9]), comps,
-                       derivative_oracles=oracles, name="explicit")
-
-
 ACCELERATION_CHARTS = {
     "flat": make_flat(), "constant-tilted": constant_tilted_chart(),
     "sphere": make_sphere(), "half-plane": make_hyperbolic(),
-    "sphere-fd": make_sphere(mode="fd"), "explicit": _explicit_half_plane(),
-    "tilted-3d": tilted_chart_3d()}
+    "sphere-fd": make_sphere(mode="fd"), "tilted-3d": tilted_chart_3d()}
 
 
 class TestGeodesicAcceleration:
@@ -371,7 +355,7 @@ class TestAccelerationKernel:
         got = chart.geodesic_acceleration(pts, v)
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("name", ["sphere-fd", "explicit"])
+    @pytest.mark.parametrize("name", ["sphere-fd"])
     def test_fd_and_explicit_oracles_keep_the_per_oracle_route(
             self, name, monkeypatch):
         chart = ACCELERATION_CHARTS[name]
@@ -392,14 +376,13 @@ class TestAccelerationKernel:
         assert got.tobytes() == expected.tobytes()
 
     def test_plain_callable_component_keeps_the_per_oracle_route(self):
+        # a plain callable has no symbolic partials: an fd chart takes it
         v = ("x", "y")
         g11 = Expression("1 + x*x", v)
         comps = [[lambda p: g11(p), Expression("0", v)],
                  [Expression("0", v), Expression("2 + y", v)]]
         chart = MetricChart(CoordinateBox([0.0, 0.0], [1.0, 1.0], [5, 5]),
-                            comps, derivative_oracles={
-                                (0, 0, 0): g11.partial(0),
-                                (0, 0, 1): g11.partial(1)})
+                            comps, derivative_mode="fd")
         pts = np.array([[0.25, 0.5], [0.75, 0.125]])
         vel = np.array([[1.0, -2.0], [0.5, 0.25]])
         assert chart._acceleration_kernel() is None

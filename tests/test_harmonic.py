@@ -172,7 +172,7 @@ class TestBlockSolve:
 
 class TestConditions:
     def test_flat_margins(self, flat_candidate):
-        cert = check_hr_conditions(flat_candidate, alpha=0.5)
+        cert = check_hr_conditions(flat_candidate)
         assert cert.hr1_margin == pytest.approx(0.5, abs=1e-10)
         assert cert.hr2_value <= 1e-6
         assert cert.verdict == "holds"

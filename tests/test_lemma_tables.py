@@ -33,7 +33,7 @@ def brute_coefficient_seminorm(spec, points):
 
 def counted_seminorm_calls(monkeypatch) -> list:
     """The table of each field a ``PairTable`` evaluates, one entry per
-    field: ``seminorms`` takes every evaluation, ``seminorm`` included."""
+    field: ``seminorms`` takes every evaluation."""
     calls = []
     seminorms = PairTable.seminorms
 

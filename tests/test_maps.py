@@ -100,9 +100,7 @@ def kind_chart(kind: str, dim: int, extent: float, prefix: str) -> MetricChart:
 
     ``flat``: the identity metric; ``constant``: 2 on the diagonal and 0.3
     off it; ``curved``: 1 + 0.2 x_i^2 on the diagonal and
-    0.1 sin(x_i x_j) off it; ``fd``: the identity metric in fd mode;
-    ``explicit``: the identity metric with explicit zero derivative
-    oracles (plain callables).
+    0.1 sin(x_i x_j) off it; ``fd``: the identity metric in fd mode.
     """
     names = tuple(f"{prefix}{i + 1}" for i in range(dim))
 
@@ -116,16 +114,10 @@ def kind_chart(kind: str, dim: int, extent: float, prefix: str) -> MetricChart:
 
     comps = [[Expression(entry(i, j), names) for j in range(dim)]
              for i in range(dim)]
-    oracles = None
-    if kind == "explicit":
-        def zero(points):
-            return np.zeros(np.shape(points)[:-1])
-        oracles = {(i, j, k): zero for i in range(dim)
-                   for j in range(i, dim) for k in range(dim)}
     box = CoordinateBox([-extent] * dim, [extent] * dim, [5] * dim)
     mode = "fd" if kind == "fd" else "analytic"
     return MetricChart(box, comps, derivative_mode=mode,
-                       derivative_oracles=oracles, name=f"{kind}-{prefix}")
+                       name=f"{kind}-{prefix}")
 
 
 def jet_and_christoffel_charts(model: MapModel) -> tuple:
@@ -177,8 +169,8 @@ class TestJetReference:
         assert (id(target) in called) == (target_kind == "curved")
         assert_same_jet(jet, model)
 
-    @pytest.mark.parametrize("kinds", [("fd", "flat"), ("explicit", "fd"),
-                                       ("flat", "explicit"), ("fd", "fd")])
+    @pytest.mark.parametrize("kinds", [("fd", "flat"), ("curved", "fd"),
+                                       ("flat", "fd"), ("fd", "fd")])
     def test_callable_partials_keep_the_contraction(self, kinds):
         source = kind_chart(kinds[0], 2, 0.5, "x")
         target = kind_chart(kinds[1], 3, 2.0, "y")

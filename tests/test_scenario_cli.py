@@ -385,8 +385,9 @@ class TestFixtureFeatures:
 
 # replacement values and lines; a grid they declare is small or over the limit
 JUNK = ("", "abc", "nan", "inf", "-inf", "-1", "0", "2", "0.5", "3.5", "1e-300",
-        "1e300", "-1e300", "(", "x1 +", "exp(", "sin(", "1/0", "1, 2, 3",
-        "0, 0", "inf, 1", "=", ",", "x1", "th", "eps")
+        "1e300", "-1e300", "1e999", "(", "x1 +", "exp(", "sin(", "1/0",
+        "1, 2, 3", "0, 0", "inf, 1", "=", ",", "x1", "th", "x1*1e999",
+        "th*1e999", "eps")
 JUNK_LINES = JUNK + ("[run]", "[manifold x]", "[map]", "[search]",
                      "[bogus y]", "[manifold", "key = 1")
 
@@ -463,6 +464,47 @@ class TestMutatedFixtures:
         assert issue.invariant == "LipschitzViolation"
         assert issue.line == lines.index("[map immersion]") + 1
         assert "not finite" in issue.detail
+
+    @pytest.mark.parametrize("value", ["1e999", "-1e999"])
+    def test_infinite_metric_entry_is_located(self, tmp_path, value):
+        # eigvalsh gives nan for an infinite entry, and nan must fail the
+        # positive-definiteness check: the grid distances never settle on
+        # nan weights, and a finite Lipschitz bound would name the wrong
+        # invariant
+        with open(fixture_path("flat-identity"), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        lines[lines.index("metric.1.1 = 1")] = f"metric.1.1 = {value}"
+        lines[lines.index("lipschitz = 1")] = "lipschitz = inf"
+        path = tmp_path / "infinite.scn"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        [issue] = err.value.issues
+        assert issue.invariant == "DegenerateMetric"
+        assert issue.line == lines.index("[manifold source]") + 1
+        assert main(["radius", "--scenario", str(path)]) == 1
+
+    @pytest.mark.parametrize("entries, invariant", [
+        # the partial's text holds the literal
+        (["metric.1.1 = x1*1e999", "metric.1.2 = 0"], "EvalError"),
+        # so does the text the symmetry check compares
+        (["metric.1.1 = 1", "metric.1.2 = 1e999", "metric.2.1 = 1e999"],
+         "DegenerateMetric")])
+    def test_infinite_literal_is_located(self, tmp_path, entries, invariant):
+        # to_string writes an infinite literal without int(), which
+        # refuses it with a raw OverflowError
+        with open(fixture_path("flat-identity"), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        index = lines.index("metric.1.1 = 1")             # the source chart
+        assert lines[index + 1] == "metric.1.2 = 0"
+        lines[index:index + 2] = entries
+        path = tmp_path / "literal.scn"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        [issue] = err.value.issues
+        assert issue.invariant == invariant
+        assert issue.line == lines.index("[manifold source]") + 1
 
     @pytest.mark.parametrize("name, key, misspelt", [
         ("flat-identity", "resolution_ladder", "resolution_laddr"),
