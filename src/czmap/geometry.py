@@ -379,13 +379,15 @@ class MetricChart:
     def grid_metric(self) -> np.ndarray:
         def build():
             g = self.metric(self.box.points()).reshape(self.box.shape + (self.dimension,) * 2)
-            eig = np.linalg.eigvalsh(g)
-            bad = ~(eig[..., 0] > SPD_EIGENVALUE_FLOOR)     # nan is bad too
-            if np.any(bad):
-                flat = np.argmin(eig[..., 0])
+            # eigvalsh may raise on a non-finite matrix, so those get a nan
+            finite = np.isfinite(g).all(axis=(-2, -1))
+            low = np.full(self.box.shape, np.nan)
+            low[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
+            if not np.all(low > SPD_EIGENVALUE_FLOOR):      # nan fails too
+                flat = np.argmin(low)                       # a nan if any
                 idx = np.unravel_index(flat, self.box.shape)
                 pt = [self.box.axes[k][idx[k]] for k in range(self.dimension)]
-                raise DegenerateMetric(pt, eig[..., 0].reshape(-1)[flat])
+                raise DegenerateMetric(pt, low.reshape(-1)[flat])
             return g
         return self.memo("metric", build)
 

@@ -47,6 +47,7 @@ from .expressions import (Expression, Num, parse_expression, substitute,
                           to_string)
 from .geometry import CoordinateBox, MetricChart
 from .maps import MapModel
+from .search import SEARCH_SEED
 
 MODES = ("lemma", "ball", "global", "intro", "corollaryA", "search")
 FIXTURE_ENV_VAR = "CZMAP_FIXTURES"
@@ -237,7 +238,7 @@ class RunConfig:
     basepoint: list | None = None
     # source grid point counts per level
     resolution_ladder: list = field(default_factory=list)
-    seed: int = 20859
+    seed: int = SEARCH_SEED
     out: str | None = None
     ball: dict = field(default_factory=dict)
     uc_radius: float | None = None
@@ -283,7 +284,8 @@ class Scenario:
         command-line text under the rules of the ``p``,
         ``resolution_ladder`` and ``seed`` keys.  Returns None, or the
         issue of the first flag that breaks a rule: line 0 of the scenario
-        file, the flag and its text in the detail."""
+        file, the flag and its text in the detail.  The lemma and search
+        modes run no ladder, so ``--resolution`` breaks a rule there."""
         run = self.run
         for flag, text, attr, convert in (
                 ("--p", p, "p_list", _floats),
@@ -299,6 +301,10 @@ class Scenario:
                 issue = None
                 if flag == "--p":
                     issue = run.validate_issue(self.path, 0, 0)
+                elif flag == "--resolution" and run.mode in ("lemma", "search"):
+                    issue = ValidationIssue(self.path, 0, "RunMode",
+                                            f"mode {run.mode} takes no "
+                                            "resolution ladder")
                 elif flag == "--resolution":
                     issue = _ladder_issue(run, self.manifolds, self.maps,
                                           self.path, 0)

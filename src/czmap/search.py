@@ -4,15 +4,11 @@ Pattern search: axis polls with step contraction, a fixed number of
 seeded restarts, deterministic evaluation order, and a persisted trace.
 The returned point dominates every neighbor evaluated at the final step
 size, which is the advertised contract.
-
-The restart points are numpy's ``default_rng(seed).random()`` stream,
-reproduced bit for bit by :func:`uniform_draws` from the standard
-library, so a search loads neither ``numpy.random`` nor, through its
-``secrets`` import, OpenSSL.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,65 +20,6 @@ INITIAL_STEP_FRACTION = 0.25
 CONTRACTION = 0.5
 MAX_CONTRACTIONS = 6
 SEARCH_SEED = 20859
-
-# numpy's SeedSequence (pool of 4 words) and PCG64 (XSL-RR) constants
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's 32-bit hash with a running constant."""
-    def hash32(value):
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-    return hash32
-
-
-def _mix(x: int, y: int) -> int:
-    value = (_MIX_L * x - _MIX_R * y) & _M32
-    return value ^ value >> 16
-
-
-def uniform_draws(seed: int):
-    """Yield the doubles of ``numpy.random.default_rng(seed).random()``,
-    bit for bit, from the standard library alone.
-
-    ``SeedSequence(seed)`` hashes the seed's 32-bit words into a pool of
-    four and expands it to PCG64's 128-bit state and increment; each draw
-    steps the 128-bit LCG, takes the XSL-RR output word and keeps its top
-    53 bits.  ``seed`` is an integer >= 0.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, not {seed}")
-    words = [seed >> s & _M32 for s in range(0, seed.bit_length() or 1, 32)]
-    hash_a = _hasher(_INIT_A, _MULT_A)
-    pool = [hash_a(word) for word in (words + [0] * 3)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hash_a(word))
-
-    # generate_state(4, uint64): eight words, paired little-endian
-    hash_b = _hasher(_INIT_B, _MULT_B)
-    state = [hash_b(pool[i % 4]) for i in range(8)]
-    seeds = [state[k] | state[k + 1] << 32 for k in range(0, 8, 2)]
-    # PCG64 seeding: from state 0, step, add the seed, step
-    inc = (seeds[2] << 64 | seeds[3]) << 1 & _M128 | 1
-    lcg = (inc + (seeds[0] << 64 | seeds[1])) * _PCG_MULT + inc & _M128
-    while True:
-        lcg = lcg * _PCG_MULT + inc & _M128
-        word, rot = (lcg >> 64 ^ lcg) & _M64, lcg >> 122
-        word = (word >> rot | word << (64 - rot)) & _M64
-        yield (word >> 11) * 2.0 ** -53
 
 
 @dataclass
@@ -139,9 +76,15 @@ def extremal_ratio_search(family: MapFamily, seed: int = SEARCH_SEED,
                           max_contractions: int = MAX_CONTRACTIONS) -> SearchResult:
     """Maximize the family's ratio by restarted pattern search.
 
-    Raises EmptyFeasibleSet when every evaluated candidate was infeasible.
+    The first start is the box center; each later one is a point of
+    ``random.Random(seed)`` draws, axis by axis.  ``seed`` is an integer
+    >= 0.  Raises EmptyFeasibleSet when every evaluated candidate was
+    infeasible.
     """
-    draws = uniform_draws(seed)
+    if seed < 0:
+        # random.Random folds the sign away: -1 would repeat seed 1
+        raise ValueError(f"seed must be an integer >= 0, not {seed}")
+    rng = random.Random(seed)
     span = family.upper - family.lower
     trace: list[SearchTraceEntry] = []
 
@@ -159,7 +102,7 @@ def extremal_ratio_search(family: MapFamily, seed: int = SEARCH_SEED,
 
     starts = [0.5 * (family.lower + family.upper)]
     for _ in range(max(0, restarts - 1)):
-        point = np.array([next(draws) for _ in range(family.dimension)])
+        point = np.array([rng.random() for _ in range(family.dimension)])
         starts.append(family.lower + span * point)
 
     best_params, best_value = None, -np.inf

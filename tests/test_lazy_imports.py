@@ -9,9 +9,8 @@ interpolation is `CoordinateBox.interpolate`, so no run loads
 Nor does any `czmap run`, `validate`, `radius` or `search` load
 `numpy.random`, whose first use also loads OpenSSL (`_hashlib`, through
 `secrets`): the sampled Lipschitz pairs, the capped Hölder pairs and the
-diameter sample come from the stdlib `random`, which `import czmap.cli`
-already loads, and a search's restart points are numpy's
-`default_rng(seed).random()` stream reproduced in plain Python.
+diameter sample and a search's restart points come from the stdlib
+`random`, which `import czmap.cli` already loads.
 
 Each check runs in a fresh interpreter: the test process itself has
 long since imported scipy through other tests.  A command's module set

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import tempfile
 import warnings
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from builders import count_calls
 from czmap.cli import _apply_overrides, build_parser, main
-from czmap.errors import ScenarioError
+from czmap.errors import CzmapError, ScenarioError
 from czmap.report import read_reports
 from czmap.runner import run_scenario
 from czmap.scenario import (MODES, SECTION_KEYS, _parse_sections,
@@ -429,6 +430,30 @@ class TestMutatedFixtures:
                     assert issue.path == path
                     assert 0 <= issue.line <= len(lines)
 
+    def test_mutated_fixtures_that_load_run(self, tmp_path):
+        # a seeded sample of the mutations above; a file that loads must
+        # run to records or to a CzmapError, never to a raw exception
+        rng = random.Random(0)
+        path = str(tmp_path / "mutated.scn")
+        for _ in range(200):
+            with open(fixture_path(rng.choice(FIXTURE_NAMES)),
+                      encoding="utf-8") as fh:
+                lines = fh.read().split("\n")
+            for _ in range(rng.randint(1, 3)):
+                if lines:
+                    _mutate(lines, rng.choice(("drop", "duplicate", "corrupt")),
+                            rng.randint(0, 10 ** 6), rng.choice(JUNK_LINES))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines))
+            try:
+                scenario = load_scenario(path)
+            except ScenarioError:
+                continue
+            try:
+                assert run_scenario(scenario)
+            except CzmapError:
+                pass
+
     @pytest.mark.parametrize("key, value", [("lower", "inf"), ("upper", "nan"),
                                             ("lower", "abc")])
     def test_search_bounds_must_be_finite(self, tmp_path, key, value):
@@ -483,6 +508,21 @@ class TestMutatedFixtures:
         assert issue.invariant == "DegenerateMetric"
         assert issue.line == lines.index("[manifold source]") + 1
         assert main(["radius", "--scenario", str(path)]) == 1
+
+    def test_infinite_off_diagonal_entry_is_located(self, tmp_path, capsys):
+        # on this 3-D chart eigvalsh raises LinAlgError instead of giving
+        # nan, so the infinite matrices never reach it
+        with open(fixture_path("ball-estimate"), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        lines[lines.index("metric.1.3 = 0")] = "metric.1.3 = 1e999"
+        path = tmp_path / "bad13.scn"
+        path.write_text("\n".join(lines))
+        assert main(["validate", "--scenario", str(path)]) == 1
+        [line] = capsys.readouterr().err.strip().split("\n")
+        assert line.startswith(
+            f"{path}:{lines.index('[manifold ambient]') + 1}: "
+            "[DegenerateMetric]")
+        assert line.endswith("min eigenvalue nan")
 
     @pytest.mark.parametrize("entries, invariant", [
         # the partial's text holds the literal
@@ -818,6 +858,20 @@ class TestCli:
         value = argv[-1].removeprefix("--seed=")
         assert f"[NumberFormat] --seed {value}:" in issue
         assert issue.startswith(fixture_path("saddle-search") + ":0: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--scenario", "sine-search"],
+        ["run", "--scenario", "lemma-battery"],
+        ["run", "--scenario", "flat-identity", "--mode", "lemma"]])
+    def test_resolution_without_a_ladder_is_one_issue(self, capsys, argv):
+        # the lemma battery and the search run no ladder, so the flag
+        # has nothing to set
+        assert main([*argv, "--resolution", "33"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        issue, = captured.err.strip().split("\n")
+        assert "[RunMode] --resolution 33:" in issue
+        assert issue.startswith(fixture_path(argv[2]) + ":0: ")
 
     @pytest.mark.parametrize("flag, value, invariant", [
         ("--resolution", "2", "NumberFormat"),

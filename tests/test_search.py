@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -93,31 +95,33 @@ class TestPatternSearch:
 
 
 class TestRestartDraws:
-    """The restart points are numpy's default_rng stream, drawn without
-    numpy.random."""
+    """The restart points are the stdlib's random.Random(seed) draws,
+    restart by restart and axis by axis."""
 
     @pytest.mark.parametrize("seed", [0, 1, 20859, 2 ** 32 - 1, 2 ** 32,
                                       2 ** 64 - 1, 2 ** 64,
                                       99999999999999999999999])
-    def test_restart_points_are_numpys_draws(self, seed):
+    def test_restart_points_are_random_draws(self, seed):
         k, restarts = 3, 4
         family = MapFamily([0.0] * k, [1.0] * k, lambda p: 0.0)
         result = extremal_ratio_search(family, seed=seed, restarts=restarts,
                                        max_contractions=0)
         starts = [t.params for t in result.trace if t.phase == "restart"]
         assert starts[0] == (0.5,) * k
-        drawn = np.array(starts[1:]).reshape(-1)
-        expected = np.random.default_rng(seed).random(k * (restarts - 1))
-        assert np.array_equal(drawn, expected)
+        rng = random.Random(seed)
+        expected = [rng.random() for _ in range(k * (restarts - 1))]
+        assert [x for start in starts[1:] for x in start] == expected
 
     def test_saddle_stand_in_workload(self):
-        # the saddle-search fixture's seed makes 38 evaluations on an
-        # increasing family; benchmarks match their seeds to this count
+        # the saddle-search fixture's seed makes 34 evaluations on an
+        # increasing family: 12 from the center, then 12 and 10 from the
+        # random.Random restarts at 0.315 and 0.486, the last nearer the
+        # upper bound; benchmarks match their seeds to this count
         family = MapFamily([0], [0.5], lambda p: p[0])
-        assert extremal_ratio_search(family, seed=20859).evaluations == 38
+        assert extremal_ratio_search(family, seed=20859).evaluations == 34
 
     def test_negative_seed_is_refused(self):
-        # numpy refuses a negative seed too
+        # random.Random folds the sign away, so -1 would repeat seed 1
         family = MapFamily([0.0], [1.0], lambda p: 0.0)
         with pytest.raises(ValueError, match=">= 0"):
             extremal_ratio_search(family, seed=-1)
