@@ -117,9 +117,11 @@ class GridGraph:
         self.shape = box.shape
         pts = box.points().reshape(box.shape + (box.dimension,))
         offsets = _neighbor_offsets(box.dimension)
-        self.edges = [(a, b, segment_length(chart, pts[a], pts[b], n_quad=2))
-                      for a, b in (offset_slices(off, box.shape)
-                                   for off in offsets)]
+        with np.errstate(over="ignore"):      # an overflow is an inf edge
+            self.edges = [(a, b, segment_length(chart, pts[a], pts[b],
+                                                n_quad=2))
+                          for a, b in (offset_slices(off, box.shape)
+                                       for off in offsets)]
         self._dist = np.empty(self.shape)
         self._sweeps = []
         for k in range(box.dimension):
@@ -178,8 +180,11 @@ def distance_field(chart: MetricChart, source) -> np.ndarray:
         node = box.ravel_index(box.nearest_index(source))
         graph = chart.memo("grid_graph", lambda: GridGraph(chart))
         dij = graph.dijkstra_from(node)
+        # the neighbor graph of a grid is connected, so only edges of
+        # infinite length leave a point out of reach
         if np.any(np.isinf(dij)):
-            raise Unreachable(f"grid is disconnected from {source.tolist()}")
+            raise Unreachable("grid edge lengths are not finite: points are "
+                              f"out of reach from {source.tolist()}")
         hop = segment_length(chart, source, box.points()[node])
         direct = segment_length(chart, source[None, :], box.points())
         dist = np.minimum(direct, dij + hop)

@@ -78,16 +78,15 @@ class CoordinateBox:
     def ravel_index(self, idx) -> int:
         return int(np.ravel_multi_index(idx, self.resolution))
 
-    def interpolate(self, values, points, extrapolate: bool = False) -> np.ndarray:
+    def interpolate(self, values, points) -> np.ndarray:
         """Multilinear interpolation of grid samples at ``points``.
 
         ``values`` has shape ``box.shape + trailing`` and ``points``
         ``(..., m)``; the result has shape ``points.shape[:-1] + trailing``.
-        A point outside the box gives nan unless ``extrapolate`` (then the
-        edge cell's multilinear form is continued); a nan coordinate gives
-        nan.  The arithmetic is that of the usual compiled linear
-        regular-grid interpolator, term for term, so the results are the
-        same bits as its: a 2-D scalar field sums the four
+        A point outside the box or with a nan coordinate gives nan.  The
+        arithmetic is that of the usual compiled linear regular-grid
+        interpolator, term for term, so the results are the same bits as
+        its: a 2-D scalar field sums the four
         corners as its compiled path does, any other field adds
         ``v * (1.0 * w_0 * w_1 ...)`` over the corners in
         ``itertools.product`` order.
@@ -121,9 +120,7 @@ class CoordinateBox:
                     weight = weight * side[c]
                 corner_values = values[tuple(i + c for i, c in zip(cells, corner))]
                 out = out + corner_values * weight.reshape(weight.shape + trailing)
-        if not extrapolate:
-            out[outside] = np.nan
-        out[np.isnan(flat).any(axis=1)] = np.nan
+        out[outside | np.isnan(flat).any(axis=1)] = np.nan
         return out.reshape(points.shape[:-1] + values.shape[m:])
 
     def __repr__(self):

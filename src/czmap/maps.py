@@ -151,19 +151,6 @@ def field_jet(u, values: np.ndarray, points: np.ndarray, steps,
     return grad, hess
 
 
-def target_christoffel_at(map_model: MapModel, values: np.ndarray) -> np.ndarray:
-    """tGamma^a_bc along the image, shape ``(..., n, n, n)``.
-
-    Analytic charts evaluate exactly; otherwise the grid field is
-    interpolated multilinearly (interpolation order recorded in reports).
-    """
-    target = map_model.target_chart
-    if target.derivative_mode == "analytic":
-        return target.christoffel_at(values)
-    return target.box.interpolate(target.grid_christoffel(), values,
-                                  extrapolate=True)
-
-
 @dataclass(frozen=True)
 class JetField:
     """Sampled first and second order data of a map and its pointwise norms.
@@ -242,7 +229,7 @@ def generalized_hessian(map_model: MapModel) -> JetField:
                                 source.grid_christoffel(), du)
     if not (finite and _is_flat(map_model.target_chart)):
         hess = hess + np.einsum("...abc,...bi,...cj->...aij",
-                                target_christoffel_at(map_model, values),
+                                map_model.target_chart.christoffel_at(values),
                                 du, du)
     ginv = source.grid_inverse()
     laplacian = np.einsum("...ij,...aij->...a", ginv, hess)

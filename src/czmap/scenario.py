@@ -99,7 +99,11 @@ class _Section:
 
 
 def _parse_sections(path: str, issues: list) -> list:
-    sections = []
+    """The sections of ``path`` in file order.  A file holds one ``[run]``,
+    one ``[search]`` and one ``[map]``, and manifolds of distinct names: a
+    repeated header is a DuplicateSection issue, and its section is
+    dropped."""
+    sections, seen = [], set()
     current = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -119,7 +123,13 @@ def _parse_sections(path: str, issues: list) -> list:
                                                   f"unknown section kind '{kind}'"))
                     continue
                 current = _Section(kind=kind, name=name, line=lineno)
-                sections.append(current)
+                ident = (kind, name) if kind == "manifold" else kind
+                if ident in seen:
+                    issues.append(ValidationIssue(path, lineno, "DuplicateSection",
+                                                  f"repeated section {line}"))
+                else:
+                    seen.add(ident)
+                    sections.append(current)
                 continue
             if "=" not in line:
                 issues.append(ValidationIssue(path, lineno, "KeyValue",
@@ -144,22 +154,137 @@ def _parse_sections(path: str, issues: list) -> list:
     return sections
 
 
-def _floats(text: str):
-    return [float(tok) if tok.strip().lower() != "inf" else np.inf
-            for tok in text.split(",")]
-
-
-def _number(entries: dict, key: str, default, convert, path: str, issues: list):
+def _number(entries: dict, key: str, default, convert, path: str, issues: list,
+            invariant: str = "NumberFormat"):
     """``convert`` applied to the value of ``key``; ``default`` when the key
-    is absent or its value malformed (then a located issue is recorded)."""
+    is absent or ``convert`` refuses its value (then an ``invariant`` issue
+    is recorded at the key's line).  Each converter below is the rule of
+    the keys and flags that share it, and refuses with a ValueError."""
     if key not in entries:
         return default
     try:
         return convert(entries[key].value)
     except (ValueError, OverflowError) as exc:
-        issues.append(ValidationIssue(path, entries[key].line, "NumberFormat",
+        issues.append(ValidationIssue(path, entries[key].line, invariant,
                                       f"'{key}': {exc}"))
         return default
+
+
+def _flag(path: str, text: str, convert, invariant: str = "NumberFormat"):
+    """``(value, issue)`` of a command-line flag read by ``convert``, the
+    rule of the key it stands for: issue is None, or the ``invariant``
+    issue at line 0 of ``path`` when ``convert`` refuses ``text``."""
+    try:
+        return convert(text), None
+    except (ValueError, OverflowError) as exc:
+        return None, ValidationIssue(path, 0, invariant, str(exc))
+
+
+def _floats(text: str) -> list:
+    return [float(tok) for tok in text.split(",")]
+
+
+def _finite(text: str) -> list:
+    values = _floats(text)
+    if not all(map(math.isfinite, values)):
+        raise ValueError("entries must be finite")
+    return values
+
+
+def _counts(text: str) -> list:
+    """Grid point counts: whole numbers >= 3 (``9.0`` is one)."""
+    values = _floats(text)
+    if not all(math.isfinite(v) and v == int(v) >= 3 for v in values):
+        raise ValueError("every grid point count must be a whole number >= 3")
+    return [int(v) for v in values]
+
+
+def _count(text: str) -> int:
+    """One grid point count, for every axis."""
+    counts = _counts(text)
+    if len(counts) != 1:
+        raise ValueError("need one grid point count")
+    return counts[0]
+
+
+def _one(text: str, zero: bool = False, finite: bool = True) -> float:
+    """One number > 0 (>= 0 if ``zero``), finite too unless ``finite`` is
+    False; a list is refused."""
+    values = _floats(text)
+    value = values[0] if len(values) == 1 else math.nan
+    if not ((value >= 0.0 if zero else value > 0.0)     # nan fails too
+            and (value < math.inf or not finite)):
+        raise ValueError(f"must be one {'finite ' * finite}number "
+                         f"{'>=' if zero else '>'} 0")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A restart seed: one whole number >= 0, of any size."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("seed must be a whole number >= 0")
+    return seed
+
+
+def _radius(text: str):
+    """A declared harmonic radius (``inf`` allowed), or ``estimate``."""
+    return "estimate" if text.lower() == "estimate" else _one(text, finite=False)
+
+
+def _derivative_mode(text: str) -> str:
+    if text not in ("analytic", "fd"):
+        raise ValueError(f"unknown derivative mode '{text}'")
+    return text
+
+
+def _point_list(text: str, m: int) -> list:
+    """Points of ``m`` coordinates each, written one after another."""
+    nums = _floats(text)
+    points = [nums[k:k + m] for k in range(0, len(nums), m)]
+    if any(len(p) != m for p in points):
+        raise ValueError(f"need {m} coordinates per point")
+    return points
+
+
+def _grid_issue(path: str, line: int, grids):
+    """The Resolution issue of a grid in ``grids``, each a list of per-axis
+    point counts, that has more than MAX_GRID_POINTS points; else None."""
+    if any(math.prod(grid) > MAX_GRID_POINTS for grid in grids):
+        return ValidationIssue(path, line, "Resolution", "a grid has more "
+                               f"than {MAX_GRID_POINTS} points")
+    return None
+
+
+def _family(entries: dict, prefix: str, arity: int, size: int, variables,
+            invariant: str, path: str, issues: list) -> dict:
+    """``{index tuple: (entry, AST)}`` of the keys ``prefix.i`` (``arity``
+    indices, each in 1..size, kept 0-based) whose value parses as an
+    expression over ``variables``.  Any other key of the family is an
+    ``invariant`` issue, a second key with the same indices a DuplicateKey
+    issue, and a value that does not parse an Expression issue."""
+    found = {}
+    for key, entry in entries.items():
+        if not key.startswith(prefix + "."):
+            continue
+        try:
+            index = tuple(int(part) - 1 for part in key.split(".")[1:])
+        except ValueError:
+            index = ()
+        if len(index) != arity or not all(0 <= i < size for i in index):
+            issues.append(ValidationIssue(
+                path, entry.line, invariant, f"bad key '{key}': needs "
+                f"{arity} index(es), each in 1..{size}"))
+        elif index in found:
+            issues.append(ValidationIssue(path, entry.line, "DuplicateKey",
+                                          f"'{key}' repeats an earlier key"))
+        else:
+            try:
+                found[index] = (entry, parse_expression(entry.value, variables))
+            except ExpressionSyntaxError as exc:
+                issues.append(ValidationIssue(path, entry.line, "Expression",
+                                              str(exc)))
+    return found
 
 
 def _names(text: str):
@@ -289,25 +414,22 @@ class Scenario:
         run = self.run
         for flag, text, attr, convert in (
                 ("--p", p, "p_list", _floats),
-                ("--resolution", resolution, "resolution_ladder", _ladder),
+                ("--resolution", resolution, "resolution_ladder", _counts),
                 ("--seed", seed, "seed", _seed)):
             if text is None:
                 continue
-            try:
-                setattr(run, attr, convert(text))
-            except (ValueError, OverflowError) as exc:
-                issue = ValidationIssue(self.path, 0, "NumberFormat", str(exc))
-            else:
-                issue = None
+            value, issue = _flag(self.path, text, convert)
+            if issue is None:
+                setattr(run, attr, value)
                 if flag == "--p":
                     issue = run.validate_issue(self.path, 0, 0)
                 elif flag == "--resolution" and run.mode in ("lemma", "search"):
                     issue = ValidationIssue(self.path, 0, "RunMode",
                                             f"mode {run.mode} takes no "
                                             "resolution ladder")
-                elif flag == "--resolution":
-                    issue = _ladder_issue(run, self.manifolds, self.maps,
-                                          self.path, 0)
+                elif flag == "--resolution" and self.maps:
+                    m = self.manifolds[self.primary_map().source].dimension
+                    issue = _grid_issue(self.path, 0, ([r] * m for r in value))
             if issue:
                 issue.detail = f"{flag} {text}: {issue.detail}"
                 return issue
@@ -318,28 +440,21 @@ class Scenario:
         None for an absent flag.  ``--resolution`` is one grid point count
         for every axis of every manifold, under the rules of the
         ``[manifold] resolution`` key and the grid limit; ``--r-max`` is
-        finite and > 0.  issue is None, or the issue of the first flag
-        that breaks a rule, located and worded as in :meth:`override_run`."""
+        one finite number > 0.  issue is None, or the issue of the first
+        flag that breaks a rule, located and worded as in
+        :meth:`override_run`."""
         parsed = {}
         for flag, text, convert, invariant in (
-                ("--resolution", resolution, _grid_count, "NumberFormat"),
-                ("--r-max", r_max, partial(_positive, name="r_max"),
-                 "HarmonicRadius")):
+                ("--resolution", resolution, _count, "NumberFormat"),
+                ("--r-max", r_max, _one, "HarmonicRadius")):
             parsed[flag] = None
             if text is None:
                 continue
-            try:
-                parsed[flag] = convert(text)
-            except (ValueError, OverflowError) as exc:
-                issue = ValidationIssue(self.path, 0, invariant, str(exc))
-            else:
-                issue = None
-                if flag == "--resolution" and any(
-                        parsed[flag] ** mdef.dimension > MAX_GRID_POINTS
-                        for mdef in self.manifolds.values()):
-                    issue = ValidationIssue(self.path, 0, "Resolution",
-                                            "a grid has more than "
-                                            f"{MAX_GRID_POINTS} points")
+            parsed[flag], issue = _flag(self.path, text, convert, invariant)
+            if flag == "--resolution" and issue is None:
+                issue = _grid_issue(self.path, 0, (
+                    [parsed[flag]] * mdef.dimension
+                    for mdef in self.manifolds.values()))
             if issue:
                 issue.detail = f"{flag} {text}: {issue.detail}"
                 return None, None, issue
@@ -360,158 +475,85 @@ class Scenario:
 
 def _parse_manifold(section: _Section, path: str, issues: list) -> ManifoldDef | None:
     e = section.entries
-
-    def need(key):
+    found = len(issues)
+    for key in ("coordinates", "lower", "upper", "resolution"):
         if key not in e:
             issues.append(ValidationIssue(path, section.line, "MissingKey",
                                           f"manifold {section.name}: missing '{key}'"))
-            return None
-        return e[key]
-
-    coords_entry = need("coordinates")
-    if coords_entry is None:
+    if "coordinates" not in e:
         return None
-    coordinates = _names(coords_entry.value)
+    coordinates = _names(e["coordinates"].value)
     m = len(coordinates)
-    ok = True
-    vals = {}
-    for key in ("lower", "upper", "resolution"):
-        entry = need(key)
-        if entry is None:
-            ok = False
-            continue
-        try:
-            nums = _floats(entry.value)
-        except ValueError as exc:
-            issues.append(ValidationIssue(path, entry.line, "NumberFormat", str(exc)))
-            ok = False
-            continue
-        if len(nums) == 1:
-            nums = nums * m
-        if len(nums) != m:
-            issues.append(ValidationIssue(path, entry.line, "DimensionMismatch",
+    box = {}
+    for key, convert in (("lower", _finite), ("upper", _finite),
+                         ("resolution", _counts)):
+        nums = _number(e, key, None, convert, path, issues)
+        if nums is not None and len(nums) not in (1, m):
+            issues.append(ValidationIssue(path, e[key].line, "DimensionMismatch",
                                           f"'{key}' needs {m} entries"))
-            ok = False
-            continue
-        counts = key == "resolution"      # grid point counts are whole
-        if not np.all(np.isfinite(nums)) or (
-                counts and nums != [int(n) for n in nums]):
-            issues.append(ValidationIssue(
-                path, entry.line, "NumberFormat",
-                f"'{key}' entries must be finite{' whole numbers' * counts}"))
-            ok = False
-            continue
-        vals[key] = nums
-    if not ok:
+        elif nums is not None:
+            box[key] = nums * m if len(nums) == 1 else nums
+    if len(issues) > found:
         return None
+    lower, upper, resolution = box["lower"], box["upper"], box["resolution"]
     for i in range(m):
-        if vals["lower"][i] >= vals["upper"][i]:
+        if lower[i] >= upper[i]:
             issues.append(ValidationIssue(path, e["lower"].line, "BoxOrder",
                                           f"lower[{i}] must be < upper[{i}]"))
-            ok = False
-        if vals["resolution"][i] < 3:
-            issues.append(ValidationIssue(path, e["resolution"].line, "Resolution",
-                                          "resolution must be >= 3 per axis"))
-            ok = False
-    if ok and math.prod(vals["resolution"]) > MAX_GRID_POINTS:
-        issues.append(ValidationIssue(path, e["resolution"].line, "Resolution",
-                                      f"grid has more than {MAX_GRID_POINTS} points"))
-        ok = False
+    ordered = len(issues) == found
+    issue = _grid_issue(path, e["resolution"].line, [resolution])
+    if issue:
+        issues.append(issue)
 
+    pairs = _family(e, "metric", 2, m, coordinates, "MetricKey", path, issues)
     metric_exprs = {}
-    seen_pairs = {}
-    for key, entry in e.items():
-        if not key.startswith("metric."):
-            continue
-        parts = key.split(".")
-        try:
-            i, j = int(parts[1]) - 1, int(parts[2]) - 1
-        except (IndexError, ValueError):
-            issues.append(ValidationIssue(path, entry.line, "MetricKey",
-                                          f"bad metric key '{key}'"))
-            ok = False
-            continue
-        if not (0 <= i < m and 0 <= j < m):
-            issues.append(ValidationIssue(path, entry.line, "MetricKey",
-                                          f"metric index out of range in '{key}'"))
-            ok = False
-            continue
-        try:
-            ast = parse_expression(entry.value, coordinates)
-        except ExpressionSyntaxError as exc:
-            issues.append(ValidationIssue(path, entry.line, "Expression", str(exc)))
-            ok = False
-            continue
-        seen_pairs[(i, j)] = (entry, ast)
-    for (i, j), (entry, ast) in seen_pairs.items():
-        if (j, i) in seen_pairs and i > j:
-            other = seen_pairs[(j, i)][1]
-            if to_string(ast) != to_string(other):
-                ei = Expression(ast, coordinates)
-                ej = Expression(other, coordinates)
-                probe_box = CoordinateBox(vals["lower"], vals["upper"], [5] * m)
-                if not np.allclose(ei(probe_box.points()), ej(probe_box.points()),
-                                   atol=1e-12):
-                    # recorded but not fatal to parsing, so that every other
-                    # invariant of the file still gets checked
-                    issues.append(ValidationIssue(
-                        path, entry.line, "SymmetryViolation",
-                        f"metric.{i+1}.{j+1} differs from metric.{j+1}.{i+1}"))
+    for (i, j), (entry, _) in pairs.items():
         metric_exprs.setdefault((min(i, j), max(i, j)), entry.value)
     for i in range(m):
         for j in range(i, m):
             if (i, j) not in metric_exprs:
                 issues.append(ValidationIssue(path, section.line, "MissingKey",
                                               f"missing metric.{i+1}.{j+1}"))
-                ok = False
-
-    mode = e.get("derivative_mode", _Entry("analytic", section.line)).value
-    if mode not in ("analytic", "fd"):
-        issues.append(ValidationIssue(path, e["derivative_mode"].line,
-                                      "DerivativeMode",
-                                      f"unknown derivative mode '{mode}'"))
-        ok = False
-
-    A = _number(e, "ricci_lower_bound", 0.0, float, path, issues)
-    if A < 0:
-        issues.append(ValidationIssue(path, e["ricci_lower_bound"].line,
-                                      "RicciBound", "A must be >= 0"))
-        ok = False
-
+    mode = _number(e, "derivative_mode", "analytic", _derivative_mode, path,
+                   issues, "DerivativeMode")
+    A = _number(e, "ricci_lower_bound", 0.0,
+                partial(_one, zero=True, finite=False), path, issues,
+                "RicciBound")
     base_points = []              # (line, point)
     for key in ("base_point", "base_points"):
-        if key in e:
-            try:
-                nums = _floats(e[key].value)
-                pts = [nums[k:k + m] for k in range(0, len(nums), m)]
-                if any(len(p) != m for p in pts):
-                    raise ValueError("base point length mismatch")
-                base_points.extend((e[key].line, p) for p in pts)
-            except ValueError as exc:
-                issues.append(ValidationIssue(path, e[key].line, "BasePoint",
-                                              str(exc)))
-                ok = False
+        points = _number(e, key, [], partial(_point_list, m=m), path, issues,
+                         "BasePoint")
+        base_points.extend((e[key].line, p) for p in points)
+    r1_half = _number(e, "r1_half", math.inf, _radius, path, issues,
+                      "HarmonicRadius")
+    fatal = len(issues) > found
 
-    r1_half: object = np.inf
-    if "r1_half" in e:
-        raw = e["r1_half"].value.strip().lower()
-        if raw == "estimate":
-            r1_half = "estimate"
-        else:
-            try:
-                r1_half = _floats(raw)[0]
-                if not r1_half > 0:
-                    raise ValueError("r1_half must be positive")
-            except ValueError as exc:
-                issues.append(ValidationIssue(path, e["r1_half"].line,
-                                              "HarmonicRadius", str(exc)))
-                ok = False
+    # recorded but not fatal to parsing, so that every other invariant of
+    # the file still gets checked; probed only on a box that can be built
+    for (i, j), (entry, ast) in pairs.items():
+        if not (ordered and i > j and (j, i) in pairs):
+            continue
+        other = pairs[j, i][1]
+        if to_string(ast) == to_string(other):
+            continue
+        try:
+            probe = CoordinateBox(lower, upper, [5] * m).points()
+            same = np.allclose(Expression(ast, coordinates)(probe),
+                               Expression(other, coordinates)(probe),
+                               atol=1e-12)
+        except CzmapError as exc:
+            issues.append(ValidationIssue(path, entry.line, type(exc).__name__,
+                                          str(exc)))
+            continue
+        if not same:
+            issues.append(ValidationIssue(
+                path, entry.line, "SymmetryViolation",
+                f"metric.{i+1}.{j+1} differs from metric.{j+1}.{i+1}"))
 
-    if not ok:
+    if fatal:
         return None
     mdef = ManifoldDef(name=section.name, coordinates=coordinates,
-                       lower=vals["lower"], upper=vals["upper"],
-                       resolution=[int(r) for r in vals["resolution"]],
+                       lower=lower, upper=upper, resolution=resolution,
                        metric_exprs=metric_exprs, derivative_mode=mode,
                        ricci_lower_bound=A,
                        base_points=[p for _, p in base_points],
@@ -540,112 +582,35 @@ def _check_point(path: str, line: int, key: str, point, mdef: ManifoldDef,
 def _parse_map(section: _Section, path: str, issues: list,
                manifolds: dict, search: SearchConfig | None) -> MapDef | None:
     e = section.entries
-    ok = True
+    found = len(issues)
     for key in ("source", "target"):
         if key not in e:
             issues.append(ValidationIssue(path, section.line, "MissingKey",
                                           f"map {section.name}: missing '{key}'"))
-            ok = False
         elif e[key].value not in manifolds:
             issues.append(ValidationIssue(path, e[key].line, "UnknownManifold",
                                           f"unknown manifold '{e[key].value}'"))
-            ok = False
-    if not ok:
+    if len(issues) > found:
         return None
     source = manifolds[e["source"].value]
-    target = manifolds[e["target"].value]
-    allowed = tuple(source.coordinates)
-    if search is not None:
-        allowed = allowed + tuple(search.parameters)
-    components = [None] * target.dimension
-    for key, entry in e.items():
-        if not key.startswith("component."):
-            continue
-        try:
-            a = int(key.split(".")[1]) - 1
-        except (IndexError, ValueError):
-            issues.append(ValidationIssue(path, entry.line, "ComponentKey",
-                                          f"bad component key '{key}'"))
-            ok = False
-            continue
-        if not (0 <= a < target.dimension):
-            issues.append(ValidationIssue(path, entry.line, "ComponentKey",
-                                          f"component index out of range in '{key}'"))
-            ok = False
-            continue
-        try:
-            parse_expression(entry.value, allowed)
-        except ExpressionSyntaxError as exc:
-            issues.append(ValidationIssue(path, entry.line, "Expression", str(exc)))
-            ok = False
-            continue
-        components[a] = entry.value
-    for a, comp in enumerate(components):
-        if comp is None:
+    n = manifolds[e["target"].value].dimension
+    allowed = source.coordinates + (search.parameters if search else ())
+    components = _family(e, "component", 1, n, allowed, "ComponentKey", path,
+                         issues)
+    for a in range(n):
+        if (a,) not in components:
             issues.append(ValidationIssue(path, section.line, "MissingKey",
                                           f"missing component.{a+1}"))
-            ok = False
-    lipschitz = np.inf
-    if "lipschitz" in e:
-        try:
-            lipschitz = _floats(e["lipschitz"].value)[0]
-            if not lipschitz >= 0:
-                raise ValueError("lipschitz bound must be >= 0 or inf")
-        except ValueError as exc:
-            issues.append(ValidationIssue(path, e["lipschitz"].line, "Lipschitz",
-                                          str(exc)))
-            ok = False
-    if not ok:
+    lipschitz = _number(e, "lipschitz", math.inf,
+                        partial(_one, zero=True, finite=False), path, issues,
+                        "Lipschitz")
+    if len(issues) > found:
         return None
     return MapDef(name=section.name, source=e["source"].value,
-                  target=e["target"].value, component_exprs=components,
+                  target=e["target"].value,
+                  component_exprs=[components[a,][0].value for a in range(n)],
                   coordinates=source.coordinates, lipschitz=lipschitz,
                   line=section.line)
-
-
-def _ladder(text: str) -> list:
-    values = _floats(text)
-    ladder = [int(x) for x in values]
-    if ladder != values or any(r < 3 for r in ladder):
-        raise ValueError("every grid point count must be a whole number >= 3")
-    return ladder
-
-
-def _seed(text: str) -> int:
-    """A restart seed: one whole number >= 0, of any size."""
-    seed = int(text)
-    if seed < 0:
-        raise ValueError("seed must be a whole number >= 0")
-    return seed
-
-
-def _grid_count(text: str) -> int:
-    """One grid point count per axis, as a ``[manifold] resolution`` entry."""
-    ladder = _ladder(text)
-    if len(ladder) != 1:
-        raise ValueError("need one grid point count")
-    return ladder[0]
-
-
-def _positive(text: str, name: str = "value", finite: bool = True) -> float:
-    """One number > 0, finite too unless ``finite`` is False."""
-    values = _floats(text)
-    value = values[0] if len(values) == 1 else math.nan
-    if not (0.0 < value < math.inf or value == math.inf and not finite):
-        raise ValueError(f"{name} must be one {'finite ' * finite}number > 0")
-    return value
-
-
-def _ladder_issue(run: RunConfig, manifolds: dict, maps: dict, path: str,
-                  line: int):
-    """The issue of a ladder level whose grid on the primary map's source
-    has more than MAX_GRID_POINTS points, or None."""
-    source = manifolds.get(next(iter(maps.values())).source) if maps else None
-    if source is not None and any(r ** source.dimension > MAX_GRID_POINTS
-                                  for r in run.resolution_ladder):
-        return ValidationIssue(path, line, "Resolution", "a ladder grid has "
-                               f"more than {MAX_GRID_POINTS} points")
-    return None
 
 
 def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
@@ -656,26 +621,26 @@ def _parse_run(section: _Section, path: str, issues: list) -> RunConfig:
         return _number(e, key, default, convert, path, issues)
 
     if "mode" in e:
-        cfg.mode = e["mode"].value.strip()
+        cfg.mode = e["mode"].value
     if "out" in e:
         cfg.out = e["out"].value
     cfg.p_list = number("p", cfg.p_list)
     cfg.basepoint = number("basepoint", cfg.basepoint)
     cfg.resolution_ladder = number("resolution_ladder", cfg.resolution_ladder,
-                                   _ladder)
+                                   _counts)
     cfg.seed = number("seed", cfg.seed, _seed)
-    for key, convert in (("center", _floats), ("target_center", _floats),
-                         ("r", _positive),
-                         ("R", partial(_positive, finite=False))):
+    for key, convert in (
+            ("center", _floats),
+            ("target_center", lambda text: text if text == "image"
+             else _floats(text)),
+            ("r", _one), ("R", partial(_one, finite=False))):
         bkey = f"ball_{key}"
         if bkey in e:
-            cfg.ball[key] = (e[bkey].value if key == "target_center"
-                             and e[bkey].value.strip() == "image"
-                             else number(bkey, None, convert))
+            cfg.ball[key] = number(bkey, None, convert)
         elif cfg.mode == "ball" and key != "target_center":
             issues.append(ValidationIssue(path, section.line, "MissingKey",
                                           f"ball mode needs '{bkey}'"))
-    cfg.uc_radius = number("uc_radius", cfg.uc_radius, _positive)
+    cfg.uc_radius = number("uc_radius", cfg.uc_radius, _one)
     issue = cfg.validate_issue(path, section.line,
                                e["p"].line if "p" in e else section.line)
     if issue:
@@ -691,8 +656,8 @@ def _parse_search(section: _Section, path: str, issues: list) -> SearchConfig | 
         return None
     params = _names(e["parameters"].value)
     found = len(issues)
-    lower = _number(e, "lower", None, _floats, path, issues)
-    upper = _number(e, "upper", None, _floats, path, issues)
+    lower = _number(e, "lower", None, _finite, path, issues)
+    upper = _number(e, "upper", None, _finite, path, issues)
     if len(issues) > found:
         return None
     if lower is None or upper is None or len(lower) != len(params) \
@@ -700,11 +665,6 @@ def _parse_search(section: _Section, path: str, issues: list) -> SearchConfig | 
         issues.append(ValidationIssue(path, section.line, "SearchBounds",
                                       "search needs lower/upper per parameter"))
         return None
-    for key, nums in (("lower", lower), ("upper", upper)):
-        if not np.all(np.isfinite(nums)):
-            issues.append(ValidationIssue(path, e[key].line, "NumberFormat",
-                                          f"'{key}' entries must be finite"))
-            return None
     if not all(lo < hi for lo, hi in zip(lower, upper)):
         issues.append(ValidationIssue(path, e["lower"].line, "SearchBounds",
                                       "each lower must be < its upper"))
@@ -766,9 +726,9 @@ def load_scenario(path: str) -> Scenario:
                 issues.append(ValidationIssue(
                     path, mdef.line, "MissingKey", f"manifold {mdef.name}: "
                     "r1_half = estimate needs a 'base_point'"))
-    if run.resolution_ladder:
-        issue = _ladder_issue(run, manifolds, maps, path,
-                              run_section.entries["resolution_ladder"].line)
+        issue = run.resolution_ladder and _grid_issue(
+            path, run_section.entries["resolution_ladder"].line,
+            ([r] * source.dimension for r in run.resolution_ladder))
         if issue:
             issues.append(issue)
     if issues:

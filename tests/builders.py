@@ -30,8 +30,7 @@ from czmap.geodesics import (SHOOTING_STEPS, distance_field, log_map,
 from czmap.geometry import CoordinateBox, MetricChart, _evaluator, _is_zero
 from czmap.harmonic import (_pushed_derivatives, check_hr_conditions,
                             solve_harmonic_chart)
-from czmap.maps import (JetField, MapModel, component_derivatives,
-                        target_christoffel_at)
+from czmap.maps import JetField, MapModel, component_derivatives
 
 
 def flat_chart(lower, upper, resolution, dim: int | None = None,
@@ -189,7 +188,7 @@ def hessian_parts(map_model: MapModel) -> tuple:
     tGamma^a_bc(u) d_i u^b d_j u^c."""
     values, du, ddu = component_derivatives(map_model)
     sgam = map_model.source_chart.grid_christoffel()
-    tgam = target_christoffel_at(map_model, values)
+    tgam = map_model.target_chart.christoffel_at(values)
     return (ddu - np.einsum("...lij,...al->...aij", sgam, du),
             np.einsum("...abc,...bi,...cj->...aij", tgam, du, du))
 
@@ -225,7 +224,7 @@ def split_laplacian(map_model: MapModel) -> np.ndarray:
     source = map_model.source_chart
     ginv = source.grid_inverse()
     sgam = source.grid_christoffel()
-    tgam = target_christoffel_at(map_model, values)
+    tgam = map_model.target_chart.christoffel_at(values)
     scalar_lap = (np.einsum("...ij,...aij->...a", ginv, ddu)
                   - np.einsum("...ij,...lij,...al->...a", ginv, sgam, du))
     return scalar_lap + np.einsum("...abc,...ij,...bi,...cj->...a",

@@ -79,8 +79,8 @@ class TestGeneralizedHessian:
         assert np.array_equal(jet.hess, np.swapaxes(jet.hess, -1, -2))
 
     def test_interpolated_target_symbols_match_analytic(self):
-        # fd-mode target charts fall back to multilinear interpolation of
-        # the grid symbols along the image
+        # an fd-mode target chart takes the central-difference symbols
+        # at each image point
         from builders import flat_to_sphere_map, sphere_chart
         analytic = flat_to_sphere_map(resolution=17)
         fd_target = MapModel(analytic.source_chart,

@@ -203,6 +203,47 @@ class TestLoader:
             load_scenario(str(path))
         assert any(i.invariant == "SymmetryViolation" for i in err.value.issues)
 
+    @pytest.mark.parametrize("edits, invariant, at", [
+        # the probe box would be built from an unordered box
+        ({"upper = 0.26, 0.26": "upper = -0.3, 0.26",
+          "metric.1.2 = 0": "metric.1.2 = 0\nmetric.2.1 = 0*x1"},
+         "BoxOrder", "lower = -0.26, -0.26"),
+        # log() of a negative coordinate on the probe box
+        ({"metric.1.2 = 0": "metric.1.2 = 0*log(x1)\n"
+                            "metric.2.1 = 0*log(x1)*1"},
+         "EvalError", "metric.2.1 = 0*log(x1)*1")])
+    def test_symmetry_probe_is_located(self, tmp_path, capsys, edits,
+                                       invariant, at):
+        with open(fixture_path("flat-identity"), encoding="utf-8") as fh:
+            text = fh.read()
+        for old, new in edits.items():
+            text = text.replace(old, new, 1)              # the source chart
+        path = tmp_path / "probe.scn"
+        path.write_text(text)
+        assert main(["validate", "--scenario", str(path)]) == 1
+        lines = capsys.readouterr().err.strip().split("\n")
+        line = text.split("\n").index(at) + 1
+        assert lines[0].startswith(f"{path}:{line}: [{invariant}]")
+        assert all(entry.startswith(f"{path}:") for entry in lines)
+
+    @pytest.mark.parametrize("section", [
+        "[run]\nmode = intro\np = 3",
+        "[manifold source]\ncoordinates = y1, y2",
+        "[map swap]\nsource = source\ntarget = target\ncomponent.1 = x2\n"
+        "component.2 = x1"], ids=["run", "manifold", "map"])
+    def test_repeated_section_is_one_issue(self, tmp_path, section):
+        # each used to replace the section before it, or to be validated
+        # and never run
+        with open(fixture_path("flat-identity"), encoding="utf-8") as fh:
+            text = fh.read() + "\n" + section + "\n"
+        path = tmp_path / "repeated.scn"
+        path.write_text(text)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        issue, = err.value.issues
+        line = len(text.split("\n")) - section.count("\n") - 1
+        assert (issue.invariant, issue.line) == ("DuplicateSection", line)
+
     def test_all_issues_collected_with_lines(self, tmp_path):
         text = BAD_SYMMETRY.replace("p = 2", "p = 0.5").replace(
             "lipschitz = 1", "lipschitz = -2")
@@ -233,7 +274,10 @@ class TestLoader:
         ("base_point", "0.3, 0"), ("base_point", "0, 0, 0, -inf"),
         ("ball_center", "0.1"), ("ball_center", "0, 0.27"),
         ("ball_target_center", "0, 0, 0"),
-        ("ball_target_center", "1.01, 0")])
+        ("ball_target_center", "1.01, 0"),
+        # one-number keys that used to keep a list's first entry, or nan
+        ("r1_half", "0.3, 9"), ("lipschitz", "1, -5"),
+        ("ricci_lower_bound", "nan")])
     def test_malformed_number_is_located(self, tmp_path, key, bad):
         path = tmp_path / "numbers.scn"
         path.write_text(NUMERIC_KEYS)
@@ -490,6 +534,21 @@ class TestMutatedFixtures:
         assert issue.line == lines.index("[map immersion]") + 1
         assert "not finite" in issue.detail
 
+    def test_overflowing_grid_step_is_named(self, tmp_path):
+        # the metric length of a target grid step overflows to inf, so
+        # the target's grid distances cannot be formed
+        with open(fixture_path("graph-immersion"), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        lines[lines.index("lower = -0.6, -0.6, -0.5")] = "lower = -1e300"
+        path = tmp_path / "wide.scn"
+        path.write_text("\n".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = run_scenario(load_scenario(str(path)))
+        assert len(reports) == 6
+        assert all("edge lengths are not finite" in rep.error
+                   for rep in reports)
+
     @pytest.mark.parametrize("value", ["1e999", "-1e999"])
     def test_infinite_metric_entry_is_located(self, tmp_path, value):
         # eigvalsh gives nan for an infinite entry, and nan must fail the
@@ -553,18 +612,33 @@ class TestMutatedFixtures:
         ("saddle-search", "upper", "uper"),          # the [search] section
         ("saddle-search", "metric.1.1", "metrik.1.1")])
     def test_unknown_key_is_located(self, tmp_path, name, key, misspelt):
+        self.check_renamed_key(tmp_path, name, key, misspelt, "UnknownKey")
+
+    @pytest.mark.parametrize("key, renamed, invariant", [
+        # each used to load as the key it extends
+        ("metric.1.2", "metric.1.2.9", "MetricKey"),
+        ("component.1", "component.1.7", "ComponentKey")])
+    def test_key_with_extra_index_is_located(self, tmp_path, key, renamed,
+                                             invariant):
+        self.check_renamed_key(tmp_path, "flat-identity", key, renamed,
+                               invariant)
+
+    @staticmethod
+    def check_renamed_key(tmp_path, name, key, renamed, invariant):
+        """The first issue of fixture ``name`` with its first ``key``
+        renamed is ``invariant`` at that line and names the new key."""
         with open(fixture_path(name), encoding="utf-8") as fh:
             lines = fh.read().split("\n")
         index = next(i for i, line in enumerate(lines)
                      if line.startswith(f"{key} ="))
-        lines[index] = lines[index].replace(key, misspelt, 1)
-        path = tmp_path / "misspelt.scn"
+        lines[index] = lines[index].replace(key, renamed, 1)
+        path = tmp_path / "renamed.scn"
         path.write_text("\n".join(lines))
         with pytest.raises(ScenarioError) as err:
             load_scenario(str(path))
         issue = err.value.issues[0]
-        assert (issue.invariant, issue.line) == ("UnknownKey", index + 1)
-        assert misspelt in issue.detail
+        assert (issue.invariant, issue.line) == (invariant, index + 1)
+        assert renamed in issue.detail
 
 
 class TestRunner:
