@@ -97,17 +97,18 @@ def cmd_radius(args) -> int:
     for name, mdef in scenario.manifolds.items():
         chart = mdef.build_chart(None if resolution is None
                                  else [resolution] * mdef.dimension)
-        points = mdef.base_points or [0.5 * (np.asarray(mdef.lower)
-                                             + np.asarray(mdef.upper))]
-        for x in points:
-            x = np.asarray(x, dtype=float)
-            bound = r_max if r_max is not None else default_r_max(chart, x)
-            try:
-                est = estimate_harmonic_radius(chart, x, r_max=bound)
-            except CzmapError as exc:
-                print(f"{name} at {x.tolist()}: error {exc}", file=sys.stderr)
+        points = np.asarray(mdef.base_points or [0.5 * (
+            np.asarray(mdef.lower) + np.asarray(mdef.upper))], dtype=float)
+        bounds = [r_max if r_max is not None else default_r_max(chart, x)
+                  for x in points]
+        estimates = estimate_harmonic_radius(chart, points, bounds)
+        for x, bound, est in zip(points, bounds, estimates):
+            if isinstance(est, CzmapError):
+                print(f"{name} at {x.tolist()}: error {est}", file=sys.stderr)
                 status = 1
                 continue
+            if isinstance(est, Exception):
+                raise est
             print(f"{name} at {x.tolist()}: r_1,1/2 {est} "
                   f"(r_max {bound:.4g}, {len(est.certificates)} solves)")
             for cert in est.certificates:

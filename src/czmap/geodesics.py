@@ -9,13 +9,16 @@ Two estimators cooperate:
 * a shooting refinement for point pairs: Newton iteration on the initial
   velocity of the geodesic ODE until the endpoint hits the target.  Each
   Newton step makes one batched RK4 shot of the base velocities and the m
-  forward-difference probes of the endpoint's Jacobian; RK4 rows are
-  independent, so the batch gives each row the bits of a separate shot.
-  The RK4 right-hand side is (v, -Γ(v, v)) from
+  forward-difference probes of the endpoint's Jacobian, for the pairs of
+  every start point at once; RK4 rows are independent, so the batch gives
+  each row the bits of a separate shot, and each start point keeps its
+  own Newton controls.
+  The RK4 right-hand side is (v, -Γ(v, v)) from the arithmetic of
   :meth:`MetricChart.geodesic_acceleration`, which solves g a = -w on the
   metric oracles (on an analytic chart one compiled kernel that evaluates
-  each distinct subtree of the oracle table once per call) and never
-  forms the Christoffel tensor.
+  each distinct subtree of the oracle table once per call, which a shot
+  calls directly under one floating-point guard) and never forms the
+  Christoffel tensor.
 
 A shot keeps its state as one array y = (x, v) with slope (v, a), stored
 one contiguous row per coordinate, shape ``(2m, batch)``: every RK4 stage
@@ -244,24 +247,47 @@ def metric_ball(chart: MetricChart, center, r: float,
 
 
 def shoot(chart: MetricChart, x, v0: np.ndarray):
-    """Integrate the geodesic equation from ``x`` with initial velocities.
+    """Integrate the geodesic equation from start points with initial
+    velocities.
 
-    ``v0`` has shape ``(batch, m)``; SHOOTING_STEPS RK4 steps on t in
-    [0, 1] for x' = v, v' = -Γ^l_ij v^i v^j, the acceleration read straight
-    from the metric oracles (:meth:`MetricChart.geodesic_acceleration`).
-    The state is one array y = (x, v) with slope (v, acceleration), one
-    contiguous row per coordinate: shape ``(2m, batch)``.  Trajectories
-    still in the box are evaluated at their position clipped to it; those
-    that left it move on with acceleration 0.  Returns endpoints
-    ``(batch, m)`` and a validity mask (False where the trajectory left the
-    chart box, where the metric oracle is undefined).
+    ``v0`` has shape ``(batch, m)`` and ``x`` is one start point ``(m,)``
+    or one per row; SHOOTING_STEPS RK4 steps on t in [0, 1] for x' = v,
+    v' = -Γ^l_ij v^i v^j.  Returns endpoints ``(batch, m)`` and a validity
+    mask (False where the trajectory left the chart box, where the metric
+    oracle is undefined).  On an analytic chart every stage calls the
+    compiled kernel (``_acceleration_kernel``) under one raising
+    floating-point guard, from finite start rows; a raised flag or a
+    non-finite end state re-runs the shot stage by stage through
+    :meth:`MetricChart.geodesic_acceleration`, whose guard hands a stage
+    that meets one to the per-oracle route, with its values and located
+    errors.  Without a flag both routes take the kernel's bits.
     """
-    x = np.asarray(x, dtype=float)
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
-    batch, m = v0.shape
-    y = np.concatenate([np.broadcast_to(x, v0.shape).T, v0.T])
-    ok = np.ones(batch, dtype=bool)
-    lower, upper = chart.box.lower, chart.box.upper
+    m = chart.dimension
+    y = np.empty((2 * m, v0.shape[0]))          # one C-ordered row each
+    y[:m] = np.broadcast_to(np.asarray(x, dtype=float), v0.shape).T
+    y[m:] = v0.T
+    kernel = chart._acceleration_kernel()
+    if kernel is not None and np.isfinite(y).all():
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                end, ok = _rk4(chart.box, kernel, y)
+            # a non-finite value stays in the state to the end
+            if np.isfinite(end).all():
+                return end[:m].T.copy(), ok
+        except ArithmeticError:
+            pass
+    end, ok = _rk4(chart.box, chart.geodesic_acceleration, y)
+    return end[:m].T.copy(), ok
+
+
+def _rk4(box, acceleration, y):
+    """The SHOOTING_STEPS RK4 steps of :func:`shoot` from the state ``y``,
+    shape ``(2m, batch)``, with ``acceleration(points, v)``; returns the
+    end state and the mask of rows that stayed in the box."""
+    m = box.dimension
+    ok = np.ones(y.shape[1], dtype=bool)
+    lower, upper = box.lower, box.upper
     # the bounds of box.contains(pos, margin=-1e-9), formed once
     above = lower + -1e-9 - 1e-12
     below = upper - -1e-9 + 1e-12
@@ -277,13 +303,13 @@ def shoot(chart: MetricChart, x, v0: np.ndarray):
 
     def slope(y, valid):
         if valid is None:               # every row in the box
-            acc = chart.geodesic_acceleration(clipped(y[:m]), y[m:].T)
+            acc = acceleration(clipped(y[:m]), y[m:].T)
             return np.concatenate([y[m:], acc.T])
         k = np.zeros_like(y)
         k[:m] = y[m:]
         if valid.any():
             pos = clipped(y[:m, valid])
-            k[m:, valid] = chart.geodesic_acceleration(pos, y[m:, valid].T).T
+            k[m:, valid] = acceleration(pos, y[m:, valid].T).T
         return k
 
     for _ in range(SHOOTING_STEPS):
@@ -295,50 +321,71 @@ def shoot(chart: MetricChart, x, v0: np.ndarray):
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         for i in range(m):
             ok &= (y[i] >= above[i]) & (y[i] <= below[i])
-    return y[:m].T.copy(), ok
+    return y, ok
 
 
 def log_map(chart: MetricChart, x, targets):
-    """Initial velocities of geodesics from ``x`` reaching ``targets``.
+    """Initial velocities of geodesics from start points reaching
+    ``targets``.
 
-    Newton iteration on the shooting endpoint, batched over targets.
+    ``targets`` has shape ``(batch, m)`` and ``x`` is one start point
+    ``(m,)`` or one per row ``(batch, m)``.  Newton iteration on the
+    shooting endpoint: each step makes one shot of every row still
+    iterating, its base velocity and the m forward-difference probes
+    v + eps e_k of the endpoint's Jacobian.  The rows of one start point
+    form a group with its own Newton controls: the probe step eps (from
+    the group's largest |v|), the tolerance scale, the Jacobian solve
+    (a singular one ends the group without its step) and the exit when
+    none of its shots stayed in the box.  Shot rows are independent, so
+    each group gets the bits of a call of its own.
     Returns ``(velocities, converged_mask)``.
     """
-    x = np.asarray(x, dtype=float)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    m = x.size
+    x = np.broadcast_to(np.asarray(x, dtype=float), targets.shape)
+    m = targets.shape[1]
+    starts, group = np.unique(x, axis=0, return_inverse=True)
+    groups = [np.flatnonzero(group.reshape(-1) == g)
+              for g in range(len(starts))]
     v = targets - x
-    scale = max(1.0, float(np.abs(targets - x).max()))
+    scale = [max(1.0, float(np.abs(targets[rows] - x[rows]).max()))
+             for rows in groups]
     converged = np.zeros(targets.shape[0], dtype=bool)
+    running = range(len(groups))
     for _ in range(SHOOTING_MAX_ITER):
-        active = ~converged
-        if not active.any():
+        # the rows still iterating, group by group
+        active = [(g, groups[g][~converged[groups[g]]]) for g in running]
+        active = [(g, rows) for g, rows in active if rows.size]
+        if not active:
             break
-        va = v[active]
+        rows = np.concatenate([r for _, r in active])
+        va = v[rows]
+        sizes = [r.size for _, r in active]
+        bounds = np.cumsum([0] + sizes)
         # one shot for the base velocities and the m forward-difference
         # probes va + eps e_k of the endpoint's Jacobian; rows are independent
-        eps = 1e-6 * max(1.0, float(np.abs(va).max()))
-        probes = eps * np.eye(m)
-        ends, oks = shoot(chart, x, np.concatenate(
-            [va] + [va + probes[k] for k in range(m)]))
+        eps = np.repeat([1e-6 * max(1.0, float(np.abs(v[r]).max()))
+                         for _, r in active], sizes)[:, None]
+        probes = np.eye(m)
+        ends, oks = shoot(chart, np.tile(x[rows], (m + 1, 1)), np.concatenate(
+            [va] + [va + eps * probes[k] for k in range(m)]))
         ends = ends.reshape(m + 1, *va.shape)
         oks = oks.reshape(m + 1, va.shape[0])
         end, ok = ends[0], oks[0]
-        res = end - targets[active]
-        hit = ok & (np.abs(res).max(axis=1) <= SHOOTING_TOL * scale)
+        res = end - targets[rows]
+        tol = np.repeat([SHOOTING_TOL * scale[g] for g, _ in active], sizes)
+        hit = ok & (np.abs(res).max(axis=1) <= tol)
         jac = np.empty((va.shape[0], m, m))
         for k in range(m):
             jac[:, :, k] = (ends[k + 1] - end) / eps
             ok &= oks[k + 1]
-        try:
-            delta = np.linalg.solve(jac, res[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        new_v = va - np.where(ok[:, None], delta, 0.0)
-        v[active] = new_v
-        full_hit = np.zeros_like(converged)
-        full_hit[np.flatnonzero(active)[hit]] = True
-        converged |= full_hit
-        if not ok.any():
-            break
+        running = []
+        for (g, r), lo, hi in zip(active, bounds[:-1], bounds[1:]):
+            try:
+                delta = np.linalg.solve(jac[lo:hi], res[lo:hi, :, None])
+            except np.linalg.LinAlgError:
+                continue
+            v[r] = va[lo:hi] - np.where(ok[lo:hi, None], delta[..., 0], 0.0)
+            converged[r[hit[lo:hi]]] = True
+            if ok[lo:hi].any():
+                running.append(g)
     return v, converged

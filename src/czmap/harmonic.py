@@ -16,11 +16,15 @@ g~^{ab} = J g^{ij} J^T (J the Jacobian of phi):
   the certified radius is r_{1,1/2}).
 
 The radius estimator bisects on the verdict; certificates under-claim by
-construction (ties resolve downward).
+construction (ties resolve downward).  It bisects at many base points of
+one chart in lockstep rounds, and one log_map shoots the boundary layers
+of a round's solves, so that every Newton step makes one shot for all of
+them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -240,6 +244,70 @@ def solve_harmonic_chart(chart: MetricChart, x,
     iterative fallback stalls or a block of the direct solve is singular,
     NotDiffeomorphic when the solved Jacobian degenerates.
     """
+    finish, = _solve_round(chart, [x], [r])
+    return finish()
+
+
+def _attempt(step, *args):
+    """``step(*args)``, or the exception that it raised."""
+    try:
+        return step(*args)
+    except Exception as exc:
+        return exc
+
+
+def _boundary_shots(chart: MetricChart, starts) -> list:
+    """Per ``(x, boundary points)`` of ``starts``, their log map ``(v,
+    converged)`` or the exception that ended it.  One :func:`log_map`
+    shoots them all (the rows of one center are one Newton group, so each
+    gets the bits of a call of its own); if it raises, each is shot alone
+    and keeps its own error."""
+    try:
+        v, converged = log_map(
+            chart, np.concatenate([np.broadcast_to(x, bpts.shape)
+                                   for x, bpts in starts]),
+            np.concatenate([bpts for _, bpts in starts]))
+    except Exception:
+        return [_attempt(log_map, chart, x, bpts) for x, bpts in starts]
+    cuts = np.cumsum([len(bpts) for _, bpts in starts])[:-1]
+    return list(zip(np.split(v, cuts), np.split(converged, cuts)))
+
+
+def _finish(solve, shot) -> HarmonicChartCandidate:
+    """The candidate that ``solve`` returns when it is sent its boundary
+    shot, or the error that ended the solve in place of the shot."""
+    if isinstance(shot, Exception):
+        raise shot
+    try:
+        solve.send(shot)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _solve_round(chart: MetricChart, points, radii) -> list:
+    """The solves of :func:`solve_harmonic_chart` at each ``(x, r)`` of
+    ``zip(points, radii)``, with one boundary shot for all of them.
+
+    Returns, per point, a function that returns its candidate or raises
+    the error that ended its solve.  The domains are set up and shot here;
+    each Dirichlet solve runs when its function is called, so only
+    boundary data is held across points.
+    """
+    solves = [_solve_steps(chart, x, r) for x, r in zip(points, radii)]
+    starts = [_attempt(next, solve) for solve in solves]
+    ready = [s for s in starts if not isinstance(s, Exception)]
+    shots = iter(_boundary_shots(chart, ready) if ready else ())
+    finishers = []
+    for solve, start in zip(solves, starts):
+        shot = start if isinstance(start, Exception) else next(shots)
+        finishers.append(functools.partial(_finish, solve, shot))
+    return finishers
+
+
+def _solve_steps(chart: MetricChart, x, r: float):
+    """:func:`solve_harmonic_chart` in two steps: yields the center and the
+    boundary points of the solve domain, is sent their log map ``(v,
+    converged)``, and returns the candidate."""
     x = np.asarray(x, dtype=float)
     box = chart.box
     m = box.dimension
@@ -266,7 +334,7 @@ def solve_harmonic_chart(chart: MetricChart, x,
 
     # geodesic normal coordinates on the boundary layer
     bpts = box.points()[np.flatnonzero(boundary.reshape(-1))]
-    v, converged = log_map(chart, x, bpts)
+    v, converged = yield x, bpts
     fallbacks = int((~converged).sum())
     if fallbacks:
         # straight-line direction rescaled to the measured distance
@@ -441,30 +509,11 @@ def default_r_max(chart: MetricChart, x) -> float:
     return 0.7 * margin * float(np.sqrt(lam_min))
 
 
-def estimate_harmonic_radius(chart: MetricChart, x, r_max: float = 1.0,
-                             bisection_steps: int = 12) -> RadiusEstimate:
-    """Bisection on the harmonic-radius verdict over (0, r_max].
-
-    Returns the sentinel estimate ">= r_max" when the conditions hold at
-    r_max itself.  Ties resolve downward so certificates under-claim.
-    """
-    tested = []
-
-    def verdict_at(r: float) -> RadiusCertificate:
-        try:
-            cand = solve_harmonic_chart(chart, x, r)
-            cert = check_hr_conditions(cand)
-        except PreconditionFailed:
-            cert = RadiusCertificate(r=r, hr1_margin=np.nan, hr2_value=np.nan,
-                                     verdict="exceeds-grid")
-        except NotDiffeomorphic:
-            cert = RadiusCertificate(r=r, hr1_margin=np.nan, hr2_value=np.nan,
-                                     verdict="fails")
-        tested.append(cert)
-        return cert
-
-    top = verdict_at(r_max)
-    if top.holds:
+def _bisection(chart: MetricChart, x, r_max: float, bisection_steps: int):
+    """The radius bisection at ``x``: yields each radius it tests, is sent
+    the certificate there, and returns the estimate."""
+    tested = [(yield r_max)]
+    if tested[0].holds:
         return RadiusEstimate(value=r_max, at_least=True, certificates=tested)
     lo, hi = 0.0, r_max
     # the grid step in metric units at x, as hi and lo are metric radii
@@ -474,7 +523,8 @@ def estimate_harmonic_radius(chart: MetricChart, x, r_max: float = 1.0,
         if hi - lo < min_gap:
             break
         mid = 0.5 * (lo + hi)
-        if verdict_at(mid).holds:
+        tested.append((yield mid))
+        if tested[-1].holds:
             lo = mid
         else:
             hi = mid
@@ -482,3 +532,50 @@ def estimate_harmonic_radius(chart: MetricChart, x, r_max: float = 1.0,
     return RadiusEstimate(value=lo, at_least=False, undetermined=undetermined,
                           certificates=tested)
 
+
+def _verdict(finish, r: float) -> RadiusCertificate:
+    """The certificate of the candidate that ``finish()`` returns at
+    radius ``r``; a ball too large for the grid or a degenerate Jacobian
+    is a verdict, any other error is raised."""
+    try:
+        return check_hr_conditions(finish())
+    except PreconditionFailed:
+        return RadiusCertificate(r=r, hr1_margin=np.nan, hr2_value=np.nan,
+                                 verdict="exceeds-grid")
+    except NotDiffeomorphic:
+        return RadiusCertificate(r=r, hr1_margin=np.nan, hr2_value=np.nan,
+                                 verdict="fails")
+
+
+def estimate_harmonic_radius(chart: MetricChart, points, r_max=1.0,
+                             bisection_steps: int = 12) -> list:
+    """Bisection on the harmonic-radius verdict over (0, r_max] at each
+    base point of ``points``, shape ``(count, m)``, with its own ``r_max``
+    (one value, or one per point).
+
+    Returns, per point, its estimate or the error that ended it.  An
+    estimate is the sentinel ">= r_max" when the conditions hold at r_max
+    itself.  Ties resolve downward so certificates under-claim.  The
+    bisections run in lockstep rounds: each round solves every point still
+    bisecting at its own next radius, with one boundary shot
+    (:func:`_solve_round`).  A point's radii follow from its own verdicts
+    alone, so each point gets the estimate of a bisection of its own.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    r_max = np.broadcast_to(np.asarray(r_max, dtype=float), len(points))
+    results = [None] * len(points)
+    bisections = {i: _bisection(chart, x, float(r), bisection_steps)
+                  for i, (x, r) in enumerate(zip(points, r_max))}
+    radii = {i: next(b) for i, b in bisections.items()}
+    while radii:
+        round_ = _solve_round(chart, points[list(radii)], radii.values())
+        for (i, r), finish in zip(list(radii.items()), round_):
+            try:
+                radii[i] = bisections[i].send(_verdict(finish, r))
+            except StopIteration as stop:
+                results[i] = stop.value
+                del radii[i]
+            except Exception as exc:
+                results[i] = exc
+                del radii[i]
+    return results

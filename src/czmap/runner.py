@@ -42,7 +42,9 @@ def _resolve_r1(mdef, chart) -> RadiusCertificate:
         raise CzmapError(f"manifold {mdef.name}: r1_half=estimate needs "
                          "a base_point")
     x = np.asarray(mdef.base_points[0], dtype=float)
-    est = estimate_harmonic_radius(chart, x, r_max=default_r_max(chart, x))
+    est, = estimate_harmonic_radius(chart, [x], default_r_max(chart, x))
+    if isinstance(est, Exception):
+        raise est
     if est.undetermined or est.value <= 0:
         raise CzmapError(
             f"manifold {mdef.name}: harmonic-radius estimate at "

@@ -579,18 +579,22 @@ def _check_point(path: str, line: int, key: str, point, mdef: ManifoldDef,
                                       f"of manifold {mdef.name}"))
 
 
-def _parse_map(section: _Section, path: str, issues: list,
-               manifolds: dict, search: SearchConfig | None) -> MapDef | None:
+def _parse_map(section: _Section, path: str, issues: list, manifolds: dict,
+               declared: set, search: SearchConfig | None) -> MapDef | None:
+    """The map of ``section``, or None after its issues.  ``manifolds``
+    holds the valid manifolds of the ``declared`` names: a map on a
+    rejected one is skipped, as its manifold's issues already stand."""
     e = section.entries
     found = len(issues)
     for key in ("source", "target"):
         if key not in e:
             issues.append(ValidationIssue(path, section.line, "MissingKey",
                                           f"map {section.name}: missing '{key}'"))
-        elif e[key].value not in manifolds:
+        elif e[key].value not in declared:
             issues.append(ValidationIssue(path, e[key].line, "UnknownManifold",
                                           f"unknown manifold '{e[key].value}'"))
-    if len(issues) > found:
+    if len(issues) > found or not (
+            {e["source"].value, e["target"].value} <= manifolds.keys()):
         return None
     source = manifolds[e["source"].value]
     n = manifolds[e["target"].value].dimension
@@ -698,9 +702,10 @@ def load_scenario(path: str) -> Scenario:
     maps = {}
     run_section = None
     run = RunConfig()
+    declared = {sec.name for sec in sections if sec.kind == "manifold"}
     for sec in sections:
         if sec.kind == "map":
-            mdef = _parse_map(sec, path, issues, manifolds, search)
+            mdef = _parse_map(sec, path, issues, manifolds, declared, search)
             if mdef is not None:
                 maps[mdef.name] = mdef
         elif sec.kind == "run":

@@ -163,7 +163,7 @@ class TestCriterion5HarmonicSolver:
         curved_cand = solve_harmonic_chart(curved, [math.pi / 2, 0.0], 0.35)
 
         big = flat_chart(-13.0, 13.0, 41, dim=2)
-        est = estimate_harmonic_radius(big, [0.0, 0.0], r_max=10.0)
+        est, = estimate_harmonic_radius(big, [[0.0, 0.0]], r_max=10.0)
 
         ok = (pushed_dev <= 1e-8 and cert.hr2_value <= 1e-6
               and curved_cand.laplace_residual <= 1e-6

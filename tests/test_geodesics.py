@@ -1,6 +1,7 @@
 import glob
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from builders import (constant_tilted_chart, flat_chart, geodesic_distance,
                       hyperbolic_chart, reference_shoot, sphere_chart,
                       tilted_chart_3d)
 from conftest import make_flat, make_hyperbolic, make_sphere
+from czmap.errors import EvalError
 from czmap.expressions import Expression
 from czmap.geodesics import (GridGraph, _metric_is_constant, _neighbor_offsets,
                              distance_field, log_map, metric_ball,
@@ -242,6 +244,99 @@ class TestShotKernel:
         v0[1] = -0.0
         v0[2, 0] = -0.0
         _assert_shot_matches_reference(chart, x, v0)
+
+
+    def test_stages_call_the_kernel_under_one_guard(self, monkeypatch):
+        # from finite rows, with no flag raised, no stage takes the
+        # per-stage guard of MetricChart.geodesic_acceleration
+        chart = SHOT_CHARTS["sphere"]
+        v0 = np.random.default_rng(2).uniform(-0.3, 0.3, (5, 2))
+        expected = reference_shoot(chart, [1.4, 0.6], v0)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("a stage took the per-stage guard")
+
+        monkeypatch.setattr(MetricChart, "geodesic_acceleration", banned)
+        ends, oks = shoot(chart, [1.4, 0.6], v0)
+        assert ends.tobytes() == expected[0].tobytes()
+        assert oks.tobytes() == expected[1].tobytes()
+
+    def test_overflow_reruns_the_shot_stage_by_stage(self):
+        # a velocity of 1e200 overflows on the first stage; the shot then
+        # takes the per-stage route's values for every row
+        chart = SHOT_CHARTS["sphere"]
+        v0 = np.array([[0.2, -0.1], [1e200, 1.0], [0.05, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = reference_shoot(chart, [1.4, 0.6], v0)
+            ends, oks = shoot(chart, [1.4, 0.6], v0)
+        assert not np.isfinite(expected[0]).all()
+        assert ends.tobytes() == expected[0].tobytes()
+        assert oks.tobytes() == expected[1].tobytes()
+
+    def test_divide_by_zero_gives_the_located_error(self):
+        chart = MetricChart(CoordinateBox([-1.0], [1.0], [5]),
+                            [[Expression("2 + sin(x)/x", ("x",))]])
+        assert chart._acceleration_kernel() is not None
+        v0 = np.array([[0.5], [-0.25]])
+        with pytest.raises(EvalError) as expected:
+            reference_shoot(chart, [0.0], v0)
+        with pytest.raises(EvalError) as got:
+            shoot(chart, [0.0], v0)
+        assert str(got.value) == str(expected.value)
+
+
+def _assert_log_map_groups_match(chart, xs, targets):
+    """One log_map over the rows of every (x, targets) group returns, per
+    group, the bytes of a log_map of that group alone."""
+    v, ok = log_map(chart, np.concatenate(
+        [np.broadcast_to(x, t.shape) for x, t in zip(xs, targets)]),
+        np.concatenate(targets))
+    cuts = np.cumsum([len(t) for t in targets])[:-1]
+    for x, t, got_v, got_ok in zip(xs, targets, np.split(v, cuts),
+                                   np.split(ok, cuts)):
+        ref_v, ref_ok = log_map(chart, x, t)
+        assert got_v.tobytes() == ref_v.tobytes()
+        assert got_ok.tobytes() == ref_ok.tobytes()
+    return np.split(ok, cuts)
+
+
+class TestBatchedLogMap:
+    """Start points shot together keep the bits of their own calls."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(sorted(SHOT_CHARTS)),
+           count=st.integers(1, 4), reach=st.sampled_from([0.1, 0.4, 1.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_one_call_per_point(self, name, count, reach, seed):
+        chart = SHOT_CHARTS[name]
+        box = chart.box
+        m = chart.dimension
+        width = box.upper - box.lower
+        rng = np.random.default_rng(seed)
+        xs = box.lower + rng.uniform(0.2, 0.8, (count, m)) * width
+        # targets up to `reach` box widths away: with 1.5 some shots leave
+        # the box mid-shot, and a group may lose every row
+        targets = [x + rng.uniform(-reach, reach, (rng.integers(1, 6), m))
+                   * width for x in xs]
+        _assert_log_map_groups_match(chart, xs, targets)
+
+    @pytest.mark.parametrize("name", sorted(SHOT_CHARTS))
+    def test_a_group_that_exits_beside_one_that_converges(self, name):
+        chart = SHOT_CHARTS[name]
+        box = chart.box
+        m = chart.dimension
+        width = box.upper - box.lower
+        mid = 0.5 * (box.lower + box.upper)
+        direction = np.random.default_rng(11).uniform(-1.0, 1.0, (4, m))
+        xs = [mid, mid - 0.1 * width, mid + 0.1 * width]
+        targets = [xs[0] + 0.2 * direction * width,   # converges
+                   xs[1] + 3.0 * direction * width,   # every shot leaves
+                   xs[2] + np.resize([0.1, 2.0], 4)[:, None] * direction
+                   * width]                           # some leave mid-shot
+        near, far, mixed = _assert_log_map_groups_match(chart, xs, targets)
+        assert near.all() and not far.any()
+        assert mixed.any() and not mixed.all()
 
 
 def _einsum_segment_length(chart, a, b, n_quad):

@@ -210,29 +210,29 @@ class TestConditions:
 class TestRadiusEstimate:
     def test_flat_returns_lower_bound_sentinel(self):
         chart = make_flat(-13.0, 13.0, 41)
-        est = estimate_harmonic_radius(chart, [0.0, 0.0], r_max=10.0)
+        est, = estimate_harmonic_radius(chart, [[0.0, 0.0]], r_max=10.0)
         assert est.at_least
         assert est.value == 10.0
         assert str(est) == ">= 10"
 
     def test_rescaled_constant_metric_sentinel(self):
         chart = make_flat(-3.0, 3.0, 33, scale=3.0)
-        est = estimate_harmonic_radius(chart, [0.0, 0.0], r_max=1.2)
+        est, = estimate_harmonic_radius(chart, [[0.0, 0.0]], r_max=1.2)
         assert est.at_least
 
     def test_sphere_estimate_finite_positive(self):
         chart = make_sphere(res=33, theta=(0.9, math.pi - 0.9),
                             phi=(-0.65, 0.65))
-        est = estimate_harmonic_radius(chart, [math.pi / 2, 0.0], r_max=0.6,
-                                       bisection_steps=5)
+        est, = estimate_harmonic_radius(chart, [[math.pi / 2, 0.0]],
+                                        r_max=0.6, bisection_steps=5)
         assert not est.at_least
         assert 0.0 < est.value <= 0.6
 
     def test_verdicts_monotone_over_tested_radii(self):
         chart = make_sphere(res=33, theta=(0.9, math.pi - 0.9),
                             phi=(-0.65, 0.65))
-        est = estimate_harmonic_radius(chart, [math.pi / 2, 0.0], r_max=0.6,
-                                       bisection_steps=5)
+        est, = estimate_harmonic_radius(chart, [[math.pi / 2, 0.0]],
+                                        r_max=0.6, bisection_steps=5)
         held = [c.r for c in est.certificates if c.holds]
         failed = [c.r for c in est.certificates if not c.holds]
         if held and failed:
@@ -250,11 +250,11 @@ class TestRadiusEstimate:
         monkeypatch.setattr(GridGraph, "dijkstra_from", counting)
         chart = make_sphere(res=33, theta=(0.9, math.pi - 0.9),
                             phi=(-0.65, 0.65))
-        solves = []
-        for x in ([math.pi / 2, 0.0], [math.pi / 2, 0.1]):
-            est = estimate_harmonic_radius(chart, x, r_max=0.6,
-                                           bisection_steps=2)
-            solves.append(len(est.certificates))
+        # both points bisect in the same rounds, each on its own field
+        estimates = estimate_harmonic_radius(
+            chart, [[math.pi / 2, 0.0], [math.pi / 2, 0.1]], r_max=0.6,
+            bisection_steps=2)
+        solves = [len(est.certificates) for est in estimates]
         assert solves == [3, 3]         # r_max and two bisection radii
         assert len(sources) == 2
 
@@ -264,8 +264,8 @@ class TestRadiusEstimate:
         runs = []
         for rho in (0.5, 1.0, 2.0, 4.0):
             chart = make_sphere(res=49, rho=rho)
-            est = estimate_harmonic_radius(chart, [math.pi / 2, 0.7],
-                                           r_max=2.0 * rho)
+            est, = estimate_harmonic_radius(chart, [[math.pi / 2, 0.7]],
+                                            r_max=2.0 * rho)
             verdicts = [c.verdict for c in est.certificates]
             runs.append((est.value / rho, verdicts))
         assert runs[0][0] == 0.4375

@@ -185,6 +185,23 @@ class TestLoader:
         assert (issue.invariant, issue.line) == ("UnknownKey", index + 1)
         assert line.split(" =")[0] in issue.detail
 
+    @pytest.mark.parametrize("old, new, invariant", [
+        # a rejected manifold that the file declares: the map is skipped
+        ("r1_half = inf", "r1_half = 0.3, 9", "HarmonicRadius"),
+        # a manifold that the file does not declare
+        ("target = target", "target = nowhere", "UnknownManifold")])
+    def test_map_on_a_bad_manifold_is_one_issue(self, tmp_path, old, new,
+                                                invariant):
+        with open(fixture_path("flat-identity"), encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "bad-manifold.scn"
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(str(path))
+        issue, = err.value.issues
+        assert issue.invariant == invariant
+        assert issue.line == text.split(old)[0].count("\n") + 1
+
     def test_fixture_env_var_overrides_directory(self, tmp_path, monkeypatch):
         from czmap.scenario import fixture_dir
         monkeypatch.setenv("CZMAP_FIXTURES", str(tmp_path))
@@ -1076,3 +1093,76 @@ mode = global
                            ("halfplane", (-0.1, 1.5), (0.1, 1.5))):
             assert len(estimates[name, a]) > 1
             assert estimates[name, a] == estimates[name, b]
+
+    # the radius benchmark's charts: each point's lines must not depend on
+    # the points that share its chart, and so its boundary shots
+    RADIUS_CHARTS = {
+        "sphere": ("coordinates = th, ph\nlower = 1.2708, 0.0\n"
+                   "upper = 1.8708, 1.2\nresolution = 33, 65\n"
+                   "metric.1.1 = 1\nmetric.1.2 = 0\n"
+                   "metric.2.2 = sin(th)^2\n",
+                   [(1.5708, 0.54375), (1.5708, 0.65625),
+                    (1.5708, 0.46875), (1.5708, 0.73125)]),
+        "halfplane": ("coordinates = x, y\nlower = -0.4, 1.3\n"
+                      "upper = 0.4, 1.7\nresolution = 65, 33\n"
+                      "metric.1.1 = 1/(y*y)\nmetric.1.2 = 0\n"
+                      "metric.2.2 = 1/(y*y)\n",
+                      [(-0.0625, 1.5), (0.0625, 1.5), (-0.1125, 1.5),
+                       (0.1125, 1.5)]),
+    }
+    FAULTY_POINT = (1.5708, 0.65625)
+
+    def _radius(self, tmp_path, capsys, points, flags):
+        """(exit code, stdout, stderr) of `czmap radius` on the charts of
+        ``points`` ({chart: [point, ...]}), each with those base points."""
+        path = tmp_path / "radius.scn"
+        path.write_text("".join(
+            f"[manifold {name}]\n{self.RADIUS_CHARTS[name][0]}base_points = "
+            + ", ".join(repr(c) for point in chart_points for c in point)
+            + "\n\n" for name, chart_points in points.items())
+            + "[run]\nmode = global\n", encoding="utf-8")
+        code = main(["radius", "--scenario", str(path), *flags])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("flags, fault", [
+        ([], None), (["--r-max", "0.3"], None),
+        (["--r-max", "0.3"], "shot"), (["--r-max", "0.3"], "solve")])
+    def test_radius_base_points_print_as_if_alone(self, tmp_path, capsys,
+                                                  monkeypatch, flags, fault):
+        # with --r-max 0.3 every estimate bisects, and the padded balls of
+        # its larger radii leave the box
+        import czmap.harmonic as harmonic
+        if fault == "shot":
+            original = harmonic.log_map
+
+            def log_map(chart, x, targets):
+                if (np.atleast_2d(x) == self.FAULTY_POINT).all(axis=1).any():
+                    raise CzmapError("injected shot fault")
+                return original(chart, x, targets)
+            monkeypatch.setattr(harmonic, "log_map", log_map)
+        elif fault == "solve":
+            # the Dirichlet solve centers its fields at x after the shot
+            from czmap.geometry import CoordinateBox
+            original = CoordinateBox.interpolate
+
+            def interpolate(box, values, points):
+                if tuple(np.asarray(points)) == self.FAULTY_POINT:
+                    raise CzmapError("injected solve fault")
+                return original(box, values, points)
+            monkeypatch.setattr(CoordinateBox, "interpolate", interpolate)
+        together = self._radius(tmp_path, capsys, {
+            name: points for name, (_, points) in self.RADIUS_CHARTS.items()},
+            flags)
+        alone = [self._radius(tmp_path, capsys, {name: [point]}, flags)
+                 for name, (_, points) in self.RADIUS_CHARTS.items()
+                 for point in points]
+        assert together == (max(code for code, _, _ in alone),
+                            "".join(out for _, out, _ in alone),
+                            "".join(err for _, _, err in alone))
+        if fault is None:
+            assert together[0] == 0 and together[2] == ""
+        else:
+            assert together[0] == 1
+            assert together[2] == (f"sphere at {list(self.FAULTY_POINT)}: "
+                                   f"error injected {fault} fault\n")

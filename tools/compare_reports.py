@@ -17,7 +17,8 @@ are compared.  It then compares
 * the JSONL records of every run, parsed, with the wall-clock key
   ``timing_seconds`` removed;
 * the TSV files of every run, byte for byte;
-* the ``report``, ``validate`` and ``radius`` stdout, byte for byte;
+* the ``report``, ``validate`` and ``radius`` stdout and stderr, byte
+  for byte (``radius`` prints an estimate that fails to stderr);
 * the exit codes of all commands.
 
 It prints every difference and exits 1 if there is one, else 0.  Only
@@ -81,14 +82,13 @@ def outputs(src: str, fixture: str, workdir: str) -> dict:
     report = _czmap(src, ["report", prefix + ".jsonl"])
     found = {
         **first,
-        "report exit code": report.returncode,
-        "report stdout": report.stdout,
         **_run(src, fixture, prefix + "-multi-p", "--p", MULTI_P),
-        "validate exit code": validate.returncode,
-        "validate stdout": validate.stdout,
-        "radius exit code": radius.returncode,
-        "radius stdout": radius.stdout,
     }
+    for name, done in (("report", report), ("validate", validate),
+                       ("radius", radius)):
+        found.update({f"{name} exit code": done.returncode,
+                      f"{name} stdout": done.stdout,
+                      f"{name} stderr": done.stderr})
     if validate.stdout.rstrip().endswith(b"mode search)"):
         for seed in SEARCH_SEEDS:
             found.update(_run(src, fixture, f"{prefix}-seed-{seed}",
